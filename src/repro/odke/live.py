@@ -66,6 +66,9 @@ class GrowthDriver:
 
     def step(self, targets: list[ExtractionTarget]) -> GrowthStep:
         """One extraction round; publishes when the cadence comes due."""
+        # The run mutates the store a background compaction may be saving
+        # as the new chain base: let any in-flight compaction finish first.
+        self.publisher.join_compaction()
         report = self.pipeline.run(targets, fuse=True)
         self.publisher.record(keys=report.changed_fact_keys)
         self.steps += 1

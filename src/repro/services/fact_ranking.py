@@ -81,8 +81,14 @@ class FactRanker:
         against their own alternatives), so per-subject output is
         identical to :meth:`rank`.
         """
+        # Sorted by object: z-normalisation sums each candidate set in
+        # order, and the store scans in set order, which varies with the
+        # interpreter's hash seed — sorting keeps the last bits stable.
         per_subject_facts = [
-            list(self.store.scan(subject=subject, predicate=predicate))
+            sorted(
+                self.store.scan(subject=subject, predicate=predicate),
+                key=lambda fact: fact.obj,
+            )
             for subject in subjects
         ]
         candidates = [

@@ -1,9 +1,10 @@
 """Versioned LRU result cache for the serving layer.
 
-Keys are ``(store_version, request)`` — requests are frozen dataclasses,
-so the pair hashes directly.  Versioning makes invalidation structural:
-results computed against one snapshot generation can never answer a query
-against another, and :meth:`QueryCache.adopt_version` purges every entry
+Keys are ``(store_version, scope, request)`` — requests are frozen
+dataclasses, so the triple hashes directly.  Versioning makes
+invalidation structural: results computed against one snapshot
+generation can never answer a query against another, and
+:meth:`QueryCache.adopt_version` purges every entry
 of older generations the moment a new bundle is adopted (entries would
 otherwise merely age out of the LRU).
 
@@ -37,7 +38,17 @@ _SENTINEL = object()
 
 
 class QueryCache:
-    """Thread-safe LRU over ``(store_version, [tenant,] request)`` keys."""
+    """Thread-safe LRU over ``(store_version, scope, request)`` keys.
+
+    The ``tenant`` scope is ``None`` for the shared graph and
+    ``(tenant_id, tenant_version)`` for a tenant overlay, so a tenant
+    write invalidates that tenant's entries structurally, exactly like a
+    shared generation swap does, and two tenants never collide even on
+    identical requests.
+    Stale fallbacks ignore the *shared* generation by design but keep the
+    full scope: only an answer over the tenant's current personal data
+    may serve degraded (a deleted record never comes back that way).
+    """
 
     def __init__(
         self,
@@ -62,27 +73,6 @@ class QueryCache:
         self._adopted_version: int | None = None
 
     @staticmethod
-    def _key(version: int, request: Hashable, tenant) -> tuple:
-        # Tenantless keys keep their historical 2-tuple shape (pinned by
-        # tests and by adopt_version's key[0] sweep, which works on both
-        # shapes).  A tenant entry keys on (tenant_id, tenant_version) so
-        # a tenant write invalidates structurally, exactly like a shared
-        # generation swap does — and two tenants can never collide even
-        # on identical requests.
-        if tenant is None:
-            return (version, request)
-        return (version, tuple(tenant), request)
-
-    @staticmethod
-    def _stale_key(request: Hashable, tenant) -> Hashable:
-        # Stale fallbacks ignore versions by design but must never cross
-        # tenants: key by tenant_id only (any version of *your own* past
-        # answer may serve degraded; nobody else's ever can).
-        if tenant is None:
-            return request
-        return (tuple(tenant)[0], request)
-
-    @staticmethod
     def _family(request: Hashable) -> str:
         return getattr(type(request), "wire_type", None) or type(request).__name__
 
@@ -97,7 +87,7 @@ class QueryCache:
         counters land in the registry (``cache.hits.<wire_type>`` /
         ``cache.misses.<wire_type>``) for the /metrics exposition.
         """
-        value = self._store.get(self._key(version, request, tenant), _SENTINEL)
+        value = self._store.get((version, tenant, request), _SENTINEL)
         family = self._family(request)
         if value is _SENTINEL:
             self.metrics.incr(f"cache.misses.{family}")
@@ -120,13 +110,13 @@ class QueryCache:
             self.metrics.incr("cache.swap_races")
             self._demote(version, request, value, tenant)
             return
-        self._store.put(self._key(version, request, tenant), value)
+        self._store.put((version, tenant, request), value)
 
     def _demote(self, version: int, request: Hashable, value: Any, tenant=None) -> None:
         """Move one entry into the stale store if it is the newest there."""
         if self.stale_capacity == 0:
             return
-        key = self._stale_key(request, tenant)
+        key = (tenant, request)
         existing = self._stale.get(key, _SENTINEL)
         if existing is _SENTINEL or existing[0] < version:
             self._stale.put(key, (version, value))
@@ -158,13 +148,13 @@ class QueryCache:
         The degradation path's last resort: consulted only after fresh
         compute failed past its retry budget.  Returns ``None`` when no
         previous generation ever answered this request (or stale serving
-        is disabled).  Tenant-scoped lookups only ever see the same
-        tenant's demoted answers.
+        is disabled).  Tenant-scoped lookups only ever see answers
+        demoted from the same ``(tenant_id, tenant_version)``.
         """
         if self.stale_capacity == 0:
             return None
         family = self._family(request)
-        entry = self._stale.get(self._stale_key(request, tenant), _SENTINEL)
+        entry = self._stale.get((tenant, request), _SENTINEL)
         if entry is _SENTINEL:
             self.metrics.incr("cache.stale_misses")
             self.metrics.incr(f"cache.stale_misses.{family}")
@@ -218,12 +208,7 @@ class QueryCache:
             for key in stale:
                 value = self._store.get(key, _SENTINEL)
                 if value is not _SENTINEL:
-                    # 2-tuple = shared entry, 3-tuple = (version, tenant,
-                    # request) — demote under the matching stale key.
-                    if len(key) == 3:
-                        self._demote(key[0], key[2], value, key[1])
-                    else:
-                        self._demote(key[0], key[1], value)
+                    self._demote(key[0], key[2], value, key[1])
                 self._store.delete(key)
             dropped += len(stale)
             if not stale:

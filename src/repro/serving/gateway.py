@@ -24,8 +24,8 @@ knowledge-based service):
   (graph walks, neighborhoods, similarity — pure reads a client retries
   for microseconds of worker time) so the remaining headroom goes to the
   expensive classes (annotation, ranking, verification) whose retries
-  actually cost compute.  The shed policy is declared per request class
-  (``cheap_to_recompute``), not hard-coded here.
+  actually cost compute.  The shed policy is declared per request family
+  (``RequestFamily.cheap_to_recompute``), not hard-coded here.
 
 Entry points:
 
@@ -74,6 +74,7 @@ from repro.serving.requests import (
     ERROR_INTERNAL,
     Request,
     Response,
+    family_of,
 )
 from repro.serving.service import ServingService
 
@@ -231,9 +232,11 @@ class AsyncGateway:
                 f"admission queue full ({self.max_pending} pending)",
                 timings={"total_ms": _ms_since(started)},
             )
+        family = family_of(request)
         if (
             self._pending >= self._shed_threshold
-            and getattr(type(request), "cheap_to_recompute", False)
+            and family is not None
+            and family.cheap_to_recompute
         ):
             # Degrade the cheap classes first: their retry costs the
             # client microseconds of worker time, so the headroom between

@@ -48,7 +48,7 @@ from repro.serving.requests import (
     STATUS_DEGRADED,
     STATUS_ERROR,
     STATUS_OK,
-    REQUESTS_BY_WIRE_TYPE,
+    FAMILIES,
     ErrorInfo,
     PersonalRecord,
     Request,
@@ -68,9 +68,6 @@ class ProtocolError(ValueError):
         super().__init__(message)
         self.code = code
         self.message = message
-
-    def to_error(self) -> ErrorInfo:
-        return ErrorInfo(code=self.code, message=self.message)
 
 
 # -- request codec -------------------------------------------------------------
@@ -94,7 +91,7 @@ def encode_request(
     graph.
     """
     wire_type = getattr(type(request), "wire_type", None)
-    if wire_type not in REQUESTS_BY_WIRE_TYPE:
+    if wire_type not in FAMILIES:
         raise ProtocolError(
             ERROR_UNSUPPORTED_TYPE,
             f"unknown request type: {type(request).__name__}",
@@ -115,20 +112,7 @@ def encode_request(
 
 def decode_request(data: bytes | str) -> Request:
     """Parse a request envelope; raises :class:`ProtocolError` on bad input."""
-    request, _ = decode_request_with_context(data)
-    return request
-
-
-def decode_request_with_context(
-    data: bytes | str,
-) -> "tuple[Request, tracing.TraceContext | None]":
-    """Like :func:`decode_request`, also extracting the ``trace`` field.
-
-    A missing or malformed ``trace`` field yields ``None`` — trace
-    context is advisory and must never fail the request carrying it.
-    """
-    request, context, _tenant = decode_request_envelope(data)
-    return request, context
+    return decode_request_envelope(data)[0]
 
 
 def decode_request_envelope(
@@ -136,6 +120,8 @@ def decode_request_envelope(
 ) -> "tuple[Request, tracing.TraceContext | None, str | None]":
     """Full envelope decode: ``(request, trace_context, tenant)``.
 
+    A missing or malformed ``trace`` field yields ``None`` — trace
+    context is advisory and must never fail the request carrying it.
     Unlike trace context, a *present but malformed* ``tenant`` field is a
     hard ``bad_request``: routing a tenant-scoped request to the shared
     graph (or to a path-traversal directory name) on a typo would be an
@@ -149,11 +135,11 @@ def decode_request_envelope(
     wire_type = envelope.get("type")
     # The isinstance gate runs before the dict probe: a non-string (and
     # possibly unhashable) type field must reject cleanly, not TypeError.
-    if not isinstance(wire_type, str) or wire_type not in REQUESTS_BY_WIRE_TYPE:
+    if not isinstance(wire_type, str) or wire_type not in FAMILIES:
         raise ProtocolError(
             ERROR_UNSUPPORTED_TYPE, f"unknown request type: {wire_type!r}"
         )
-    request_cls = REQUESTS_BY_WIRE_TYPE[wire_type]
+    request_cls = FAMILIES[wire_type].request_cls
     body = envelope.get("body")
     if not isinstance(body, dict):
         raise ProtocolError(ERROR_BAD_REQUEST, "request body must be an object")
@@ -330,115 +316,33 @@ def _tombstone_item(item: Any) -> tuple[str, str, int]:
 
 # -- payload codec -------------------------------------------------------------
 #
-# Payloads stay native Python dataclasses in-process; these converters map
-# them to/from JSON-native structures at the wire boundary.  from_wire is
-# the exact inverse of to_wire for every type, so a response round-trips
-# to equal payloads (annotation links drop their server-side candidate
-# lists — a deliberate wire reduction, documented on AnnotateResponse).
+# Payloads stay native Python dataclasses in-process; each family's
+# per-item converters map them to/from JSON-native structures at the wire
+# boundary.  from_wire is the exact inverse of to_wire for every type, so
+# a response round-trips to equal payloads (annotation links drop their
+# server-side candidate lists — a deliberate wire reduction).  Degraded
+# partial payloads hole out failed entities with None; the holes travel
+# verbatim (JSON null).
 
 
 def payload_to_wire(wire_type: str, payload: Any) -> Any:
-    # Degraded partial payloads hole out failed entities with None; the
-    # holes travel verbatim (JSON null) in every typed payload.
-    if payload is None:
-        return None
-    if wire_type == "related":
-        return [
-            None if hits is None else [[entity, score] for entity, score in hits]
-            for hits in payload
-        ]
-    if wire_type == "annotate":
-        return [
-            None if links is None else [_link_to_wire(link) for link in links]
-            for links in payload
-        ]
-    if wire_type == "fact_rank":
-        return [
-            None if ranked is None else [dataclasses.asdict(fact) for fact in ranked]
-            for ranked in payload
-        ]
-    if wire_type == "verify":
-        return [
-            None if verdict is None else dataclasses.asdict(verdict)
-            for verdict in payload
-        ]
-    if wire_type == "knn":
-        return [
-            None if hits is None else [dataclasses.asdict(hit) for hit in hits]
-            for hits in payload
-        ]
-    # walk / neighborhood / similarity payloads are JSON-native already.
-    return payload
+    family = FAMILIES.get(wire_type)
+    convert = family.item_to_wire if family is not None else None
+    if payload is None or convert is None:
+        return payload
+    return [None if item is None else convert(item) for item in payload]
 
 
 def payload_from_wire(wire_type: str, wire: Any) -> Any:
-    if wire is None:
-        return None
+    family = FAMILIES.get(wire_type)
+    convert = family.item_from_wire if family is not None else None
+    if wire is None or convert is None:
+        return wire
     try:
-        if wire_type == "related":
-            return [
-                None
-                if hits is None
-                else [(str(entity), float(score)) for entity, score in hits]
-                for hits in wire
-            ]
-        if wire_type == "annotate":
-            return [
-                None if links is None else [_link_from_wire(item) for item in links]
-                for links in wire
-            ]
-        if wire_type == "fact_rank":
-            from repro.services.fact_ranking import RankedFact
-
-            return [
-                None if ranked is None else [RankedFact(**fact) for fact in ranked]
-                for ranked in wire
-            ]
-        if wire_type == "verify":
-            from repro.services.fact_verification import Verdict
-
-            return [
-                None if verdict is None else Verdict(**verdict) for verdict in wire
-            ]
-        if wire_type == "knn":
-            from repro.vector.index import SearchHit
-
-            return [
-                None if hits is None else [SearchHit(**hit) for hit in hits]
-                for hits in wire
-            ]
+        return [None if item is None else convert(item) for item in wire]
     except (TypeError, ValueError, KeyError) as exc:
         raise ProtocolError(
             ERROR_BAD_REQUEST, f"malformed {wire_type!r} payload: {exc}"
-        ) from None
-    return wire
-
-
-def _link_to_wire(link) -> dict:
-    # EntityLink.to_dict(): start/end/surface/entity/score/entity_type.
-    # Candidate feature lists are server-side detail and stay off the wire.
-    return link.to_dict()
-
-
-def _link_from_wire(item: dict):
-    from repro.annotation.mention import EntityLink, Mention
-
-    if not isinstance(item, dict):
-        raise ProtocolError(ERROR_BAD_REQUEST, "annotation link must be an object")
-    try:
-        return EntityLink(
-            mention=Mention(
-                start=int(item["start"]),
-                end=int(item["end"]),
-                surface=str(item["surface"]),
-            ),
-            entity=str(item["entity"]),
-            score=float(item["score"]),
-            entity_type=str(item.get("entity_type", "OTHER")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(
-            ERROR_BAD_REQUEST, f"malformed annotation link: {exc}"
         ) from None
 
 

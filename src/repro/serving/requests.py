@@ -9,27 +9,12 @@ Every request is a frozen, hashable dataclass:
 * plain data → it pickles cheaply across the process-pool boundary and
   round-trips through the JSON wire codec (:mod:`repro.serving.protocol`).
 
-Each request class carries its serving *policy* as class attributes the
-facade dispatch reads instead of hard-coding per-method behaviour:
-
-* ``wire_type`` — the stable protocol tag (``"walk"``, ``"verify"``, …);
-* ``splittable`` — whether the shard router may partition the request's
-  ``entities`` tuple and merge per-entity results (walks, neighborhoods,
-  related entities, fact ranking, k-NN).  Non-splittable requests ship
-  whole: annotation and verification are already *batched* compute (one
-  cross-document scoring pass / one embedding score pass), and splitting
-  them would undo the batching; similarity pairs are too cheap to route.
-* ``cacheable()`` — whether a result may enter the
-  :class:`~repro.serving.cache.QueryCache`.  Most requests repeat
-  (dashboards re-ask the same walks; assistants re-rank the same facts);
-  multi-text annotation batches essentially never repeat byte-identically,
-  so caching them would only pin dead memory (the admission policy the
-  ROADMAP's "cache warming + admission" item asks for).
-* ``cheap_to_recompute`` — whether the gateway may shed this class first
-  under overload.  Pure graph lookups and similarity probes are cheap
-  for the client to retry (and usually cached); annotation, ranking,
-  verification and k-NN burn real compute, so they keep their admission
-  slot until the hard limit.
+Everything the serving layers know about a request type lives in one
+:class:`RequestFamily` record per ``wire_type``, registered once at the
+bottom of this module (:data:`FAMILIES`).  Codec, worker, tenancy,
+service and gateway read that record instead of branching on the type.
+Adding a request family is its dataclass, its response class and one
+registry entry.
 
 Every request type is paired with a typed :class:`Response` envelope
 (status, payload, ``store_version``, per-stage timings, structured error)
@@ -40,11 +25,17 @@ HTTP) speaks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-from typing import Any, ClassVar
+from dataclasses import asdict, dataclass, field, replace
+from importlib import import_module
+from typing import Any, Callable, ClassVar
+
+from repro.common.rng import stable_hash
 
 DEFAULT_WALK_LENGTH = 8
 DEFAULT_WALKS_PER_ENTITY = 4
+
+# Seeds live in numpy's accepted range; 2**63 keeps them positive int64.
+_WALK_SEED_SPACE = 2**63
 
 # Tenant ids name directories under ``tenants/<id>/`` and label cache keys
 # and metrics — a conservative charset keeps them path- and wire-safe.
@@ -73,62 +64,69 @@ ERROR_UNAVAILABLE = "unavailable"
 ERROR_INTERNAL = "internal"
 
 
+def entity_walk_seed(seed: int, entity: str) -> int:
+    """Derived, stable per-entity walk seed.
+
+    The serving contract for walks: entity ``e`` of a request with seed
+    ``s`` draws from ``substream(entity_walk_seed(s, e), "random-walks")``
+    — one independent stream per entity, so any partition of a request
+    over any number of workers replays the exact same draws.
+    """
+    return stable_hash(f"serve-walks:{seed}:{entity}", _WALK_SEED_SPACE)
+
+
+class Request:
+    """Base of every request dataclass; its policy lives in :data:`FAMILIES`."""
+
+    __slots__ = ()
+    wire_type: ClassVar[str]
+
+    def cacheable(self) -> bool:
+        """Whether this request's result may enter the query cache."""
+        return FAMILIES[self.wire_type].cacheable(self)
+
+
 @dataclass(frozen=True)
-class WalkRequest:
+class WalkRequest(Request):
     """Random walks for each of ``entities``.
 
     Serving walk semantics are *per-entity*: each entity's walks are drawn
     from an independent substream derived from ``(seed, entity)`` (see
-    :func:`repro.serving.worker.entity_walk_seed`), so the result is
+    :func:`entity_walk_seed`), so the result is
     byte-identical no matter how the request is partitioned across shards
     or how many workers serve it.
     """
 
     wire_type: ClassVar[str] = "walk"
-    cheap_to_recompute: ClassVar[bool] = True
-    splittable: ClassVar[bool] = True
 
     entities: tuple[str, ...]
     walk_length: int = DEFAULT_WALK_LENGTH
     walks_per_entity: int = DEFAULT_WALKS_PER_ENTITY
     seed: int = 0
 
-    def cacheable(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
-class NeighborhoodRequest:
+class NeighborhoodRequest(Request):
     """K-hop undirected neighborhoods (sorted) for each of ``entities``."""
 
     wire_type: ClassVar[str] = "neighborhood"
-    cheap_to_recompute: ClassVar[bool] = True
-    splittable: ClassVar[bool] = True
 
     entities: tuple[str, ...]
     hops: int = 1
 
-    def cacheable(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
-class RelatedRequest:
+class RelatedRequest(Request):
     """Top-k related entities (traversal embeddings) for each of ``entities``."""
 
     wire_type: ClassVar[str] = "related"
-    cheap_to_recompute: ClassVar[bool] = False
-    splittable: ClassVar[bool] = True
 
     entities: tuple[str, ...]
     k: int = 10
 
-    def cacheable(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
-class AnnotateRequest:
+class AnnotateRequest(Request):
     """Entity links for each of ``texts``, scored as one cross-doc batch.
 
     Single-text requests are cacheable (clients re-annotate hot snippets);
@@ -138,18 +136,13 @@ class AnnotateRequest:
     """
 
     wire_type: ClassVar[str] = "annotate"
-    cheap_to_recompute: ClassVar[bool] = False
-    splittable: ClassVar[bool] = False
 
     texts: tuple[str, ...]
     tier: str = "full"
 
-    def cacheable(self) -> bool:
-        return len(self.texts) == 1
-
 
 @dataclass(frozen=True)
-class FactRankRequest:
+class FactRankRequest(Request):
     """Importance-ranked values of ``(entity, predicate, ?)`` per entity.
 
     ``entities`` are the *subjects* (Figure 2: "occupation of LeBron
@@ -158,18 +151,13 @@ class FactRankRequest:
     """
 
     wire_type: ClassVar[str] = "fact_rank"
-    cheap_to_recompute: ClassVar[bool] = False
-    splittable: ClassVar[bool] = True
 
     entities: tuple[str, ...]
     predicate: str = ""
 
-    def cacheable(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
-class VerifyRequest:
+class VerifyRequest(Request):
     """Verdicts for candidate ``(subject, predicate, object)`` triples.
 
     Dispatched whole: the verifier scores the entire candidate set in one
@@ -177,17 +165,12 @@ class VerifyRequest:
     """
 
     wire_type: ClassVar[str] = "verify"
-    cheap_to_recompute: ClassVar[bool] = False
-    splittable: ClassVar[bool] = False
 
     candidates: tuple[tuple[str, str, str], ...]
 
-    def cacheable(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
-class SimilarityRequest:
+class SimilarityRequest(Request):
     """Cosine similarity for each ``(left, right)`` entity pair.
 
     Unknown entities score 0.0 (the embedding service's contract) rather
@@ -196,29 +179,19 @@ class SimilarityRequest:
     """
 
     wire_type: ClassVar[str] = "similarity"
-    cheap_to_recompute: ClassVar[bool] = True
-    splittable: ClassVar[bool] = False
 
     pairs: tuple[tuple[str, str], ...]
 
-    def cacheable(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
-class KnnRequest:
+class KnnRequest(Request):
     """k nearest entities in embedding space for each of ``entities``."""
 
     wire_type: ClassVar[str] = "knn"
-    cheap_to_recompute: ClassVar[bool] = False
-    splittable: ClassVar[bool] = True
 
     entities: tuple[str, ...]
     k: int = 10
     exclude_self: bool = True
-
-    def cacheable(self) -> bool:
-        return True
 
 
 # -- the tenant request family -------------------------------------------------
@@ -248,21 +221,16 @@ class PersonalRecord:
 
 
 @dataclass(frozen=True)
-class TenantUpsertRequest:
+class TenantUpsertRequest(Request):
     """Apply ``records`` to the tenant's personal store (last-writer-wins)."""
 
     wire_type: ClassVar[str] = "tenant_upsert"
-    cheap_to_recompute: ClassVar[bool] = False
-    splittable: ClassVar[bool] = False
 
     records: tuple[PersonalRecord, ...]
 
-    def cacheable(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
-class TenantSyncRequest:
+class TenantSyncRequest(Request):
     """One device<->server sync round: merge state, return what's missing.
 
     ``records``/``tombstones`` are the device's full current state (small
@@ -274,80 +242,27 @@ class TenantSyncRequest:
     """
 
     wire_type: ClassVar[str] = "tenant_sync"
-    cheap_to_recompute: ClassVar[bool] = False
-    splittable: ClassVar[bool] = False
 
     records: tuple[PersonalRecord, ...] = ()
     tombstones: tuple[tuple[str, str, int], ...] = ()
     epsilon: float = 1.0
 
-    def cacheable(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
-class TenantDeleteRequest:
+class TenantDeleteRequest(Request):
     """Tombstone one record in the tenant's personal store."""
 
     wire_type: ClassVar[str] = "tenant_delete"
-    cheap_to_recompute: ClassVar[bool] = False
-    splittable: ClassVar[bool] = False
 
     source: str
     record_id: str
     sequence: int = 0
 
-    def cacheable(self) -> bool:
-        return False
-
-
-REQUEST_TYPES: tuple[type, ...] = (
-    WalkRequest,
-    NeighborhoodRequest,
-    RelatedRequest,
-    AnnotateRequest,
-    FactRankRequest,
-    VerifyRequest,
-    SimilarityRequest,
-    KnnRequest,
-    TenantUpsertRequest,
-    TenantSyncRequest,
-    TenantDeleteRequest,
-)
-
-# The tenant-write family: served by the TenantRegistry in the service
-# process, rejected outright by shared-fleet workers (isolation at
-# dispatch — a tenant write can never touch shared state).
-TENANT_REQUEST_TYPES: tuple[type, ...] = (
-    TenantUpsertRequest,
-    TenantSyncRequest,
-    TenantDeleteRequest,
-)
-
-# wire_type tag -> request class (the protocol decode table).
-REQUESTS_BY_WIRE_TYPE: dict[str, type] = {cls.wire_type: cls for cls in REQUEST_TYPES}
-
-# Requests whose per-entity results the router may partition and merge.
-SPLITTABLE = tuple(cls for cls in REQUEST_TYPES if cls.splittable)
-
-Request = (
-    WalkRequest
-    | NeighborhoodRequest
-    | RelatedRequest
-    | AnnotateRequest
-    | FactRankRequest
-    | VerifyRequest
-    | SimilarityRequest
-    | KnnRequest
-    | TenantUpsertRequest
-    | TenantSyncRequest
-    | TenantDeleteRequest
-)
-
 
 def sub_request(request: Request, entities: tuple[str, ...]) -> Request:
     """The same request narrowed to ``entities`` (shard fan-out unit)."""
-    if not isinstance(request, SPLITTABLE):
+    family = family_of(request)
+    if family is None or not family.splittable:
         raise TypeError(f"request type {type(request).__name__} is not splittable")
     return replace(request, entities=entities)
 
@@ -505,22 +420,204 @@ class TenantDeleteResponse(Response):
     """Payload: ``{"deleted", "tenant_version"}``."""
 
 
-# wire_type tag -> typed response class (the codec's decode table).
-RESPONSES_BY_WIRE_TYPE: dict[str, type[Response]] = {
-    "walk": WalkResponse,
-    "neighborhood": NeighborhoodResponse,
-    "related": RelatedResponse,
-    "annotate": AnnotateResponse,
-    "fact_rank": FactRankResponse,
-    "verify": VerifyResponse,
-    "similarity": SimilarityResponse,
-    "knn": KnnResponse,
-    "tenant_upsert": TenantUpsertResponse,
-    "tenant_sync": TenantSyncResponse,
-    "tenant_delete": TenantDeleteResponse,
+# -- the family registry ---------------------------------------------------------
+
+SHARED = "shared"  # answered by the shared worker fleet only
+TENANT_READ = "tenant_read"  # ... or, tenant-scoped, over the tenant's overlay
+TENANT_WRITE = "tenant_write"  # a tenant's durable store, never the shared fleet
+
+
+def _always(request: Request) -> bool:
+    return True
+
+
+def _never(request: Request) -> bool:
+    return False
+
+
+@dataclass(frozen=True)
+class RequestFamily:
+    """Everything the serving layers know about one request type.
+
+    * ``splittable`` — whether the shard router may partition the request's
+      ``entities`` tuple and merge per-entity results (walks, neighborhoods,
+      related entities, fact ranking, k-NN).  Non-splittable requests ship
+      whole: annotation and verification are already *batched* compute (one
+      cross-document scoring pass / one embedding score pass), and splitting
+      them would undo the batching; similarity pairs are too cheap to route.
+    * ``cacheable`` — whether a result may enter the
+      :class:`~repro.serving.cache.QueryCache`.  Most requests repeat
+      (dashboards re-ask the same walks; assistants re-rank the same facts);
+      multi-text annotation batches essentially never repeat byte-identically,
+      so caching them would only pin dead memory.
+    * ``cheap_to_recompute`` — whether the gateway may shed this class first
+      under overload.  Pure graph lookups and similarity probes are cheap
+      for the client to retry (and usually cached); annotation, ranking,
+      verification and k-NN burn real compute, so they keep their admission
+      slot until the hard limit.
+    * ``tenant_role`` — shared-only, tenant-read (also answers over a
+      tenant's overlay graph) or tenant-write (a tenant's durable store,
+      never the shared fleet).
+    * ``micro_batched`` — single texts ride the service's
+      :class:`~repro.serving.batcher.MicroBatcher`.
+    * ``execute(state, request)`` answers from a worker's
+      :class:`~repro.serving.worker.WorkerState` (a tenant read passes a
+      view whose ``engine`` is the tenant overlay); the tenant-write
+      family runs ``execute(registry, tenant, request)``.
+    * ``item_to_wire`` / ``item_from_wire`` convert one payload item (one
+      entity's, text's, candidate's or pair's result) to and from JSON;
+      ``None`` means JSON-native already.
+    """
+
+    request_cls: type
+    response_cls: type[Response]
+    execute: Callable[..., Any]
+    splittable: bool = False
+    cheap_to_recompute: bool = False
+    tenant_role: str = SHARED
+    cacheable: Callable[[Any], bool] = _always
+    micro_batched: bool = False
+    item_to_wire: Callable[[Any], Any] | None = None
+    item_from_wire: Callable[[Any], Any] | None = None
+
+    @property
+    def wire_type(self) -> str:
+        return self.request_cls.wire_type
+
+
+def _walks(state, request: WalkRequest) -> list[list[list[str]]]:
+    return [
+        state.engine.random_walks(
+            [entity],
+            walk_length=request.walk_length,
+            walks_per_entity=request.walks_per_entity,
+            seed=entity_walk_seed(request.seed, entity),
+        )
+        for entity in request.entities
+    ]
+
+
+def _link_from_wire(item: dict):
+    from repro.annotation.mention import EntityLink, Mention
+
+    if not isinstance(item, dict):
+        raise ValueError("annotation link must be an object")
+    mention = Mention(int(item["start"]), int(item["end"]), str(item["surface"]))
+    entity_type = str(item.get("entity_type", "OTHER"))
+    return EntityLink(mention, str(item["entity"]), float(item["score"]), entity_type)
+
+
+def _from_fields(module: str, name: str) -> Callable[[dict], Any]:
+    """``cls(**fields)`` for a payload dataclass, imported on first use."""
+    return lambda fields: getattr(import_module(module), name)(**fields)
+
+
+_ranked_fact = _from_fields("repro.services.fact_ranking", "RankedFact")
+_search_hit = _from_fields("repro.vector.index", "SearchHit")
+
+FAMILIES: dict[str, RequestFamily] = {
+    family.wire_type: family
+    for family in (
+        RequestFamily(
+            WalkRequest, WalkResponse, _walks,
+            splittable=True, cheap_to_recompute=True, tenant_role=TENANT_READ,
+        ),
+        RequestFamily(
+            NeighborhoodRequest, NeighborhoodResponse,
+            # Sorted for deterministic merge output (sets have no wire order).
+            lambda state, r: [
+                sorted(state.engine.neighborhood(entity, hops=r.hops)) for entity in r.entities
+            ],
+            splittable=True, cheap_to_recompute=True, tenant_role=TENANT_READ,
+        ),
+        RequestFamily(
+            RelatedRequest, RelatedResponse,
+            lambda state, r: [
+                [(hit.entity, hit.score) for hit in state.related_backend().related(e, k=r.k)]
+                for e in r.entities
+            ],
+            splittable=True,
+            item_to_wire=lambda hits: [[entity, score] for entity, score in hits],
+            item_from_wire=lambda hits: [(str(e), float(s)) for e, s in hits],
+        ),
+        RequestFamily(
+            AnnotateRequest, AnnotateResponse,
+            lambda state, r: state.pipeline(r.tier).annotate_batch(list(r.texts)),
+            cacheable=lambda r: len(r.texts) == 1,
+            micro_batched=True,
+            # EntityLink.to_dict(): candidate feature lists stay server-side.
+            item_to_wire=lambda links: [link.to_dict() for link in links],
+            item_from_wire=lambda links: [_link_from_wire(item) for item in links],
+        ),
+        RequestFamily(
+            FactRankRequest, FactRankResponse,
+            # One batched scoring pass across every subject in the request.
+            lambda state, r: state.embedding_suite().ranker.rank_many(
+                list(r.entities), r.predicate
+            ),
+            splittable=True,
+            item_to_wire=lambda ranked: [asdict(fact) for fact in ranked],
+            item_from_wire=lambda ranked: [_ranked_fact(fact) for fact in ranked],
+        ),
+        RequestFamily(
+            VerifyRequest, VerifyResponse,
+            lambda state, r: state.embedding_suite().verifier.verify_batch(list(r.candidates)),
+            item_to_wire=asdict,
+            item_from_wire=_from_fields("repro.services.fact_verification", "Verdict"),
+        ),
+        RequestFamily(
+            SimilarityRequest, SimilarityResponse,
+            lambda state, r: state.embedding_suite().embedding_service.batch_similarity(
+                list(r.pairs)
+            ),
+            cheap_to_recompute=True,
+        ),
+        RequestFamily(
+            KnnRequest, KnnResponse,
+            # One gathered query matrix through the index; per-entity hits
+            # identical to scalar knn(), so results stay shard-invariant.
+            lambda state, r: state.embedding_suite().embedding_service.knn_many(
+                list(r.entities), k=r.k, exclude_self=r.exclude_self
+            ),
+            splittable=True,
+            item_to_wire=lambda hits: [asdict(hit) for hit in hits],
+            item_from_wire=lambda hits: [_search_hit(hit) for hit in hits],
+        ),
+        RequestFamily(
+            TenantUpsertRequest, TenantUpsertResponse,
+            lambda registry, tenant, r: registry.upsert(tenant, r.records),
+            tenant_role=TENANT_WRITE, cacheable=_never,
+        ),
+        RequestFamily(
+            TenantSyncRequest, TenantSyncResponse,
+            lambda registry, tenant, r: registry.sync(
+                tenant, records=r.records, tombstones=r.tombstones, epsilon=r.epsilon
+            ),
+            tenant_role=TENANT_WRITE, cacheable=_never,
+        ),
+        RequestFamily(
+            TenantDeleteRequest, TenantDeleteResponse,
+            lambda registry, tenant, r: registry.delete(
+                tenant, r.source, r.record_id, r.sequence
+            ),
+            tenant_role=TENANT_WRITE, cacheable=_never,
+        ),
+    )
 }
+
+_FAMILIES_BY_CLASS: dict[type, RequestFamily] = {
+    family.request_cls: family for family in FAMILIES.values()
+}
+
+REQUEST_TYPES: tuple[type, ...] = tuple(_FAMILIES_BY_CLASS)
+
+
+def family_of(request: object) -> RequestFamily | None:
+    """The registered family of ``request`` (``None`` for foreign objects)."""
+    return _FAMILIES_BY_CLASS.get(type(request))
 
 
 def response_class(wire_type: str) -> type[Response]:
     """The typed envelope class for ``wire_type`` (base class for unknowns)."""
-    return RESPONSES_BY_WIRE_TYPE.get(wire_type, Response)
+    family = FAMILIES.get(wire_type)
+    return family.response_cls if family is not None else Response

@@ -29,7 +29,7 @@ from collections.abc import Callable, Sequence
 
 from repro.common import tracing
 from repro.common.rng import stable_hash
-from repro.serving.requests import Request, sub_request
+from repro.serving.requests import Request, family_of, sub_request
 
 DEFAULT_NUM_SHARDS = 8
 
@@ -91,10 +91,11 @@ class ShardRouter:
         one shard's members (every other parameter carried verbatim), so
         any replica can answer it and :meth:`gather` can merge the
         per-entity results back into request order.  Raises ``TypeError``
-        for non-splittable request types — the policy lives on the
-        request class, not here.
+        for non-splittable request types — the policy lives in the
+        request's family record, not here.
         """
-        if not getattr(type(request), "splittable", False):
+        family = family_of(request)
+        if family is None or not family.splittable:
             raise TypeError(
                 f"request type {type(request).__name__} is not splittable"
             )

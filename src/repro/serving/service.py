@@ -8,14 +8,16 @@ verification, similarity and k-NN — lands in one uniform dispatch::
     response = service.serve(request)   # any Request -> typed Response
 
 Scatter/gather, micro-batching and the versioned :class:`QueryCache` are
-*per-request-type policies* (declared on the request classes in
-:mod:`repro.serving.requests`) instead of per-method code:
+*per-family policies* (declared once per request type in its
+:class:`~repro.serving.requests.RequestFamily` record) instead of
+per-method code:
 
 * ``splittable`` requests scatter over the :class:`ShardRouter`, fan out
   across the :class:`WorkerPool` and gather back in request order;
-* single-text annotation rides the :class:`MicroBatcher` (cross-client
-  coalescing), multi-text batches chunk straight onto the pool;
-* ``cacheable()`` gates admission to the ``(store_version, request)``
+* ``micro_batched`` single-text annotation rides the :class:`MicroBatcher`
+  (cross-client coalescing), multi-text batches chunk straight onto the
+  pool;
+* ``cacheable`` gates admission to the ``(store_version, request)``
   LRU — never-repeating requests (multi-text annotation) skip it.
 
 Failures never leak tracebacks into the envelope: :meth:`serve` returns a
@@ -39,9 +41,9 @@ error.  Per-shard circuit breakers fail persistent offenders fast;
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.annotation.mention import EntityLink
 from repro.common import tracing
@@ -49,31 +51,29 @@ from repro.common.metrics import MetricsRegistry, render_prometheus
 from repro.kg.query_logs import QueryLogEntry
 from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import QueryCache
-from repro.serving.protocol import error_response
+from repro.serving.protocol import ProtocolError, error_response
 from repro.serving.requests import (
     ERROR_BAD_REQUEST,
     ERROR_INTERNAL,
     ERROR_UNAVAILABLE,
     ERROR_UNSUPPORTED_TYPE,
-    REQUEST_TYPES,
     STATUS_DEGRADED,
     STATUS_OK,
-    TENANT_REQUEST_TYPES,
+    TENANT_READ,
+    TENANT_WRITE,
     AnnotateRequest,
+    ErrorInfo,
     FactRankRequest,
     KnnRequest,
     NeighborhoodRequest,
     RelatedRequest,
     Request,
+    RequestFamily,
     Response,
     SimilarityRequest,
-    TenantDeleteRequest,
-    TenantSyncRequest,
-    TenantUpsertRequest,
     VerifyRequest,
     WalkRequest,
-    ErrorInfo,
-    response_class,
+    family_of,
 )
 from repro.serving.resilience import (
     OPEN,
@@ -83,10 +83,13 @@ from repro.serving.resilience import (
     error_fields,
 )
 from repro.serving.router import DEFAULT_NUM_SHARDS, ShardRouter
-from repro.serving.tenancy import TENANT_READ_TYPES, TenantNotFound, TenantRegistry
+from repro.serving.tenancy import TenantNotFound, TenantRegistry, TenantState
 from repro.serving.worker import WORKER_MODES, WorkerConfig, WorkerPool
 
 FULL_TIER = "full"
+
+# The scope of every request that holds no tenant lease.
+_NO_LEASE = nullcontext(None)
 
 
 class PartialResultError(Exception):
@@ -172,8 +175,8 @@ class ServingService:
             metrics=self.metrics,
         )
         # Multi-tenant overlays: opt-in via tenants_dir.  The registry
-        # shares this service's metrics registry and is (re)bound to the
-        # live generation's CSR on every adopt.
+        # shares this service's metrics registry; each tenant read splices
+        # its overlay onto the CSR of the generation it captured.
         self._tenants: TenantRegistry | None = (
             TenantRegistry(
                 tenants_dir,
@@ -205,10 +208,6 @@ class ServingService:
         )
         if previous is not None:
             previous.close()
-        if self._tenants is not None:
-            # Tenant overlays re-collapse lazily against the new base on
-            # their next read; the swap itself stays O(1) per tenant.
-            self._tenants.rebind_base(pool.local_state.engine.snapshot())
         # Structural invalidation: entries from other generations are
         # unreachable by key, and adopt_version frees their memory now.
         dropped = self._cache.adopt_version(pool.store_version)
@@ -274,14 +273,19 @@ class ServingService:
         walks and neighborhoods answer over shared + personal facts, and
         the tenant write/sync family applies to that tenant's durable
         store.  Tenant work never reaches the shared worker fleet — it
-        dispatches to the :class:`TenantRegistry` here, before pool
-        fan-out (isolation is enforced at dispatch, and again by the
-        workers, which reject the family outright).
+        runs against the :class:`TenantRegistry` in this process
+        (isolation is enforced at dispatch, and again by the workers,
+        which reject the write family outright).  Tenant reads share the
+        shared reads' pipeline: cached per ``(tenant, tenant_version)``,
+        swap-retried and served stale on error from the same tenant
+        version only.  Circuit breakers guard the pool, so they never
+        apply to tenant work.
 
-        Generation swaps drop zero requests: a request whose captured
-        pool was shut down mid-flight by ``adopt_generation`` re-dispatches
-        against the new generation (``_swap_retries`` bounds pathological
-        back-to-back swaps) instead of surfacing the race as an error.
+        Generation swaps drop zero reads: a read whose captured pool was
+        shut down mid-flight by ``adopt_generation`` re-dispatches against
+        the new generation in the same tenant scope (``_swap_retries``
+        bounds pathological back-to-back swaps) instead of surfacing the
+        race as an error.
 
         Under an armed tracer the whole dispatch (including swap
         retries) runs inside one ``serve.request`` span and the envelope
@@ -289,13 +293,13 @@ class ServingService:
         ``None`` check.
         """
         if tracing.active() is None:
-            response = self._serve_impl(request, _swap_retries, tenant)
+            response = self._serve_impl(request, tenant, _swap_retries)
             self.metrics.incr(f"serve.status.{response.status}")
             return response
         with tracing.span(
             "serve.request", request_type=type(request).__name__
         ) as span:
-            response = self._serve_impl(request, _swap_retries, tenant)
+            response = self._serve_impl(request, tenant, _swap_retries)
             self.metrics.incr(f"serve.status.{response.status}")
             span.set_attribute("status", response.status)
             span.set_attribute("cached", response.cached)
@@ -306,10 +310,19 @@ class ServingService:
             return response
 
     def _serve_impl(
-        self, request: Request, _swap_retries: int, tenant: str | None = None
+        self, request: Request, tenant: str | None, swap_retries: int
     ) -> Response:
+        """The one request pipeline: capture generation -> resolve tenancy
+        scope -> probe cache -> execute -> write cache -> envelope, with
+        failures classified into swap retries, degraded (partial or stale)
+        or error envelopes.  A tenant scope adds ``(tenant, tenant_version)``
+        to the cache key and runs the work in-process (see :meth:`_execute`).
+        """
         started = time.perf_counter()
         timings: dict[str, float] = {}
+        # One captured generation: the envelope's store_version, the pool
+        # and router computing shared work and the CSR a tenant overlay is
+        # spliced onto all belong to it.
         epoch = self._swap_epoch
         pool, router = self._pool, self._router
         assert pool is not None and router is not None
@@ -317,48 +330,49 @@ class ServingService:
         type_name = type(request).__name__
         self.metrics.incr("serve.requests")
         self.metrics.incr(f"serve.requests.{type_name}")
-        if not isinstance(request, REQUEST_TYPES):
+        family = family_of(request)
+        wire_type = getattr(type(request), "wire_type", "unknown")
+
+        def fail(code: str, message: str, exception: BaseException | None = None):
             self.metrics.incr("serve.errors")
+            self.metrics.incr(f"serve.errors.{type_name}")
             timings["total_ms"] = _ms_since(started)
             return error_response(
-                getattr(type(request), "wire_type", "unknown"),
-                version,
-                ERROR_UNSUPPORTED_TYPE,
-                f"unsupported request type: {type_name}",
-                timings=timings,
+                wire_type, version, code, message, timings=timings, exception=exception
             )
-        wire_type = type(request).wire_type
-        if tenant is not None or isinstance(request, TENANT_REQUEST_TYPES):
-            return self._serve_tenant(request, tenant, started, timings, epoch)
+
+        if family is None:
+            return fail(ERROR_UNSUPPORTED_TYPE, f"unsupported request type: {type_name}")
         resilience: dict[str, float] = {}
         cacheable = False
+        scope = None
         # Everything after type dispatch sits under one except: even a
         # hostile request object (mistyped fields that defeat hashing in
         # the cache probe — the wire codec rejects those, but serve() is
         # also a public in-process API) must come back as an envelope.
         try:
-            cacheable = request.cacheable()
-            if cacheable:
-                with _stage(timings, "cache_ms", "serve.cache") as cache_span:
-                    cached = self._cache.get(version, request)
-                    cache_span.set_attribute("hit", cached is not None)
-                if cached is not None:
-                    timings["total_ms"] = _ms_since(started)
-                    return response_class(wire_type)(
-                        request_type=wire_type,
-                        status=STATUS_OK,
-                        store_version=version,
-                        payload=cached,
-                        timings=timings,
-                        cached=True,
+            with self._lease(family, tenant) as state:
+                if state is not None:
+                    scope = (tenant, state.version)
+                cacheable = family.cacheable(request)
+                if cacheable:
+                    with _stage(timings, "cache_ms", "serve.cache") as cache_span:
+                        cached = self._cache.get(version, request, scope)
+                        cache_span.set_attribute("hit", cached is not None)
+                    if cached is not None:
+                        return _envelope(
+                            family, version, started, timings, STATUS_OK, cached,
+                            cached=True,
+                        )
+                with self.metrics.hist_timed("serve.latency"), self.metrics.hist_timed(
+                    f"serve.latency.{type_name}"
+                ):
+                    payload = self._execute(
+                        request, family, tenant, state, pool, router, timings, resilience
                     )
-            with self.metrics.hist_timed("serve.latency"), self.metrics.hist_timed(
-                f"serve.latency.{type_name}"
-            ):
-                payload = self._execute(request, pool, router, timings, resilience)
             if cacheable:
                 if epoch == self._swap_epoch:
-                    self._cache.put(version, request, payload)
+                    self._cache.put(version, request, payload, scope)
                 else:
                     # A generation swap landed mid-request: parts of this
                     # result (e.g. a micro-batched annotate flush, which
@@ -366,69 +380,52 @@ class ServingService:
                     # fleet.  Skipping the write is always safe; the cache
                     # itself also refuses cross-generation writes.
                     self.metrics.incr("serve.swap_races")
-        except PartialResultError as exc:
-            if pool is not self._pool and _swap_retries > 0:
+        except ProtocolError as exc:
+            return fail(exc.code, exc.message)
+        except TenantNotFound as exc:
+            return fail(ERROR_BAD_REQUEST, str(exc), exc)
+        except Exception as exc:
+            if (
+                pool is not self._pool
+                and swap_retries > 0
+                and family.tenant_role != TENANT_WRITE
+            ):
                 # The failure happened across a generation swap (the old
                 # pool may have shut down under us): re-dispatch on the
-                # new generation rather than degrade a healthy fleet.
+                # new generation, in the same tenant scope, rather than
+                # degrade a healthy fleet — zero dropped reads.  (Writes
+                # never touch a generation.)
                 self.metrics.incr("serve.swap_retries")
-                return self._serve_impl(request, _swap_retries - 1)
-            # Graceful degradation: the healthy shards' answers go out with
-            # None holes at the failed entities, plus the terminal error —
-            # a partial answer beats a 500 for a read-only KG lookup.
-            self.metrics.incr("serve.degraded")
-            self.metrics.incr(f"serve.degraded.{type_name}")
-            timings["total_ms"] = _ms_since(started)
-            retryable, exception_type = error_fields(exc.cause)
-            return response_class(wire_type)(
-                request_type=wire_type,
-                status=STATUS_DEGRADED,
-                store_version=version,
-                payload=exc.payload,
-                timings=timings,
-                error=ErrorInfo(
-                    code=ERROR_UNAVAILABLE,
-                    message=str(exc),
-                    retryable=retryable,
-                    exception_type=exception_type,
-                ),
-                resilience={
-                    **resilience,
-                    "attempts": float(exc.attempts),
-                    "failed_entities": float(len(exc.failed_positions)),
-                },
-                exception=exc.cause,
-            )
-        except Exception as exc:
-            if pool is not self._pool and _swap_retries > 0:
-                # Lost the race with adopt_generation outright — the old
-                # pool is gone.  Zero dropped requests: retry on the new
-                # generation instead of answering unavailable.
-                self.metrics.incr("serve.swap_retries")
-                return self._serve_impl(request, _swap_retries - 1)
+                return self._serve_impl(request, tenant, swap_retries - 1)
+            if isinstance(exc, PartialResultError):
+                # Graceful degradation: the healthy shards' answers go out
+                # with None holes at the failed entities, plus the terminal
+                # error — a partial answer beats a 500 for a KG lookup.
+                self.metrics.incr("serve.degraded")
+                self.metrics.incr(f"serve.degraded.{type_name}")
+                return _envelope(
+                    family, version, started, timings, STATUS_DEGRADED, exc.payload,
+                    error=_unavailable(exc.cause, str(exc)),
+                    resilience={
+                        **resilience,
+                        "attempts": float(exc.attempts),
+                        "failed_entities": float(len(exc.failed_positions)),
+                    },
+                    exception=exc.cause,
+                )
             if self.resilient and cacheable:
                 # Serve-stale-on-error: fresh compute is gone past its
                 # budget, but a previous generation answered this exact
-                # request — degraded beats unavailable.
-                stale = self._cache.get_stale(request)
+                # request in this exact scope — degraded beats unavailable.
+                stale = self._cache.get_stale(request, scope)
                 if stale is not None:
                     stale_version, stale_payload = stale
                     self.metrics.incr("serve.stale_served")
-                    timings["total_ms"] = _ms_since(started)
-                    retryable, exception_type = error_fields(exc)
-                    return response_class(wire_type)(
-                        request_type=wire_type,
-                        status=STATUS_DEGRADED,
-                        store_version=version,
-                        payload=stale_payload,
-                        timings=timings,
+                    return _envelope(
+                        family, version, started, timings, STATUS_DEGRADED,
+                        stale_payload,
                         cached=True,
-                        error=ErrorInfo(
-                            code=ERROR_UNAVAILABLE,
-                            message=f"{type(exc).__name__}: {exc}",
-                            retryable=retryable,
-                            exception_type=exception_type,
-                        ),
+                        error=_unavailable(exc, f"{type(exc).__name__}: {exc}"),
                         resilience={
                             **resilience,
                             "stale": True,
@@ -436,39 +433,66 @@ class ServingService:
                         },
                         exception=exc,
                     )
-            self.metrics.incr("serve.errors")
-            self.metrics.incr(f"serve.errors.{type_name}")
-            timings["total_ms"] = _ms_since(started)
-            return error_response(
-                wire_type,
-                version,
-                ERROR_INTERNAL,
-                f"{type(exc).__name__}: {exc}",
-                timings=timings,
-                exception=exc,
-            )
-        timings["total_ms"] = _ms_since(started)
-        return response_class(wire_type)(
-            request_type=wire_type,
-            status=STATUS_OK,
-            store_version=version,
-            payload=payload,
-            timings=timings,
+            return fail(ERROR_INTERNAL, f"{type(exc).__name__}: {exc}", exc)
+        return _envelope(
+            family, version, started, timings, STATUS_OK, payload,
             resilience=resilience,
         )
+
+    def _lease(self, family: RequestFamily, tenant: str | None):
+        """The tenancy scope of one request, as a context manager.
+
+        Yields the leased :class:`TenantState` for a tenant read (pinned
+        against eviction for the whole request) and ``None`` otherwise;
+        raises :class:`ProtocolError` for a scope the family does not allow.
+        """
+        role = family.tenant_role
+        if tenant is None and role != TENANT_WRITE:
+            return _NO_LEASE
+        registry = self._tenants
+        if registry is None:
+            raise ProtocolError(
+                ERROR_UNAVAILABLE,
+                "multi-tenant serving is not enabled (no tenants_dir configured)",
+            )
+        name = family.request_cls.__name__
+        if tenant is None:
+            raise ProtocolError(ERROR_BAD_REQUEST, f"{name} requires a tenant envelope field")
+        if role == TENANT_WRITE:
+            return _NO_LEASE
+        if role != TENANT_READ:
+            raise ProtocolError(
+                ERROR_BAD_REQUEST,
+                f"{name} cannot be tenant-scoped "
+                "(only walks and neighborhoods answer over overlays)",
+            )
+        return registry.lease(tenant)
 
     def _execute(
         self,
         request: Request,
+        family: RequestFamily,
+        tenant: str | None,
+        state: TenantState | None,
         pool: WorkerPool,
         router: ShardRouter,
         timings: dict[str, float],
         resilience: dict[str, float],
-    ) -> list:
-        """Compute one request's payload under its dispatch policy."""
-        if isinstance(request, AnnotateRequest):
+    ) -> Any:
+        """Compute one request's payload under its family's dispatch policy."""
+        if tenant is not None:
+            # Tenant work runs here, never on the shared fleet: a read on
+            # the overlay spliced onto the captured generation's CSR, a
+            # write through the registry's durable write op.
+            registry = self._tenants
+            with _stage(timings, "compute_ms", "serve.tenant", tenant=tenant):
+                if family.tenant_role == TENANT_WRITE:
+                    return family.execute(registry, tenant, request)
+                base = pool.local_state.engine.snapshot()
+                return registry.execute_on(state.engine(base), request)
+        if family.micro_batched:
             return self._execute_annotate(request, pool, timings)
-        if type(request).splittable:
+        if family.splittable:
             return self._execute_split(request, pool, router, timings, resilience)
         with _stage(timings, "compute_ms", "serve.compute"):
             if self.resilient:
@@ -479,127 +503,11 @@ class ServingService:
                 payload = pool.submit(request).result()
         return payload
 
-    def _serve_tenant(
-        self,
-        request: Request,
-        tenant: str | None,
-        started: float,
-        timings: dict[str, float],
-        epoch: int,
-    ) -> Response:
-        """Dispatch for everything tenant-scoped (reads, writes, syncs).
-
-        Writes ride the tenant's own :class:`GenerationPublisher` (a ~ms
-        delta publish); reads answer over the tenant overlay engine and
-        cache under ``(store_version, (tenant, tenant_version), request)``
-        — a tenant write structurally invalidates that tenant's entries
-        (new ``tenant_version``) without touching anyone else's, and a
-        shared generation swap invalidates everyone's (new
-        ``store_version``), exactly like tenantless entries.
-        """
-        version = self.store_version
-        wire_type = type(request).wire_type
-        type_name = type(request).__name__
-        registry = self._tenants
-
-        def fail(code: str, message: str, exception: BaseException | None = None):
-            self.metrics.incr("serve.errors")
-            self.metrics.incr(f"serve.errors.{type_name}")
-            timings["total_ms"] = _ms_since(started)
-            return error_response(
-                wire_type, version, code, message,
-                timings=timings, exception=exception,
-            )
-
-        if registry is None:
-            return fail(
-                ERROR_UNAVAILABLE,
-                "multi-tenant serving is not enabled (no tenants_dir configured)",
-            )
-        if tenant is None:
-            return fail(
-                ERROR_BAD_REQUEST,
-                f"{type_name} requires a tenant envelope field",
-            )
-        try:
-            if isinstance(request, TENANT_REQUEST_TYPES):
-                with _stage(timings, "compute_ms", "serve.tenant", tenant=tenant):
-                    if isinstance(request, TenantUpsertRequest):
-                        payload = registry.upsert(tenant, request.records)
-                    elif isinstance(request, TenantSyncRequest):
-                        payload = registry.sync(
-                            tenant,
-                            records=request.records,
-                            tombstones=request.tombstones,
-                            epsilon=request.epsilon,
-                        )
-                    elif isinstance(request, TenantDeleteRequest):
-                        payload = registry.delete(
-                            tenant,
-                            request.source,
-                            request.record_id,
-                            request.sequence,
-                        )
-                    else:  # pragma: no cover - family and branch move together
-                        raise TypeError(f"unhandled tenant request: {type_name}")
-                timings["total_ms"] = _ms_since(started)
-                return response_class(wire_type)(
-                    request_type=wire_type,
-                    status=STATUS_OK,
-                    store_version=version,
-                    payload=payload,
-                    timings=timings,
-                )
-            if not isinstance(request, TENANT_READ_TYPES):
-                return fail(
-                    ERROR_BAD_REQUEST,
-                    f"{type_name} cannot be tenant-scoped "
-                    "(only walks and neighborhoods answer over overlays)",
-                )
-            # One registry round-trip: the leased state yields the
-            # tenant_version the cache key needs and stays pinned against
-            # eviction for the whole read; the overlay engine is captured
-            # lazily so cache hits never pay for it.
-            with registry.lease(tenant) as state:
-                tenant_key = (tenant, state.version)
-                cacheable = request.cacheable()
-                if cacheable:
-                    with _stage(timings, "cache_ms", "serve.cache") as cache_span:
-                        cached = self._cache.get(version, request, tenant=tenant_key)
-                        cache_span.set_attribute("hit", cached is not None)
-                    if cached is not None:
-                        timings["total_ms"] = _ms_since(started)
-                        return response_class(wire_type)(
-                            request_type=wire_type,
-                            status=STATUS_OK,
-                            store_version=version,
-                            payload=cached,
-                            timings=timings,
-                            cached=True,
-                        )
-                with self.metrics.hist_timed(
-                    "serve.latency"
-                ), self.metrics.hist_timed(f"serve.latency.{type_name}"):
-                    with _stage(
-                        timings, "compute_ms", "serve.tenant", tenant=tenant
-                    ):
-                        payload = registry.execute_on(
-                            state.engine(registry.base()), request
-                        )
-            if cacheable and epoch == self._swap_epoch:
-                self._cache.put(version, request, payload, tenant=tenant_key)
-        except TenantNotFound as exc:
-            return fail(ERROR_BAD_REQUEST, str(exc), exc)
-        except Exception as exc:
-            return fail(ERROR_INTERNAL, f"{type(exc).__name__}: {exc}", exc)
-        timings["total_ms"] = _ms_since(started)
-        return response_class(wire_type)(
-            request_type=wire_type,
-            status=STATUS_OK,
-            store_version=version,
-            payload=payload,
-            timings=timings,
-        )
+    def _breakers(self) -> list[tuple[str, CircuitBreaker]]:
+        """Every circuit breaker by name: the pool's, then each shard's."""
+        assert self._pool is not None
+        shards = sorted(self._shard_breakers.items())
+        return [("pool", self._pool.breaker)] + [(f"shard:{n}", b) for n, b in shards]
 
     def _shard_breaker(self, shard: int) -> CircuitBreaker:
         """The (lazily created) circuit breaker guarding ``shard``."""
@@ -633,42 +541,24 @@ class ServingService:
             parts = router.scatter_request(request)
             scatter_span.set_attribute("shards", len(parts))
         self.metrics.incr("serve.shard_fanout", len(parts))
-        if not self.resilient:
-            with _stage(timings, "compute_ms", "serve.compute"):
-                futures = [
-                    (positions, pool.submit(shard_request))
-                    for positions, shard_request in parts
-                ]
-                shard_results = [
-                    (positions, future.result()) for positions, future in futures
-                ]
-            with _stage(timings, "gather_ms", "serve.gather"):
-                merged = ShardRouter.gather(len(request.entities), shard_results)
-            return merged
-        # Resilient fan-out.  Submit everything up front (breaker-gated:
-        # a tripped shard fails fast instead of queueing doomed work),
-        # then resolve each shard under the retry budget.  Each shard
-        # gets its own (non-activated) span, activated piecewise around
-        # its submit and resolve windows so worker spans and retry events
-        # parent under the right shard without the shard spans nesting
-        # into each other.
-        compute_span = tracing.span("serve.compute")
-        compute_started = time.perf_counter()
-        try:
-            shard_results, failed, attempts_total = self._fan_out(
-                parts, pool, router
-            )
-        finally:
-            elapsed = _ms_since(compute_started)
-            timings["compute_ms"] = elapsed
-            compute_span.set_attribute("stage_ms", elapsed)
-            compute_span.finish()
+        # Resilient fan-out submits everything up front (breaker-gated: a
+        # tripped shard fails fast instead of queueing doomed work), then
+        # resolves each shard under the retry budget.  Each shard gets its
+        # own (non-activated) span, activated piecewise around its submit
+        # and resolve windows so worker spans and retry events parent
+        # under the right shard without the shard spans nesting.
+        with _stage(timings, "compute_ms", "serve.compute"):
+            if self.resilient:
+                shard_results, failed, attempts_total = self._fan_out(parts, pool, router)
+            else:
+                futures = [(positions, pool.submit(part)) for positions, part in parts]
+                shard_results = [(positions, future.result()) for positions, future in futures]
+                failed, attempts_total = [], len(shard_results)
         if attempts_total > len(shard_results):
             resilience["attempts"] = float(attempts_total)
         if not failed:
             with _stage(timings, "gather_ms", "serve.gather"):
-                merged = ShardRouter.gather(len(request.entities), shard_results)
-            return merged
+                return ShardRouter.gather(len(request.entities), shard_results)
         gather_started = time.perf_counter()
         if not shard_results:
             # Nothing answered: a plain error (serve() may still find a
@@ -913,7 +803,8 @@ class ServingService:
         """
         warmed = 0
         for request in requests:
-            if not (isinstance(request, REQUEST_TYPES) and request.cacheable()):
+            family = family_of(request)
+            if family is None or not family.cacheable(request):
                 continue
             if self._cache.get(self.store_version, request) is not None:
                 continue
@@ -950,9 +841,7 @@ class ServingService:
         """
         pool = self._pool
         assert pool is not None
-        breakers: dict[str, str] = {"pool": pool.breaker.state}
-        for shard, breaker in sorted(self._shard_breakers.items()):
-            breakers[f"shard:{shard}"] = breaker.state
+        breakers = {name: breaker.state for name, breaker in self._breakers()}
         all_open = all(state == OPEN for state in breakers.values())
         live = pool.live_workers()
         healthy = live > 0 and not all_open
@@ -991,20 +880,31 @@ class ServingService:
         latency = self.metrics.histograms.get("serve.latency")
         out["serve.p50_s"] = latency.quantile(0.50) if latency is not None else 0.0
         out["serve.p95_s"] = latency.quantile(0.95) if latency is not None else 0.0
-        out["serve.workers"] = float(self._pool.num_workers)
+        out.update(self._gauges())
         out["serve.mode"] = self._pool.mode
-        out["serve.shards"] = float(self.num_shards)
-        out["serve.store_version"] = float(self.store_version)
-        out["serve.cache_entries"] = float(len(self._cache))
-        out["serve.cache_hits"] = float(self._cache.hits)
-        out["serve.cache_misses"] = float(self._cache.misses)
-        out["serve.cache_evictions"] = float(self._cache.evictions)
         out["serve.cache_hit_rate"] = self._cache.hit_rate
-        out["serve.batch_pending"] = float(self._batcher.pending)
         if self._tenants is not None:
-            out["serve.tenants_resident"] = float(self._tenants.resident_count())
             out["serve.tenants_evictions"] = float(self._tenants.evictions)
         return out
+
+    def _gauges(self) -> dict[str, float]:
+        """Point-in-time state the registry does not hold (``/stats`` and
+        ``/metrics`` both carry it)."""
+        pool = self._pool
+        assert pool is not None
+        gauges = {
+            "serve.store_version": float(pool.store_version),
+            "serve.cache_entries": float(len(self._cache)),
+            "serve.cache_hits": float(self._cache.hits),
+            "serve.cache_misses": float(self._cache.misses),
+            "serve.cache_evictions": float(self._cache.evictions),
+            "serve.workers": float(pool.num_workers),
+            "serve.shards": float(self.num_shards),
+            "serve.batch_pending": float(self._batcher.pending),
+        }
+        if self._tenants is not None:
+            gauges["serve.tenants_resident"] = float(self._tenants.resident_count())
+        return gauges
 
     def cache_family_stats(self) -> dict[str, dict[str, int]]:
         """Per-request-family cache hit/miss/stale counts (see QueryCache)."""
@@ -1039,19 +939,8 @@ class ServingService:
         extra gauges.  This is the body of the gateway's ``/metrics``.
         """
         assert self._pool is not None
-        extra: dict[str, float] = {
-            "serve.store_version": float(self.store_version),
-            "serve.cache_entries": float(len(self._cache)),
-            "serve.cache_hits": float(self._cache.hits),
-            "serve.cache_misses": float(self._cache.misses),
-            "serve.cache_evictions": float(self._cache.evictions),
-            "serve.workers": float(self._pool.num_workers),
-            "serve.live_workers": float(self._pool.live_workers()),
-            "serve.shards": float(self.num_shards),
-            "serve.batch_pending": float(self._batcher.pending),
-        }
-        if self._tenants is not None:
-            extra["serve.tenants_resident"] = float(self._tenants.resident_count())
+        extra = self._gauges()
+        extra["serve.live_workers"] = float(self._pool.live_workers())
         tracer = tracing.active()
         if tracer is not None:
             for key, value in tracer.counters().items():
@@ -1064,12 +953,7 @@ class ServingService:
         # Breaker state is categorical; expose it one-hot, the idiomatic
         # Prometheus encoding for state machines.
         lines = ["# TYPE kg_breaker_state gauge"]
-        breakers: list[tuple[str, CircuitBreaker]] = [("pool", self._pool.breaker)]
-        breakers.extend(
-            (f"shard:{shard}", breaker)
-            for shard, breaker in sorted(self._shard_breakers.items())
-        )
-        for name, breaker in breakers:
+        for name, breaker in self._breakers():
             state = breaker.state
             for candidate in ("closed", "open", "half_open"):
                 flag = 1 if candidate == state else 0
@@ -1107,6 +991,38 @@ def requests_from_query_log(
 
 def _ms_since(started: float) -> float:
     return (time.perf_counter() - started) * 1000.0
+
+
+def _envelope(
+    family: RequestFamily,
+    version: int,
+    started: float,
+    timings: dict[str, float],
+    status: str,
+    payload,
+    **fields,
+) -> Response:
+    """A family's typed answer envelope, stamped with its total time."""
+    timings["total_ms"] = _ms_since(started)
+    return family.response_cls(
+        request_type=family.wire_type,
+        status=status,
+        store_version=version,
+        payload=payload,
+        timings=timings,
+        **fields,
+    )
+
+
+def _unavailable(exc: BaseException, message: str) -> ErrorInfo:
+    """The error a degraded envelope carries about what is missing."""
+    retryable, exception_type = error_fields(exc)
+    return ErrorInfo(
+        code=ERROR_UNAVAILABLE,
+        message=message,
+        retryable=retryable,
+        exception_type=exception_type,
+    )
 
 
 @contextmanager

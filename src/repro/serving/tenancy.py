@@ -38,10 +38,10 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Iterable, Iterator
 
 from repro.common import ids
-from repro.common.errors import StoreError
 from repro.common.metrics import MetricsRegistry
 from repro.common.rng import stable_hash
 from repro.kg.adjacency import CSRAdjacency
@@ -55,12 +55,11 @@ from repro.ondevice.enrichment import dp_count_query
 from repro.ondevice.incremental import IncrementalPipeline
 from repro.ondevice.records import SourceRecord, record_lww_key
 from repro.serving.requests import (
-    NeighborhoodRequest,
+    TENANT_READ,
     PersonalRecord,
-    WalkRequest,
+    family_of,
     valid_tenant_id,
 )
-from repro.serving.worker import entity_walk_seed
 
 # Durable encoding: one literal fact per record / tombstone, subject is a
 # stable hash-derived entity id (record ids are arbitrary strings; entity
@@ -73,10 +72,6 @@ TOMBSTONE_PREDICATE = ids.predicate_id("tenant_tombstone")
 # interested in entity:Q42") and the hook fused answers traverse.
 LINK_FIELD = "linked_entity"
 LINK_PREDICATE = ids.predicate_id("interested_in")
-
-# Request types a tenant overlay serves (the graph-traversal families; the
-# rest either need shared-only physical layers or are writes).
-TENANT_READ_TYPES = (WalkRequest, NeighborhoodRequest)
 
 _SEED_SPACE = 2**63
 
@@ -114,25 +109,23 @@ def _record_entity(source: str, record_id: str) -> str:
     return ids.entity_id(f"tenant/rec-{digest}")
 
 
-def _record_fact(record: SourceRecord) -> Fact:
-    return Fact(
-        subject=_record_entity(record.source, record.record_id),
-        predicate=RECORD_PREDICATE,
-        obj=json.dumps(record.to_dict(), sort_keys=True),
-        obj_kind=ObjectKind.LITERAL,
-        literal_type=LiteralType.STRING,
-    )
-
-
-def _tombstone_fact(source: str, record_id: str, sequence: int) -> Fact:
-    payload = {"source": source, "record_id": record_id, "sequence": sequence}
+def _literal_fact(predicate: str, source: str, record_id: str, payload: dict) -> Fact:
     return Fact(
         subject=_record_entity(source, record_id),
-        predicate=TOMBSTONE_PREDICATE,
+        predicate=predicate,
         obj=json.dumps(payload, sort_keys=True),
         obj_kind=ObjectKind.LITERAL,
         literal_type=LiteralType.STRING,
     )
+
+
+def _record_fact(record: SourceRecord) -> Fact:
+    return _literal_fact(RECORD_PREDICATE, record.source, record.record_id, record.to_dict())
+
+
+def _tombstone_fact(source: str, record_id: str, sequence: int) -> Fact:
+    payload = {"source": source, "record_id": record_id, "sequence": sequence}
+    return _literal_fact(TOMBSTONE_PREDICATE, source, record_id, payload)
 
 
 class TenantState:
@@ -195,6 +188,20 @@ class TenantState:
 
     # -- durable mutations (last-writer-wins, mirroring Device semantics) --
 
+    @contextmanager
+    def _mutation(self) -> Iterator[None]:
+        """The state lock, held with no compaction in flight.
+
+        The publisher's background compaction saves ``self.store`` as the
+        new chain base; a mutation landing mid-save would write a base
+        whose version the chain does not expect.  Compactions are only
+        scheduled by :meth:`publish`, which takes this lock too, so
+        joining here keeps the store still until the mutation is done.
+        """
+        with self._lock:
+            self.publisher.join_compaction()
+            yield
+
     def apply_upserts(self, incoming: Iterable[SourceRecord]) -> tuple[int, int]:
         """LWW-merge ``incoming``; returns ``(applied, skipped)``.
 
@@ -202,7 +209,7 @@ class TenantState:
         :meth:`publish` once per request.
         """
         applied = skipped = 0
-        with self._lock:
+        with self._mutation():
             ordered = sorted(
                 incoming, key=lambda r: (r.source, r.record_id, r.sequence)
             )
@@ -227,32 +234,24 @@ class TenantState:
         return applied, skipped
 
     def apply_delete(self, source: str, record_id: str, sequence: int = 0) -> bool:
-        """Tombstone one record; True when a stored copy was removed."""
-        with self._lock:
-            key = (source, record_id)
-            existing = self.records.get(key)
-            seq = sequence if sequence else (existing.sequence if existing else 0)
+        """Tombstone one record; True when a stored copy was removed.
+
+        ``sequence`` 0 deletes at the stored copy's own sequence.
+        """
+        with self._mutation():
+            existing = self.records.get((source, record_id))
+            seq = sequence or (existing.sequence if existing else 0)
             if existing is not None and seq < existing.sequence:
                 return False
-            prior = self.tombstones.get(key)
-            if prior is None or seq > prior:
-                if prior is not None:
-                    self._remove_tombstone(key)
-                fact = self.store.add(_tombstone_fact(source, record_id, seq))
-                self.publisher.record(keys=[fact.key])
-                self.tombstones[key] = seq
-            if existing is None:
-                return False
-            self._remove_fact(_record_fact(existing))
-            del self.records[key]
-            return True
+            self.apply_tombstones([(source, record_id, seq)])
+            return existing is not None
 
     def apply_tombstones(
         self, incoming: Iterable[tuple[str, str, int]]
     ) -> int:
         """Adopt device tombstones (sync ingest); returns newly raised."""
         raised = 0
-        with self._lock:
+        with self._mutation():
             for source, record_id, sequence in sorted(incoming):
                 key = (source, record_id)
                 current = self.tombstones.get(key)
@@ -351,9 +350,7 @@ class TenantState:
 
     def close(self) -> None:
         """Flush background work so eviction never races a compaction."""
-        join = getattr(self.publisher, "join_compaction", None)
-        if join is not None:
-            join()
+        self.publisher.join_compaction()
 
 
 class _Slot:
@@ -585,10 +582,6 @@ class TenantRegistry:
         self._release(tenant_id, state)
         return state
 
-    def create(self, tenant_id: str) -> TenantState:
-        """Create (or attach) ``tenant_id``."""
-        return self.get(tenant_id, create=True)
-
     def evict(self, tenant_id: str) -> bool:
         """Drop a tenant from residency (state stays durable on disk).
 
@@ -617,53 +610,30 @@ class TenantRegistry:
 
     # -- request serving ---------------------------------------------------
 
-    def engine(self, tenant_id: str) -> tuple[GraphEngine, int, int]:
-        """``(engine, base_version, tenant_version)`` for tenant reads.
-
-        The base is captured once per call, so a concurrent shared swap
-        yields either the old or the new generation consistently — never
-        a mix.
-        """
-        base = self.base()
-        with self.lease(tenant_id) as state:
-            engine = state.engine(base)
-            return engine, base.built_version, state.version
-
     def execute_read(self, tenant_id: str, request) -> list:
         """Answer a walk/neighborhood request over the tenant's overlay."""
-        engine, _base_version, _tenant_version = self.engine(tenant_id)
-        return self.execute_on(engine, request)
+        base = self.base()
+        with self.lease(tenant_id) as state:
+            return self.execute_on(state.engine(base), request)
 
     def execute_on(self, engine: GraphEngine, request) -> list:
         """Answer over an already-captured overlay engine.
 
         The hot serving path: callers that need the tenant version for
-        cache keying capture ``(engine, versions)`` once via
-        :meth:`engine` and dispatch here — one registry round-trip per
-        request, not two.  Mirrors ``WorkerState._walks`` /
-        ``_neighborhoods`` exactly (per-entity seed substreams, sorted
-        neighborhoods), so a tenant answer differs from a shared answer
-        only by the overlay's facts.
+        cache keying capture ``(engine, versions)`` once and dispatch
+        here — one registry round-trip per request, not two.  Runs the
+        very executor the shared workers run for the family (per-entity
+        seed substreams, sorted neighborhoods), so a tenant answer
+        differs from a shared answer only by the overlay's facts.
         """
         self.metrics.incr("tenants.reads")
-        if isinstance(request, WalkRequest):
-            return [
-                engine.random_walks(
-                    [entity],
-                    walk_length=request.walk_length,
-                    walks_per_entity=request.walks_per_entity,
-                    seed=entity_walk_seed(request.seed, entity),
-                )
-                for entity in request.entities
-            ]
-        if isinstance(request, NeighborhoodRequest):
-            return [
-                sorted(engine.neighborhood(entity, hops=request.hops))
-                for entity in request.entities
-            ]
-        raise TypeError(
-            f"request type {type(request).__name__} is not tenant-servable"
-        )
+        family = family_of(request)
+        if family is None or family.tenant_role != TENANT_READ:
+            raise TypeError(
+                f"request type {type(request).__name__} is not tenant-servable"
+            )
+        # The overlay engine stands in for the worker's shared one.
+        return family.execute(SimpleNamespace(engine=engine), request)
 
     def upsert(self, tenant_id: str, records: Iterable[PersonalRecord]) -> dict[str, Any]:
         """Apply a :class:`TenantUpsertRequest`; returns its payload."""
@@ -705,75 +675,61 @@ class TenantRegistry:
         and a DP-noised record count.
         """
         with self.lease(tenant_id, create=True) as state:
-            return self._sync_leased(
-                state, tenant_id, records=records, tombstones=tombstones,
-                epsilon=epsilon,
-            )
+            tombstones = [tuple(t) for t in tombstones]
+            incoming = [to_source_record(record) for record in records]
+            state.apply_tombstones(tombstones)
+            state.apply_upserts(incoming)
+            state.publish()
+            self.metrics.incr("tenants.syncs")
 
-    def _sync_leased(
-        self,
-        state: TenantState,
-        tenant_id: str,
-        *,
-        records: Iterable[PersonalRecord],
-        tombstones: Iterable[tuple[str, str, int]],
-        epsilon: float,
-    ) -> dict[str, Any]:
-        tombstones = [tuple(t) for t in tombstones]
-        incoming = [to_source_record(record) for record in records]
-        state.apply_tombstones(tombstones)
-        state.apply_upserts(incoming)
-        state.publish()
-        self.metrics.incr("tenants.syncs")
-
-        device_keys = {
-            (record.source, record.record_id): record_lww_key(record)
-            for record in incoming
-        }
-        device_tombs = {}
-        for source, record_id, sequence in tombstones:
-            key = (source, record_id)
-            device_tombs[key] = max(sequence, device_tombs.get(key, sequence))
-        with state._lock:
-            missing = [
-                to_personal_record(record)
-                for key, record in sorted(state.records.items())
-                if (
-                    key not in device_keys
-                    or device_keys[key] < record_lww_key(record)
-                )
-                and device_tombs.get(key, -1) < record.sequence
-            ]
-            server_tombstones = [
-                [source, record_id, sequence]
-                for (source, record_id), sequence in sorted(state.tombstones.items())
-                if device_tombs.get((source, record_id), -1) < sequence
-            ]
-            record_count = len(state.records)
-        _store, people = state.fused()
-        seed = stable_hash(f"tenant-dp:{tenant_id}:{state.version}", _SEED_SPACE)
-        return {
-            "records": [
-                {
-                    "record_id": record.record_id,
-                    "source": record.source,
-                    "fields": [list(pair) for pair in record.fields],
-                    "sequence": record.sequence,
-                }
-                for record in missing
-            ],
-            "tombstones": server_tombstones,
-            "people": [
-                {
-                    "entity": person.entity,
-                    "name": person.name,
-                    "record_ids": list(person.record_ids),
-                }
-                for person in people
-            ],
-            "tenant_version": state.version,
-            "dp_record_count": dp_count_query(record_count, epsilon, seed=seed),
-        }
+            device_keys = {
+                (record.source, record.record_id): record_lww_key(record)
+                for record in incoming
+            }
+            device_tombs = {}
+            for source, record_id, sequence in tombstones:
+                key = (source, record_id)
+                device_tombs[key] = max(sequence, device_tombs.get(key, sequence))
+            with state._lock:
+                missing = [
+                    to_personal_record(record)
+                    for key, record in sorted(state.records.items())
+                    if (
+                        key not in device_keys
+                        or device_keys[key] < record_lww_key(record)
+                    )
+                    and device_tombs.get(key, -1) < record.sequence
+                ]
+                server_tombstones = [
+                    [source, record_id, sequence]
+                    for (source, record_id), sequence in sorted(state.tombstones.items())
+                    if device_tombs.get((source, record_id), -1) < sequence
+                ]
+                record_count = len(state.records)
+            _store, people = state.fused()
+            seed = stable_hash(f"tenant-dp:{tenant_id}:{state.version}", _SEED_SPACE)
+            return {
+                "records": [
+                    {
+                        "record_id": record.record_id,
+                        "source": record.source,
+                        "fields": [list(pair) for pair in record.fields],
+                        "sequence": record.sequence,
+                    }
+                    for record in missing
+                ],
+                "tombstones": server_tombstones,
+                "people": [
+                    {
+                        "entity": person.entity,
+                        "name": person.name,
+                        "record_ids": list(person.record_ids),
+                    }
+                    for person in people
+                ],
+                "tenant_version": state.version,
+                "dp_record_count": dp_count_query(record_count, epsilon, seed=seed),
+            }
 
     def close(self) -> None:
         """Drop every resident tenant (durable state stays on disk)."""
@@ -783,10 +739,3 @@ class TenantRegistry:
         for slot in slots:
             if slot.state is not None:
                 slot.state.close()
-
-    def stats(self) -> dict[str, float]:
-        """Flat metrics snapshot for the service stats surface."""
-        out = dict(self.metrics.snapshot())
-        out["tenants.resident"] = float(self.resident_count())
-        out["tenants.evictions"] = float(self.evictions)
-        return out

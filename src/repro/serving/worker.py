@@ -40,37 +40,12 @@ from pathlib import Path
 
 from repro.common import tracing
 from repro.common.metrics import MetricsRegistry
-from repro.common.rng import stable_hash
 from repro.serving import faults
 from repro.serving.resilience import CircuitBreaker, RetryPolicy, is_retryable
-from repro.serving.requests import (
-    TENANT_REQUEST_TYPES,
-    AnnotateRequest,
-    FactRankRequest,
-    KnnRequest,
-    NeighborhoodRequest,
-    RelatedRequest,
-    Request,
-    SimilarityRequest,
-    VerifyRequest,
-    WalkRequest,
-)
+from repro.serving.requests import TENANT_WRITE, Request, family_of
+from repro.serving.requests import entity_walk_seed as entity_walk_seed  # re-export
 
 WORKER_MODES = ("inline", "thread", "process")
-
-# Seeds live in numpy's accepted range; 2**63 keeps them positive int64.
-_WALK_SEED_SPACE = 2**63
-
-
-def entity_walk_seed(seed: int, entity: str) -> int:
-    """Derived, stable per-entity walk seed.
-
-    The serving contract for walks: entity ``e`` of a request with seed
-    ``s`` draws from ``substream(entity_walk_seed(s, e), "random-walks")``
-    — one independent stream per entity, so any partition of a request
-    over any number of workers replays the exact same draws.
-    """
-    return stable_hash(f"serve-walks:{seed}:{entity}", _WALK_SEED_SPACE)
 
 
 @dataclass(frozen=True)
@@ -135,12 +110,12 @@ class WorkerState:
     def __init__(self, bundle_dir: str | Path, config: WorkerConfig | None = None) -> None:
         self.bundle_dir = Path(bundle_dir)
         self.config = config or WorkerConfig()
-        self.snapshot = load_snapshot_state(self.bundle_dir, verify=self.config.verify)
+        from repro.kg.persistence import load_snapshot
+
+        self.snapshot = load_snapshot(self.bundle_dir, verify=self.config.verify)
         self.engine = self.snapshot.engine()
         self.store_version = int(self.snapshot.manifest["store_version"])
-        self._pipelines: dict[str, object] = {}
-        self._related = None
-        self._embedding_suite = None
+        self._helpers: dict[object, object] = {}
         # Lazy helper construction must be once-only when worker threads
         # share this state (thread mode).
         self._build_lock = threading.RLock()
@@ -151,16 +126,21 @@ class WorkerState:
         adjacency = self.snapshot.adjacency
         return adjacency.dictionary if adjacency is not None else None
 
+    def _helper(self, key: object, build):
+        """The helper cached under ``key``, built by ``build()`` once."""
+        helper = self._helpers.get(key)
+        if helper is None:
+            with self._build_lock:
+                helper = self._helpers.get(key)
+                if helper is None:
+                    helper = self._helpers[key] = build()
+        return helper
+
     def pipeline(self, tier: str):
         """The annotation pipeline for ``tier``, built on first use."""
-        pipeline = self._pipelines.get(tier)
-        if pipeline is None:
-            with self._build_lock:
-                pipeline = self._pipelines.get(tier)
-                if pipeline is None:
-                    pipeline = self.snapshot.annotation_pipeline(tier=tier)
-                    self._pipelines[tier] = pipeline
-        return pipeline
+        return self._helper(
+            ("pipeline", tier), lambda: self.snapshot.annotation_pipeline(tier=tier)
+        )
 
     def related_backend(self):
         """The traversal related-entities backend, built on first use.
@@ -169,22 +149,21 @@ class WorkerState:
         replica builds the same vectors; the worker's engine (with the
         mmap-adopted CSR) is reused, skipping the adjacency rebuild.
         """
-        if self._related is None:
-            with self._build_lock:
-                if self._related is None:
-                    from repro.services.related_entities import TraversalRelatedEntities
+        from repro.services.related_entities import TraversalRelatedEntities
 
-                    config = self.config
-                    self._related = TraversalRelatedEntities(
-                        self.snapshot.store,
-                        dim=config.related_dim,
-                        walk_length=config.related_walk_length,
-                        walks_per_entity=config.related_walks_per_entity,
-                        window=config.related_window,
-                        seed=config.related_seed,
-                        engine=self.engine,
-                    )
-        return self._related
+        config = self.config
+        return self._helper(
+            "related",
+            lambda: TraversalRelatedEntities(
+                self.snapshot.store,
+                dim=config.related_dim,
+                walk_length=config.related_walk_length,
+                walks_per_entity=config.related_walks_per_entity,
+                window=config.related_window,
+                seed=config.related_seed,
+                engine=self.engine,
+            ),
+        )
 
     def embedding_suite(self) -> "EmbeddingSuite":
         """The embedding-family backends, adopted (or trained) on first use.
@@ -200,13 +179,10 @@ class WorkerState:
         arrays — no SGD, no calibration pass, no k-means — so N replicas
         share one page-cache copy of the trained state.
         """
-        if self._embedding_suite is None:
-            with self._build_lock:
-                if self._embedding_suite is None:
-                    self._embedding_suite = self.snapshot.embedding_suite(
-                        self.config.embedding_config()
-                    )
-        return self._embedding_suite
+        return self._helper(
+            "embeddings",
+            lambda: self.snapshot.embedding_suite(self.config.embedding_config()),
+        )
 
     # -- request execution ---------------------------------------------------
 
@@ -228,7 +204,10 @@ class WorkerState:
             )
 
     def _dispatch(self, request: Request) -> list:
-        if isinstance(request, TENANT_REQUEST_TYPES):
+        family = family_of(request)
+        if family is None:
+            raise TypeError(f"unsupported request type: {type(request).__name__}")
+        if family.tenant_role == TENANT_WRITE:
             # Isolation at dispatch: the shared fleet serves only shared
             # state.  Tenant writes are handled by the TenantRegistry in
             # the service process and must never reach a worker replica.
@@ -236,96 +215,7 @@ class WorkerState:
                 f"{type(request).__name__} targets per-tenant state; "
                 "shared workers never serve the tenant request family"
             )
-        if isinstance(request, WalkRequest):
-            return self._walks(request)
-        if isinstance(request, NeighborhoodRequest):
-            return self._neighborhoods(request)
-        if isinstance(request, RelatedRequest):
-            return self._related_entities(request)
-        if isinstance(request, AnnotateRequest):
-            return self.pipeline(request.tier).annotate_batch(list(request.texts))
-        if isinstance(request, FactRankRequest):
-            # One batched scoring pass across every subject in this
-            # (sub-)request; per-subject output identical to rank().
-            return self.embedding_suite().ranker.rank_many(
-                list(request.entities), request.predicate
-            )
-        if isinstance(request, VerifyRequest):
-            return self.embedding_suite().verifier.verify_batch(
-                list(request.candidates)
-            )
-        if isinstance(request, SimilarityRequest):
-            return self.embedding_suite().embedding_service.batch_similarity(
-                list(request.pairs)
-            )
-        if isinstance(request, KnnRequest):
-            # One gathered query matrix through the index; per-entity hits
-            # identical to scalar knn(), so results stay shard-invariant.
-            return self.embedding_suite().embedding_service.knn_many(
-                list(request.entities), k=request.k, exclude_self=request.exclude_self
-            )
-        raise TypeError(f"unsupported request type: {type(request).__name__}")
-
-    def _walks(self, request: WalkRequest) -> list[list[list[str]]]:
-        engine = self.engine
-        return [
-            engine.random_walks(
-                [entity],
-                walk_length=request.walk_length,
-                walks_per_entity=request.walks_per_entity,
-                seed=entity_walk_seed(request.seed, entity),
-            )
-            for entity in request.entities
-        ]
-
-    def _neighborhoods(self, request: NeighborhoodRequest) -> list[list[str]]:
-        engine = self.engine
-        # Sorted for deterministic merge output (sets have no wire order).
-        return [
-            sorted(engine.neighborhood(entity, hops=request.hops))
-            for entity in request.entities
-        ]
-
-    def _related_entities(self, request: RelatedRequest) -> list[list[tuple[str, float]]]:
-        backend = self.related_backend()
-        return [
-            [(hit.entity, hit.score) for hit in backend.related(entity, k=request.k)]
-            for entity in request.entities
-        ]
-
-
-def load_snapshot_state(bundle_dir: Path, *, verify: bool):
-    """``load_snapshot`` indirection point (kept tiny for test monkeypatching)."""
-    from repro.kg.persistence import load_snapshot
-
-    return load_snapshot(bundle_dir, verify=verify)
-
-
-def build_embedding_suite(store, config: WorkerConfig) -> "EmbeddingSuite":
-    """Train + calibrate the embedding-family backends from ``store``.
-
-    Back-compat shim over :func:`repro.embeddings.suite.build_embedding_suite`
-    (where the build moved when the persisted embedding layer made it a
-    platform concern rather than a worker detail), keeping the historical
-    ``WorkerConfig``-flavoured signature.
-    """
-    from repro.embeddings.suite import build_embedding_suite as build_suite
-
-    return build_suite(store, config.embedding_config())
-
-
-def _import_embedding_suite():
-    from repro.embeddings.suite import EmbeddingSuite
-
-    return EmbeddingSuite
-
-
-def __getattr__(name: str):
-    # EmbeddingSuite historically lived here; keep the import path working
-    # without paying the embedding-stack import at worker-module load.
-    if name == "EmbeddingSuite":
-        return _import_embedding_suite()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        return family.execute(self, request)
 
 
 # -- executors ----------------------------------------------------------------

@@ -9,7 +9,12 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """L2-normalise each row; zero rows stay zero."""
     matrix = np.asarray(matrix, dtype=np.float64)
     norms = np.linalg.norm(matrix, axis=-1, keepdims=True)
-    return np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms > 0)
+    normalized = np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms > 0)
+    # Entries below ~1e-154 square to subnormals, so their norm above lost
+    # its precision; a second pass over the now order-one rows restores it.
+    if np.any((norms > 0) & (norms < 1e-150)):
+        return normalize_rows(normalized)
+    return normalized
 
 
 def cosine(query: np.ndarray, matrix: np.ndarray) -> np.ndarray:

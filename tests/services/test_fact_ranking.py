@@ -1,6 +1,13 @@
 """Tests for the fact-ranking service."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.common import ids
 from repro.embeddings.inference import BatchInference
@@ -121,3 +128,41 @@ class TestNDCG:
 
     def test_irrelevant_items_no_gain(self):
         assert _ndcg(["x", "y"], ["a"]) == 0.0
+
+
+# Ranks every subject with three or more values of one predicate and
+# prints the fact_rank wire payload.
+_RANK_SCRIPT = """
+import collections, json
+from repro.embeddings.suite import EmbeddingSuiteConfig, build_embedding_suite
+from repro.kg.generator import SyntheticKGConfig, generate_kg
+from repro.serving.protocol import payload_to_wire
+
+kg = generate_kg(SyntheticKGConfig(seed=7, scale=0.1))
+suite = build_embedding_suite(kg.store, EmbeddingSuiteConfig(epochs=2))
+counts = collections.Counter((f.subject, f.predicate) for f in kg.store.scan())
+multi = sorted(key for key, n in counts.items() if n >= 3)
+predicate = multi[0][1]
+subjects = sorted({s for s, p in multi if p == predicate})
+payload = suite.ranker.rank_many(subjects, predicate)
+print(json.dumps(payload_to_wire("fact_rank", payload), sort_keys=True))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_fact_rank_payload_is_identical_across_hash_seeds(self):
+        """Candidate sets are z-normalised in a fixed order, so the wire
+        payload is byte-identical whatever ``PYTHONHASHSEED`` is."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", _RANK_SCRIPT],
+                env=env,
+                capture_output=True,
+                timeout=120,
+                check=True,
+            )
+            outputs.add(result.stdout)
+        assert len(outputs) == 1

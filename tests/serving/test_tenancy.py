@@ -21,6 +21,7 @@ from repro.kg.triple import entity_fact
 from repro.serving.requests import (
     ERROR_BAD_REQUEST,
     ERROR_UNAVAILABLE,
+    STATUS_DEGRADED,
     NeighborhoodRequest,
     PersonalRecord,
     RelatedRequest,
@@ -29,8 +30,9 @@ from repro.serving.requests import (
     TenantUpsertRequest,
     WalkRequest,
 )
+from repro.serving.resilience import TransientServingError
 from repro.serving.service import ServingService
-from repro.serving.tenancy import TenantNotFound, TenantRegistry
+from repro.serving.tenancy import TenantNotFound, TenantRegistry, TenantState
 
 PERSON = ids.entity_id("personal/person-0000")
 
@@ -256,6 +258,54 @@ class TestRegistryLifecycle:
             assert set(state.records) == {
                 ("contacts", f"c{n:03d}") for n in range(2 * per_tenant)
             }, tenant
+
+    def test_write_waits_for_an_in_flight_compaction(
+        self, tmp_path, shared_world, monkeypatch
+    ):
+        """A write racing the tenant's background compaction waits for it,
+        so the compacted base matches the chain and a cold attach of the
+        tenant sees every record (instead of a StoreError)."""
+        from repro.kg import deltas
+
+        _kg, _base, entities = shared_world
+        # Every second publish compacts: the second upsert schedules one,
+        # and the racing write's own delta stays on the compacted base.
+        registry = make_registry(tmp_path, shared_world, compact_every=2)
+        registry.upsert("racer", [canary_record(0, entities[0])])
+        save = deltas.save_snapshot
+        started, release = threading.Event(), threading.Event()
+
+        def held_save(*args, **kwargs):
+            # The compaction has read the store version; hold it mid-save.
+            started.set()
+            release.wait(timeout=30.0)
+            return save(*args, **kwargs)
+
+        monkeypatch.setattr(deltas, "save_snapshot", held_save)
+        registry.upsert("racer", [canary_record(1, entities[1])])
+        assert started.wait(timeout=30.0)
+        errors: list = []
+
+        def write() -> None:
+            try:
+                registry.upsert("racer", [canary_record(2, entities[2])])
+            except Exception as exc:  # pragma: no cover - the assertion
+                errors.append(exc)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        # Time for the write to land mid-save, were it not held off.
+        writer.join(timeout=0.3)
+        release.set()
+        writer.join(timeout=30.0)
+        assert not writer.is_alive() and not errors, errors
+        registry.get("racer").publisher.join_compaction()
+        registry.close()
+
+        reloaded = make_registry(tmp_path, shared_world)
+        assert set(reloaded.get("racer").records) == {
+            ("contacts", f"c{n:03d}") for n in range(3)
+        }
 
     def test_invalid_tenant_ids_are_rejected(self, tmp_path, shared_world):
         from repro.serving.tenancy import TenantError
@@ -495,3 +545,148 @@ class TestConcurrentSwapSweep:
             assert service.store_version == kg.store.version
         finally:
             service.close()
+
+
+class TestTenantPipeline:
+    """Tenant reads run the shared reads' pipeline: stale-on-error and
+    swap retries, each strictly inside the tenant's own scope."""
+
+    def _fail_reads(self, service, monkeypatch):
+        def down(engine, request):
+            raise TransientServingError("overlay down")
+
+        monkeypatch.setattr(service._tenants, "execute_on", down)
+
+    def test_failed_read_serves_own_stale_answer_only(
+        self, tenant_service, seed_entities, monkeypatch
+    ):
+        request = NeighborhoodRequest(entities=(PERSON,), hops=1)
+        for name, n in (("amy", 1), ("ben", 2)):
+            tenant_service.serve(
+                TenantUpsertRequest(records=(canary_record(n, seed_entities[n]),)),
+                tenant=name,
+            )
+        fresh = tenant_service.serve(request, tenant="amy")
+        assert fresh.ok and seed_entities[1] in fresh.payload[0]
+        version = tenant_service.store_version
+        # A shared generation swap demotes amy's entry to the stale store.
+        tenant_service._cache.adopt_version(version + 1)
+        self._fail_reads(tenant_service, monkeypatch)
+
+        stale = tenant_service.serve(request, tenant="amy")
+        assert stale.status == STATUS_DEGRADED and stale.cached
+        assert stale.payload == fresh.payload
+        assert stale.resilience["stale"] is True
+        assert stale.resilience["stale_version"] == float(version)
+        # Same request, other tenant: never amy's stale answer.
+        other = tenant_service.serve(request, tenant="ben")
+        assert other.status == "error" and other.payload is None
+
+    def test_stale_answer_never_predates_the_tenants_last_write(
+        self, tenant_service, seed_entities, monkeypatch
+    ):
+        request = NeighborhoodRequest(entities=(PERSON,), hops=1)
+        tenant_service.serve(
+            TenantUpsertRequest(records=(canary_record(3, seed_entities[3]),)),
+            tenant="cal",
+        )
+        assert tenant_service.serve(request, tenant="cal").ok
+        tenant_service._cache.adopt_version(tenant_service.store_version + 1)
+        # The deleted record must not come back through the fallback.
+        deleted = tenant_service.serve(
+            TenantDeleteRequest(source="contacts", record_id="c003"), tenant="cal"
+        )
+        assert deleted.ok and deleted.payload["deleted"]
+        self._fail_reads(tenant_service, monkeypatch)
+        response = tenant_service.serve(request, tenant="cal")
+        assert response.status == "error" and response.payload is None
+
+    def test_read_losing_a_swap_retries_in_its_tenant_scope(
+        self, tmp_path, monkeypatch
+    ):
+        kg = generate_kg(SyntheticKGConfig(seed=37, scale=0.05))
+        entities = sorted(kg.store.entity_ids())
+        bundle = tmp_path / "bundle"
+        publisher = GenerationPublisher(kg.store, bundle, embeddings=False)
+        with ServingService(
+            bundle, mode="inline", tenants_dir=tmp_path / "tenants"
+        ) as service:
+            service.serve(
+                TenantUpsertRequest(records=(canary_record(1, entities[1]),)),
+                tenant="dee",
+            )
+            grown = ids.entity_id("grown/retry-witness")
+            kg.store.upsert_entity(EntityRecord(entity=grown, name="Witness"))
+            fact = entity_fact(
+                grown, ids.predicate_id("knows"), entities[0], sources=("g",)
+            )
+            kg.store.add(fact)
+            publisher.record(keys=[fact.key], entities=[grown])
+            publisher.publish()
+            publisher.join_compaction()
+            registry = service._tenants
+            execute_on = registry.execute_on
+            calls = []
+
+            def loses_the_race(engine, request):
+                calls.append(request)
+                if len(calls) == 1:
+                    service.adopt_generation(bundle)
+                    raise RuntimeError("worker pool is closed")
+                return execute_on(engine, request)
+
+            monkeypatch.setattr(registry, "execute_on", loses_the_race)
+            response = service.serve(
+                NeighborhoodRequest(entities=(PERSON,), hops=1), tenant="dee"
+            )
+            assert response.ok and len(calls) == 2
+            assert entities[1] in response.payload[0]  # the overlay answered
+            assert response.store_version == kg.store.version
+            assert service.stats()["counter.serve.swap_retries"] >= 1.0
+
+    def test_store_version_names_the_overlays_base(
+        self, tmp_path, monkeypatch
+    ):
+        kg = generate_kg(SyntheticKGConfig(seed=41, scale=0.05))
+        entities = sorted(kg.store.entity_ids())
+        bundle = tmp_path / "bundle"
+        publisher = GenerationPublisher(kg.store, bundle, embeddings=False)
+        with ServingService(
+            bundle, mode="inline", tenants_dir=tmp_path / "tenants"
+        ) as service:
+            service.serve(
+                TenantUpsertRequest(records=(canary_record(2, entities[2]),)),
+                tenant="eve",
+            )
+            first_version = service.store_version
+            fact = entity_fact(
+                entities[3], ids.predicate_id("knows"), entities[4], sources=("g",)
+            )
+            kg.store.add(fact)
+            publisher.record(keys=[fact.key])
+            publisher.publish()
+            publisher.join_compaction()
+            registry = service._tenants
+            acquire = registry._acquire
+            bases = []
+            engine = TenantState.engine
+
+            def swap_then_acquire(tenant_id, **kwargs):
+                # The swap lands after the request captured its generation
+                # but before its overlay resolves a base.
+                if not bases:
+                    service.adopt_generation(bundle)
+                return acquire(tenant_id, **kwargs)
+
+            def recording_engine(state, base):
+                bases.append(base.built_version)
+                return engine(state, base)
+
+            monkeypatch.setattr(registry, "_acquire", swap_then_acquire)
+            monkeypatch.setattr(TenantState, "engine", recording_engine)
+            response = service.serve(
+                NeighborhoodRequest(entities=(PERSON,), hops=1), tenant="eve"
+            )
+            assert response.ok and entities[2] in response.payload[0]
+            assert service.store_version != first_version
+            assert bases == [response.store_version] == [first_version]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -27,6 +27,7 @@ class TestNormalize:
 
     @settings(max_examples=25, deadline=None)
     @given(arrays(np.float64, (4, 3), elements=st.floats(-10, 10)))
+    @example(np.full((4, 3), 5.1872527e-162))  # squares underflow to subnormals
     def test_property_norm_at_most_one(self, matrix):
         norms = np.linalg.norm(normalize_rows(matrix), axis=1)
         assert np.all((np.isclose(norms, 1.0)) | (norms == 0.0))
