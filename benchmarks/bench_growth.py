@@ -63,7 +63,7 @@ def test_delta_publish_vs_full_resave(benchmark, growth_kg, tmp_path_factory):
     bundle = tmp_path_factory.mktemp("growth-bundle")
     # compact_every above GENERATIONS: measure pure delta publishes.
     publisher = GenerationPublisher(
-        store, bundle, compact_every=GENERATIONS + 2, embeddings=False
+        store, bundle, compact_every=GENERATIONS + 2
     )
 
     publish_times = []
@@ -115,7 +115,7 @@ def test_overlay_read_overhead_and_swap_gap(benchmark, growth_kg, tmp_path_facto
     store = growth_kg.store
     bundle = tmp_path_factory.mktemp("overlay-bundle")
     publisher = GenerationPublisher(
-        store, bundle, compact_every=GENERATIONS + 2, embeddings=False
+        store, bundle, compact_every=GENERATIONS + 2
     )
     for round_no in range(3):
         publisher.record(keys=_mutate(store, 100 + round_no))

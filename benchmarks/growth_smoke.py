@@ -12,7 +12,8 @@ fails unless:
 * the ``store_version`` observed on ``/healthz`` only ever advances, and
   ends at the publisher's tip;
 * the final generation's answers are byte-identical to a service booted
-  from a from-scratch full snapshot of the same store.
+  from a from-scratch full snapshot of the same store;
+* both bundles pass :mod:`repro.kg.fsck` at exit.
 
 Run directly (CI does): ``PYTHONPATH=src python benchmarks/growth_smoke.py``
 """
@@ -30,6 +31,7 @@ from pathlib import Path
 from repro.annotation.pipeline import make_pipeline
 from repro.common import ids
 from repro.kg.deltas import GenerationPublisher
+from repro.kg.fsck import check_bundle
 from repro.kg.generator import SyntheticKGConfig, generate_kg, hold_out_facts
 from repro.kg.persistence import save_snapshot
 from repro.kg.triple import entity_fact
@@ -148,7 +150,7 @@ def canon(payload) -> bytes:
 async def smoke(bundle: Path, fresh_bundle: Path) -> list[str]:
     failures: list[str] = []
     deployed, pipeline, targets = build_world()
-    publisher = GenerationPublisher(deployed, bundle, embeddings=False)
+    publisher = GenerationPublisher(deployed, bundle)
     service = ServingService(bundle, mode="inline", num_shards=2)
     gateway = AsyncGateway(service, max_concurrency=4, max_pending=64)
     server = GatewayHTTPServer(gateway)
@@ -270,9 +272,10 @@ async def smoke(bundle: Path, fresh_bundle: Path) -> list[str]:
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="growth-smoke-") as tmp:
-        failures = asyncio.run(
-            smoke(Path(tmp) / "bundle", Path(tmp) / "fresh-bundle")
-        )
+        bundles = [Path(tmp) / "bundle", Path(tmp) / "fresh-bundle"]
+        failures = asyncio.run(smoke(*bundles))
+        # Integrity at exit: chain linkage, checksums, row order, ids.
+        failures += [f"fsck: {problem}" for b in bundles for problem in check_bundle(b)]
     if failures:
         print("\nFAILURES:", file=sys.stderr)
         for failure in failures:

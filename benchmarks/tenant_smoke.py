@@ -16,7 +16,9 @@ other tenant links.  The smoke fails unless:
   graph never grows a personal person node) — checked continuously by
   the client loops and again by a full sweep at the end;
 * ``store_version`` on ``/healthz`` only ever advances, and tenant
-  answers survive the swaps (append-only shared ids keep overlays valid).
+  answers survive the swaps (append-only shared ids keep overlays valid);
+* the shared bundle and every tenant bundle pass :mod:`repro.kg.fsck`
+  at exit.
 
 The tenant count deliberately exceeds the service's resident-tenant LRU
 capacity (32), so the run also exercises evict/cold-attach under load.
@@ -35,6 +37,7 @@ from pathlib import Path
 
 from repro.common import ids
 from repro.kg.deltas import GenerationPublisher
+from repro.kg.fsck import check_bundle
 from repro.kg.generator import SyntheticKGConfig, generate_kg
 from repro.kg.triple import entity_fact
 from repro.serving.gateway import AsyncGateway, GatewayHTTPServer
@@ -111,7 +114,7 @@ async def smoke(bundle: Path, tenants_dir: Path) -> list[str]:
     failures: list[str] = []
     kg = generate_kg(SyntheticKGConfig(seed=29, scale=SCALE))
     store = kg.store
-    publisher = GenerationPublisher(store, bundle, embeddings=False)
+    publisher = GenerationPublisher(store, bundle)
     service = ServingService(
         bundle, mode="inline", num_shards=2, tenants_dir=tenants_dir
     )
@@ -248,9 +251,11 @@ async def smoke(bundle: Path, tenants_dir: Path) -> list[str]:
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="tenant-smoke-") as tmp:
-        failures = asyncio.run(
-            smoke(Path(tmp) / "bundle", Path(tmp) / "tenants")
-        )
+        bundle, tenants_dir = Path(tmp) / "bundle", Path(tmp) / "tenants"
+        failures = asyncio.run(smoke(bundle, tenants_dir))
+        # Integrity at exit: the shared chain and every tenant chain.
+        bundles = [bundle, *sorted(tenants_dir.iterdir())]
+        failures += [f"fsck: {problem}" for b in bundles for problem in check_bundle(b)]
     if failures:
         print("\nFAILURES:", file=sys.stderr)
         for failure in failures[:20]:

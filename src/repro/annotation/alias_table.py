@@ -16,11 +16,13 @@ import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from repro.common.errors import StoreError
 from repro.common.snapshot_io import (
     FORMAT_VERSION,
     MANIFEST_NAME,
+    LayerPayload,
     SnapshotStaleError,
     read_manifest,
     read_marshal,
@@ -42,6 +44,54 @@ class AliasEntry:
 # Terminal marker inside trie nodes.  Trie edges are normalised words
 # (strings), so ``None`` can never collide with an edge label.
 TRIE_KEY = None
+
+
+def exact_entries(store: TripleStore) -> dict[str, list[tuple[str, float, bool]]]:
+    """Normalised key -> ``(entity, prior, True)`` entries, priors summing
+    to one per key, in store entity order (what :meth:`AliasTable.refresh`
+    builds its exact map from)."""
+    raw: dict[str, list[tuple[str, float]]] = defaultdict(list)
+    for record in store.entities():
+        for surface in {record.name, *record.aliases}:
+            key = normalize_name(surface)
+            if key:
+                # Aliases are weaker evidence than the primary name.
+                weight = 1.0 if surface == record.name else 0.6
+                raw[key].append((record.entity, record.popularity * weight))
+    exact = {}
+    for key, entries in raw.items():
+        total = sum(prior for _entity, prior in entries) or 1.0
+        exact[key] = sorted(
+            ((entity, prior / total, True) for entity, prior in entries),
+            key=lambda entry: (-entry[1], entry[0]),
+        )
+    return exact
+
+
+def derive_state(exact: dict[str, list[tuple[str, float, bool]]]) -> dict:
+    """The full :meth:`AliasTable.state` derived from its exact map.
+
+    Beside the exact entries: first-character key buckets, each key's
+    trigram multiset (computed once here: fuzzy lookup compares the query
+    against every same-initial key), and the token-level longest-match
+    trie the mention detector walks — one dict hop per normalised word —
+    with ``max_key_tokens`` bounding its n-gram window.
+    """
+    by_first: dict[str, list[str]] = defaultdict(list)
+    trie: dict = {}
+    for key in exact:
+        by_first[key[0]].append(key)
+        node = trie
+        for word in key.split(" "):
+            node = node.setdefault(word, {})
+        node[TRIE_KEY] = True
+    return {
+        "exact": exact,
+        "by_first_char": dict(by_first),
+        "key_grams": {key: char_ngrams(key) for key in exact},
+        "trie": trie,
+        "max_key_tokens": max((len(key.split(" ")) for key in exact), default=1),
+    }
 
 
 class AliasTable:
@@ -70,56 +120,8 @@ class AliasTable:
 
     def refresh(self) -> None:
         """Rebuild from the store (no-op when the store hasn't changed)."""
-        if self._built_version == self.store.version:
-            return
-        exact: dict[str, list[AliasEntry]] = defaultdict(list)
-        for record in self.store.entities():
-            surfaces = {record.name, *record.aliases}
-            for surface in surfaces:
-                key = normalize_name(surface)
-                if not key:
-                    continue
-                # Aliases are weaker evidence than the primary name.
-                weight = 1.0 if surface == record.name else 0.6
-                exact[key].append(
-                    AliasEntry(entity=record.entity, prior=record.popularity * weight)
-                )
-        # Normalise priors within each key so they form a distribution.
-        self._exact = {}
-        for key, entries in exact.items():
-            total = sum(entry.prior for entry in entries) or 1.0
-            self._exact[key] = sorted(
-                (
-                    AliasEntry(entity=e.entity, prior=e.prior / total, exact=True)
-                    for e in entries
-                ),
-                key=lambda e: (-e.prior, e.entity),
-            )
-        by_first: dict[str, list[str]] = defaultdict(list)
-        for key in self._exact:
-            by_first[key[0]].append(key)
-        self._by_first_char = dict(by_first)
-        # Trigram multisets per key, computed once here: fuzzy lookup
-        # compares the query against every same-initial key, and recomputing
-        # key grams per query made each miss O(total key characters).
-        self._key_grams = {key: char_ngrams(key) for key in self._exact}
-        # Token-level longest-match trie over the normalised keys, walked by
-        # the mention detector: one dict hop per normalised word instead of
-        # re-normalising every token window (keys are non-empty, so the root
-        # never carries a terminal).  ``max_key_tokens`` is cached alongside
-        # it — the detector reads it once per document.
-        trie: dict = {}
-        max_key_tokens = 1
-        for key in self._exact:
-            words = key.split(" ")
-            max_key_tokens = max(max_key_tokens, len(words))
-            node = trie
-            for word in words:
-                node = node.setdefault(word, {})
-            node[TRIE_KEY] = True
-        self._trie = trie
-        self._max_key_tokens = max_key_tokens
-        self._built_version = self.store.version
+        if self._built_version != self.store.version:
+            self.adopt_state(derive_state(exact_entries(self.store)), self.store.version)
 
     @property
     def is_stale(self) -> bool:
@@ -285,76 +287,51 @@ def load_alias_state(
     return state, int(manifest["store_version"]), manifest.get("extra", {})
 
 
-def apply_alias_updates(state: dict, updates: dict) -> dict:
-    """Apply one delta generation's key updates to a :meth:`AliasTable.state`.
+def apply_alias(base: tuple, payloads: list[LayerPayload]) -> tuple:
+    """Apply delta key updates over a loaded base state; tip-stamped.
 
-    ``updates`` carries fully recomputed entry lists per touched key —
-    ``{"updated": {key: entries}, "added": {key: entries}, "removed":
-    [keys]}`` — produced by the generation publisher replaying
-    :meth:`AliasTable.refresh`'s accumulation for exactly the keys a
-    changed entity record touches.  Updated keys replace their entries in
-    place (preserving ``_exact``'s insertion order, which fixes fuzzy
-    scoring's float-accumulation order); added keys append, matching where
-    a full refresh would put keys introduced by newly catalogued entities;
-    removed keys drop out of every derived structure (first-char buckets,
-    trigram memos, the word trie).  ``max_key_tokens`` only ever grows —
-    it bounds the mention detector's n-gram window, so a loose upper bound
-    after removals stays correct.
-
-    The state dict is modified in place and returned.
+    ``base`` and the result are :func:`load_alias_state` tuples.  Updated
+    keys keep their position in the exact map, added keys append (where
+    a refresh puts keys of newly catalogued entities), removed keys drop;
+    the derived structures are rebuilt from the merged map.
     """
-    exact = state["exact"]
-    by_first = state["by_first_char"]
-    key_grams = state["key_grams"]
-    trie = state["trie"]
-    max_key_tokens = int(state["max_key_tokens"])
+    if not payloads:
+        return base
+    state, _version, extra = base
+    exact = dict(state["exact"])
+    for payload in payloads:
+        for key, entries in [*payload.extra["updated"].items(), *payload.extra["added"].items()]:
+            exact[key] = [tuple(entry) for entry in entries]
+        for key in payload.extra["removed"]:
+            exact.pop(key, None)
+    return derive_state(exact), payloads[-1].store_version, dict(extra)
 
-    def insert(key: str, entries: list) -> None:
-        exact[key] = [(entity, prior, flag) for entity, prior, flag in entries]
-        bucket = by_first.setdefault(key[0], [])
-        if key not in bucket:
-            bucket.append(key)
-        key_grams[key] = dict(char_ngrams(key))
-        words = key.split(" ")
-        node = trie
-        for word in words:
-            node = node.setdefault(word, {})
-        node[TRIE_KEY] = True
 
-    for key, entries in updates.get("updated", {}).items():
-        if key in exact:
-            exact[key] = [(entity, prior, flag) for entity, prior, flag in entries]
-        else:
-            insert(key, entries)
-            max_key_tokens = max(max_key_tokens, len(key.split(" ")))
-    for key, entries in updates.get("added", {}).items():
-        insert(key, entries)
-        max_key_tokens = max(max_key_tokens, len(key.split(" ")))
-    for key in updates.get("removed", ()):
-        if key not in exact:
-            continue
-        del exact[key]
-        bucket = by_first.get(key[0])
-        if bucket is not None:
-            if key in bucket:
-                bucket.remove(key)
-            if not bucket:
-                del by_first[key[0]]
-        key_grams.pop(key, None)
-        words = key.split(" ")
-        path = [trie]
-        for word in words:
-            node = path[-1].get(word)
-            if node is None:
-                path = []
-                break
-            path.append(node)
-        if path:
-            path[-1].pop(TRIE_KEY, None)
-            for depth in range(len(words), 0, -1):
-                if path[depth]:
-                    break
-                path[depth - 1].pop(words[depth - 1], None)
+class AliasDiff:
+    """Computes a live store's alias-key deltas over the published tip.
 
-    state["max_key_tokens"] = max_key_tokens
-    return state
+    Only entity records feed the table, so a generation that recorded no
+    entity ships no updates; otherwise the keys whose entries differ from
+    the tip's ship in full, exactly as a refresh at the new version
+    computes them.
+    """
+
+    def __init__(self, store: TripleStore, tip: tuple) -> None:
+        self.store = store
+        self.exact = tip[0]["exact"]
+
+    def diff(
+        self, keys: list[tuple[str, str, str]], entities: list[str]
+    ) -> tuple[LayerPayload, Callable[[], None]]:
+        old = self.exact
+        exact = exact_entries(self.store) if entities else old
+        updates = {
+            "updated": {k: v for k, v in exact.items() if k in old and v != old[k]},
+            "added": {k: v for k, v in exact.items() if k not in old},
+            "removed": [k for k in old if k not in exact],
+        }
+
+        def commit() -> None:
+            self.exact = exact
+
+        return LayerPayload(self.store.version, {}, updates), commit

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +33,13 @@ from repro.common.errors import StoreError
 from repro.common.growable import GrowableMatrix
 from repro.common.kvstore import KVStore, MemoryKVStore
 from repro.common.rng import stable_hash
-from repro.common.snapshot_io import load_arrays, pack_strings, unpack_strings, write_arrays
+from repro.common.snapshot_io import (
+    LayerPayload,
+    load_arrays,
+    pack_strings,
+    unpack_strings,
+    write_arrays,
+)
 from repro.common.text import content_tokens
 from repro.kg.store import TripleStore
 from repro.vector.similarity import normalize_rows
@@ -304,3 +311,78 @@ def load_context_arrays(
             f"for {len(entities)} entities"
         )
     return matrix, entities, int(manifest["store_version"]), manifest["extra"]
+
+
+def apply_context(base: tuple, payloads: list[LayerPayload]) -> tuple:
+    """Merge delta context rows over a loaded base; stamped at the tip.
+
+    ``base`` and the result are :func:`load_context_arrays` tuples.
+    Existing entities' rows are overwritten; new entities append in chain
+    order (matching the store's entity insertion order).
+    """
+    if not payloads:
+        return base
+    matrix, entities, _version, extra = base
+    dim = matrix.shape[1] if matrix.size else int(extra.get("dim", 0))
+    row_of = {entity: row for row, entity in enumerate(entities)}
+    entities = list(entities)
+    updates = []
+    for payload in payloads:
+        names = unpack_strings(payload.arrays["entity_blob"], payload.arrays["entity_offsets"])
+        vectors = payload.arrays["matrix"]
+        if vectors.shape[0] != len(names) or (vectors.size and vectors.shape[1] != dim):
+            raise StoreError(
+                f"corrupt context delta: rows {vectors.shape} for {len(names)} "
+                f"entities of dim {dim}"
+            )
+        for name in names:
+            if name not in row_of:
+                row_of[name] = len(entities)
+                entities.append(name)
+        updates.append(([row_of[name] for name in names], vectors))
+    merged = np.empty((len(entities), dim), dtype=np.float64)
+    merged[: len(matrix)] = matrix
+    for rows, vectors in updates:
+        merged[rows] = vectors
+    return merged, entities, payloads[-1].store_version, dict(extra)
+
+
+class ContextDiff:
+    """Computes a live store's context-row deltas with the tip's recipe."""
+
+    def __init__(self, store: TripleStore, tip: tuple) -> None:
+        extra = tip[3]
+        self.index = EntityContextIndex(
+            store,
+            encoder=HashingContextEncoder(int(extra.get("dim", 256))),
+            neighbor_limit=int(extra.get("neighbor_limit", 16)),
+        )
+
+    def diff(
+        self, keys: list[tuple[str, str, str]], entities: list[str]
+    ) -> tuple[LayerPayload, Callable[[], None]]:
+        """Rows of every entity whose vector inputs may have moved."""
+        store = self.index.store
+        affected: dict[str, None] = {}
+        for subject, _predicate, obj in keys:
+            if store.has_entity(subject):
+                affected[subject] = None
+            if store.has_entity(obj):
+                affected[obj] = None
+        for entity in entities:
+            if store.has_entity(entity):
+                affected[entity] = None
+                # A record change can alter neighbours' vectors (their
+                # neighbour-name tokens); conservatively recompute all.
+                for neighbor in store.neighbors(entity):
+                    if store.has_entity(neighbor):
+                        affected[neighbor] = None
+        rows = list(affected)
+        matrix = (
+            np.stack([self.index._compute(entity) for entity in rows])
+            if rows
+            else np.zeros((0, self.index.encoder.dim), dtype=np.float64)
+        )
+        blob, offsets = pack_strings(rows)
+        arrays = {"matrix": matrix, "entity_blob": blob, "entity_offsets": offsets}
+        return LayerPayload(store.version, arrays, {}), lambda: None

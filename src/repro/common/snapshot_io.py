@@ -35,7 +35,7 @@ import json
 import marshal
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -194,6 +194,35 @@ def load_arrays(
             )
         arrays[name] = array
     return manifest, arrays
+
+
+class LayerPayload(NamedTuple):
+    """One generation's diff of one bundle layer, as a delta persists it
+    (one :func:`write_arrays` directory).  The layer owner decides what
+    ``arrays``/``extra`` mean."""
+
+    store_version: int
+    arrays: dict[str, np.ndarray]
+    extra: dict[str, Any]
+
+
+def load_payload(
+    directory: str | Path,
+    *,
+    kind: str,
+    expected_store_version: int | None = None,
+    mmap: bool = True,
+    verify: bool = True,
+) -> LayerPayload:
+    """A :class:`LayerPayload` directory, with :func:`load_arrays`' errors."""
+    manifest, arrays = load_arrays(
+        directory,
+        kind=kind,
+        expected_store_version=expected_store_version,
+        mmap=mmap,
+        verify=verify,
+    )
+    return LayerPayload(int(manifest["store_version"]), arrays, manifest["extra"])
 
 
 def write_marshal(path: str | Path, payload: Any) -> dict[str, Any]:

@@ -33,7 +33,6 @@ raises :class:`StoreError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -41,7 +40,8 @@ import numpy as np
 
 from repro.common.errors import StoreError
 from repro.common.snapshot_io import (
-    load_arrays,
+    LayerPayload,
+    load_payload,
     pack_strings,
     unpack_strings,
     write_arrays,
@@ -59,14 +59,6 @@ from repro.vector.index import IVFIndex
 from repro.vector.service import EmbeddingService
 
 EMBEDDINGS_KIND = "embeddings"
-
-
-@dataclass
-class EmbeddingLayer:
-    """A loaded (typically memory-mapped) ``embeddings/`` layer."""
-
-    manifest: dict[str, Any]
-    arrays: dict[str, np.ndarray]
 
 
 def save_embeddings(
@@ -125,24 +117,23 @@ def load_embedding_layer(
     expected_store_version: int | None = None,
     mmap: bool = True,
     verify: bool = True,
-) -> EmbeddingLayer:
+) -> LayerPayload:
     """Load an embeddings layer written by :func:`save_embeddings`.
 
     Raises :class:`SnapshotStaleError` on a store-version mismatch
     (callers rebuild) and :class:`StoreError` on corruption.
     """
-    manifest, arrays = load_arrays(
+    return load_payload(
         directory,
         kind=EMBEDDINGS_KIND,
         expected_store_version=expected_store_version,
         mmap=mmap,
         verify=verify,
     )
-    return EmbeddingLayer(manifest=manifest, arrays=arrays)
 
 
 def adopt_embedding_suite(
-    store: TripleStore, layer: EmbeddingLayer, config: EmbeddingSuiteConfig
+    store: TripleStore, layer: LayerPayload, config: EmbeddingSuiteConfig
 ) -> EmbeddingSuite | None:
     """Reconstruct a ready-to-serve suite from a loaded layer, zero-copy.
 
@@ -152,7 +143,7 @@ def adopt_embedding_suite(
     array is copied: the model matrices, the dataset triples and the IVF
     state all alias the layer's (memory-mapped) arrays.
     """
-    recipe = layer.manifest.get("extra", {}).get("recipe")
+    recipe = layer.extra.get("recipe")
     if recipe != config.recipe():
         return None
     arrays = layer.arrays
@@ -171,7 +162,7 @@ def adopt_embedding_suite(
     )
     trained = TrainedEmbeddings(model=model, dataset=dataset)
     verifier = FactVerifier(trained)
-    saved = layer.manifest["extra"]["calibration"]
+    saved = layer.extra["calibration"]
     verifier.adopt_calibration(
         ClassificationReport(
             auc=float(saved["auc"]),

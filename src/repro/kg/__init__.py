@@ -1,12 +1,7 @@
 """Knowledge-graph substrate: store, ontology, engine, views, construction."""
 
 from repro.kg.adjacency import AdjacencyIndex, CSRAdjacency, build_csr
-from repro.kg.deltas import (
-    DeltaOverlay,
-    GenerationInfo,
-    GenerationPublisher,
-    published_version,
-)
+from repro.kg.deltas import GenerationInfo, GenerationPublisher, published_version
 from repro.kg.encoding import Dictionary
 from repro.kg.generator import (
     SyntheticKG,
@@ -30,7 +25,6 @@ from repro.kg.views import (
 __all__ = [
     "AdjacencyIndex",
     "CSRAdjacency",
-    "DeltaOverlay",
     "Dictionary",
     "EntityRecord",
     "Fact",

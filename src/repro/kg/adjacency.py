@@ -30,11 +30,18 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from repro.common.errors import StoreError
-from repro.common.snapshot_io import load_arrays, write_arrays
+from repro.common.snapshot_io import (
+    LayerPayload,
+    load_arrays,
+    pack_strings,
+    unpack_strings,
+    write_arrays,
+)
 from repro.kg.encoding import Dictionary
 from repro.kg.store import TripleStore
 from repro.kg.triple import ObjectKind
@@ -229,6 +236,195 @@ def load_adjacency(
         predicate_counts=dict(manifest["extra"]["predicate_counts"]),
         built_version=int(manifest["store_version"]),
     )
+
+
+@dataclass
+class AdjacencyDelta:
+    """One generation's adjacency diff over a parent CSR.
+
+    ``rows`` holds ``(node id, replacement row, entity-edge degree)`` in
+    the *merged* dictionary space of this generation — the parent's ids
+    plus ``new_strings`` appended in order.  Append-only ids make those
+    references stable at every later generation.
+    """
+
+    store_version: int
+    parent_version: int
+    new_strings: list[str]
+    rows: list[tuple[int, np.ndarray, int]]
+    predicate_counts: dict[str, int]
+
+    def to_payload(self) -> LayerPayload:
+        new_blob, new_offsets = pack_strings(self.new_strings)
+        row_offsets = np.zeros(len(self.rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for _, row, _ in self.rows], out=row_offsets[1:])
+        arrays = {
+            "new_blob": new_blob,
+            "new_offsets": new_offsets,
+            "changed_nodes": np.asarray([n for n, _, _ in self.rows], dtype=np.int64),
+            "row_offsets": row_offsets,
+            "row_indices": np.concatenate(
+                [np.empty(0, dtype=np.int32)] + [row for _, row, _ in self.rows]
+            ).astype(np.int32),
+            "changed_degrees": np.asarray([d for _, _, d in self.rows], dtype=np.int64),
+        }
+        extra = {"parent_version": self.parent_version, "predicate_counts": self.predicate_counts}
+        return LayerPayload(self.store_version, arrays, extra)
+
+    @classmethod
+    def from_payload(cls, payload: LayerPayload) -> "AdjacencyDelta":
+        arrays = payload.arrays
+        nodes = arrays["changed_nodes"].tolist()
+        offsets = arrays["row_offsets"]
+        if len(offsets) != len(nodes) + 1 or len(arrays["changed_degrees"]) != len(nodes):
+            raise StoreError("corrupt adjacency delta: row arrays do not line up")
+        rows = [
+            (node, arrays["row_indices"][offsets[i] : offsets[i + 1]], degree)
+            for i, (node, degree) in enumerate(zip(nodes, arrays["changed_degrees"].tolist()))
+        ]
+        return cls(
+            store_version=payload.store_version,
+            parent_version=int(payload.extra["parent_version"]),
+            new_strings=unpack_strings(arrays["new_blob"], arrays["new_offsets"]),
+            rows=rows,
+            predicate_counts=dict(payload.extra["predicate_counts"]),
+        )
+
+
+def apply_adjacency(base: CSRAdjacency, payloads: list[LayerPayload]) -> CSRAdjacency:
+    """Splice ordered adjacency deltas over ``base``; stamped at the tip.
+
+    The splice is O(changed) Python pieces: unchanged base rows copy
+    wholesale as contiguous segments between changed rows, changed and
+    new rows drop into their slots, and ``indptr`` is one cumsum.  The
+    base is shared and never mutated.
+    """
+    if not payloads:
+        return base
+    previous = base.built_version
+    changed: dict[int, np.ndarray] = {}
+    degrees: dict[int, int] = {}
+    dictionary = Dictionary(base.dictionary._strings_view())
+    appended = 0
+    for payload in payloads:
+        delta = AdjacencyDelta.from_payload(payload)
+        if delta.parent_version != previous:
+            raise StoreError(
+                f"adjacency delta built on parent {delta.parent_version}, "
+                f"previous generation is {previous}"
+            )
+        previous = delta.store_version
+        predicate_counts = delta.predicate_counts
+        for string in delta.new_strings:
+            dictionary.intern(string)
+        appended += len(delta.new_strings)
+        for node, row, degree in delta.rows:
+            changed[node] = row
+            degrees[node] = degree
+    base_n = base.num_nodes
+    total_n = base_n + appended
+    if len(dictionary) != total_n:
+        raise StoreError("corrupt delta chain: re-appended strings (ids are append-only)")
+    if changed and max(changed) >= total_n:
+        raise StoreError(
+            f"corrupt delta chain: changed node id {max(changed)} "
+            f"outside merged dictionary of {total_n} nodes"
+        )
+
+    lengths = np.zeros(total_n, dtype=np.int64)
+    lengths[:base_n] = np.diff(base.indptr)
+    for node, row in changed.items():
+        lengths[node] = len(row)
+    indptr = np.zeros(total_n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+
+    pieces: list[np.ndarray] = []
+    cursor = 0
+    for node in sorted(n for n in changed if n < base_n):
+        pieces.append(base.indices[base.indptr[cursor] : base.indptr[node]])
+        pieces.append(changed[node])
+        cursor = node + 1
+    pieces.append(base.indices[base.indptr[cursor] :])
+    # Rows past the base are either changed (spliced here, ascending id
+    # order matches the indptr layout) or empty.
+    for node in sorted(n for n in changed if n >= base_n):
+        pieces.append(changed[node])
+    indices = np.concatenate(pieces).astype(np.int32)
+    if len(indices) != indptr[-1]:
+        raise StoreError("corrupt delta chain: spliced rows do not fill indptr")
+    if indices.size and int(indices.max()) >= total_n:
+        raise StoreError("corrupt delta chain: row references unknown node id")
+
+    entity_edge_degrees = np.zeros(total_n, dtype=np.int64)
+    entity_edge_degrees[:base_n] = base.entity_edge_degrees
+    for node, degree in degrees.items():
+        entity_edge_degrees[node] = degree
+    return CSRAdjacency(
+        dictionary=dictionary,
+        indptr=indptr,
+        indices=indices,
+        entity_edge_degrees=entity_edge_degrees,
+        predicate_counts=dict(predicate_counts),
+        built_version=previous,
+    )
+
+
+class AdjacencyDiff:
+    """Computes a live store's adjacency deltas over its published tip.
+
+    Owns the tip's dictionary (interning into it on :meth:`diff`'s
+    commit), so only the touched rows are recomputed per generation.
+    """
+
+    def __init__(self, store: TripleStore, tip: CSRAdjacency) -> None:
+        self.store = store
+        self.dictionary = tip.dictionary
+        self.version = tip.built_version
+
+    def diff(
+        self, keys: list[tuple[str, str, str]], entities: list[str]
+    ) -> tuple[LayerPayload, Callable[[], None]]:
+        """Recompute the touched rows in the merged id space."""
+        store = self.store
+        dictionary = self.dictionary
+        affected: dict[str, None] = {}
+        for entity in entities:
+            if entity not in dictionary:
+                affected[entity] = None  # new catalogued entities get rows
+        for subject, _predicate, obj in keys:
+            affected[subject] = None
+            affected[obj] = None
+        appended: dict[str, int] = {}  # new strings -> ids, in id order
+
+        def node_id(string: str) -> int:
+            known = dictionary.get(string)
+            if known is None:
+                known = appended.setdefault(string, len(dictionary) + len(appended))
+            return known
+
+        for node in affected:
+            node_id(node)
+        entity_kind = ObjectKind.ENTITY
+        rows = []
+        for node in affected:
+            row = [node_id(n) for n in sorted(store.neighbors(node))]
+            degree = sum(
+                fact.obj_kind is entity_kind
+                for fact in (*store.scan(subject=node), *store.scan(obj=node))
+            )
+            rows.append((node_id(node), np.asarray(row, dtype=np.int32), degree))
+        version = store.version
+        new_strings = list(appended)
+        delta = AdjacencyDelta(
+            version, self.version, new_strings, rows, store.predicate_counts()
+        )
+
+        def commit() -> None:
+            for string in new_strings:
+                dictionary.intern(string)
+            self.version = version
+
+        return delta.to_payload(), commit
 
 
 def build_csr(store: TripleStore) -> CSRAdjacency:

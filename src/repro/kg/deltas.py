@@ -8,27 +8,24 @@ per generation.  A *delta chain* makes generations O(change):
 
 * the **base** is an ordinary :func:`~repro.kg.persistence.save_snapshot`
   bundle (unchanged layout);
-* each **delta** is a small overlay directory holding only what moved since
-  the parent generation: the appended dictionary suffix, the changed CSR
-  rows (re-encoded and re-sorted), the changed/new context rows, alias-key
-  updates, plus the logical fact/entity records and removals;
+* each **delta** directory is laid out like a base: a generation manifest
+  (``snapshot.json``: versions, listed layers, removed fact keys), the
+  logical ``facts.jsonl``/``entities.jsonl`` records the generation
+  touched, and one payload subdirectory per published layer, written by
+  that layer's ``diff`` (:data:`~repro.kg.persistence.LAYERS`);
 * ``chain.json`` at the bundle root links base → delta → delta by
   ``store_version`` (each entry records its ``parent_version``), and is the
   *only* file rewritten in place — atomically, via ``os.replace`` — so a
   crash mid-publish leaves the previous generation fully intact and a
   reader can never observe a half-applied generation.
 
-Readers (:func:`load_chain_snapshot`, called through
-``persistence.load_snapshot``) merge the chain back into ordinary layer
-objects: :class:`DeltaOverlay` splices changed CSR rows over the base with
-O(changed rows) Python work, context rows overwrite/append into one matrix,
-and alias updates apply key-by-key onto the base state.  Every merged layer
-is stamped at the *tip* store version, so the adopt-or-rebuild contract of
-``AdjacencyIndex``/``EntityContextIndex``/``AliasTable`` is unchanged — a
-layer that cannot be merged (stale delta manifest, incompatible marshal) is
-dropped and its consumer silently rebuilds from the replayed store, while
-corruption (bad checksums, a chain referencing a missing delta, broken
-version linkage) raises :class:`StoreError`.
+Readers (``persistence.load_snapshot``) fold each layer's ``apply`` over
+the chain, stamped at the *tip* store version, so the adopt-or-rebuild
+contract of ``AdjacencyIndex``/``EntityContextIndex``/``AliasTable`` is
+unchanged — a layer that cannot be merged (stale delta manifest,
+incompatible marshal) is dropped and its consumer silently rebuilds from
+the replayed store, while corruption (bad checksums, a chain referencing a
+missing delta, broken version linkage) raises :class:`StoreError`.
 
 Chains cannot grow forever: :meth:`GenerationPublisher.compact` folds the
 whole chain into a fresh base under ``bases/base-<version>/`` (never
@@ -54,41 +51,32 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
-import numpy as np
-
 from repro.common import tracing
 from repro.common.errors import StoreError
 from repro.common.logging import get_logger
-from repro.common.serialization import read_jsonl, write_jsonl
-from repro.common.snapshot_io import (
-    FORMAT_VERSION,
-    MANIFEST_NAME,
-    SnapshotStaleError,
-    load_arrays,
-    pack_strings,
-    read_manifest,
-    unpack_strings,
-    write_arrays,
-)
-from repro.common.text import normalize_name
-from repro.kg.adjacency import CSRAdjacency, build_csr
-from repro.kg.encoding import Dictionary
+from repro.common.serialization import write_jsonl
+from repro.common.snapshot_io import write_arrays
 from repro.kg.persistence import (
+    FORMAT_VERSION,
+    LAYERS,
+    SHARED_LAYERS,
     SNAPSHOT_MANIFEST,
-    KGSnapshot,
-    SnapshotStore,
+    load_snapshot,
+    read_generation,
     save_snapshot,
+    write_generation,
 )
-from repro.kg.store import EntityRecord, TripleStore
-from repro.kg.triple import Fact, ObjectKind
+from repro.kg.store import TripleStore
 
 if TYPE_CHECKING:
     from repro.common.metrics import MetricsRegistry
 
 CHAIN_NAME = "chain.json"
+# 2: delta directories are laid out like bases (generation manifest plus
+# one payload directory per layer); format-1 chains no longer load.
+CHAIN_FORMAT = 2
 DELTAS_DIR = "deltas"
 BASES_DIR = "bases"
-DELTA_KIND = "delta"
 
 _log = get_logger("kg.deltas")
 
@@ -127,10 +115,10 @@ def read_chain(bundle_dir: str | Path) -> dict[str, Any] | None:
         chain = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise StoreError(f"corrupt chain manifest {path}: {exc}") from None
-    if chain.get("format_version") != FORMAT_VERSION:
+    if chain.get("format_version") != CHAIN_FORMAT:
         raise StoreError(
             f"unsupported chain format {chain.get('format_version')!r} in "
-            f"{path} (supported: {FORMAT_VERSION})"
+            f"{path} (supported: {CHAIN_FORMAT})"
         )
     base = chain.get("base")
     if base != "." and not (
@@ -183,553 +171,9 @@ def published_version(bundle_dir: str | Path) -> int | None:
     chain = read_chain(bundle_dir)
     if chain is not None:
         return chain_tip_version(chain)
-    manifest_path = bundle_dir / SNAPSHOT_MANIFEST
-    if manifest_path.exists():
-        return int(json.loads(manifest_path.read_text(encoding="utf-8"))["store_version"])
+    if (bundle_dir / SNAPSHOT_MANIFEST).exists():
+        return int(read_generation(bundle_dir)["store_version"])
     return None
-
-
-# -- one delta's payload ------------------------------------------------------
-
-
-@dataclass
-class DeltaPayload:
-    """One generation's overlay, loaded from a ``deltas/delta-NNNNNN`` dir.
-
-    ``changed_nodes`` ids (and the row contents) live in the *merged*
-    dictionary space of this generation — base ids plus every previous
-    delta's appended strings plus ``new_strings``.  Append-only ids make
-    those references stable at every later generation.
-    """
-
-    directory: Path
-    seq: int
-    store_version: int
-    parent_version: int
-    new_strings: list[str]
-    changed_nodes: np.ndarray  # int64, merged-space ids
-    row_offsets: np.ndarray  # int64, len(changed_nodes) + 1
-    row_indices: np.ndarray  # int32, replacement rows, string-sorted
-    changed_degrees: np.ndarray  # int64, per changed node
-    ctx_entities: list[str]
-    ctx_matrix: np.ndarray  # float64 (len(ctx_entities), dim)
-    alias_updates: dict[str, Any]
-    predicate_counts: dict[str, int]
-    removed: list[tuple[str, str, str]]
-    extra: dict[str, Any]
-
-    def changed_rows(self) -> dict[int, np.ndarray]:
-        """``node id -> replacement neighbor row`` for this generation."""
-        offsets = self.row_offsets
-        return {
-            int(node): self.row_indices[offsets[i] : offsets[i + 1]]
-            for i, node in enumerate(self.changed_nodes.tolist())
-        }
-
-
-def save_delta(
-    directory: str | Path,
-    *,
-    seq: int,
-    store_version: int,
-    parent_version: int,
-    new_strings: list[str],
-    changed_nodes: list[int],
-    changed_rows: list[np.ndarray],
-    changed_degrees: list[int],
-    ctx_entities: list[str],
-    ctx_matrix: np.ndarray,
-    alias_updates: dict[str, Any],
-    predicate_counts: dict[str, int],
-    facts: list[Fact],
-    entities: list[EntityRecord],
-    removed: list[tuple[str, str, str]],
-    dim: int,
-    neighbor_limit: int,
-) -> dict[str, Any]:
-    """Write one delta directory (arrays + manifest + fact/entity logs)."""
-    directory = Path(directory)
-    write_jsonl(directory / "facts.jsonl", facts)
-    write_jsonl(directory / "entities.jsonl", entities)
-    new_blob, new_offsets = pack_strings(new_strings)
-    ctx_blob, ctx_offsets = pack_strings(ctx_entities)
-    row_offsets = np.zeros(len(changed_rows) + 1, dtype=np.int64)
-    if changed_rows:
-        np.cumsum([len(row) for row in changed_rows], out=row_offsets[1:])
-    row_indices = (
-        np.concatenate(changed_rows).astype(np.int32)
-        if changed_rows
-        else np.empty(0, dtype=np.int32)
-    )
-    return write_arrays(
-        directory,
-        {
-            "new_blob": new_blob,
-            "new_offsets": new_offsets,
-            "changed_nodes": np.asarray(changed_nodes, dtype=np.int64),
-            "row_offsets": row_offsets,
-            "row_indices": row_indices,
-            "changed_degrees": np.asarray(changed_degrees, dtype=np.int64),
-            "ctx_matrix": np.ascontiguousarray(ctx_matrix, dtype=np.float64),
-            "ctx_blob": ctx_blob,
-            "ctx_offsets": ctx_offsets,
-        },
-        kind=DELTA_KIND,
-        store_version=store_version,
-        extra={
-            "seq": seq,
-            "parent_version": parent_version,
-            "predicate_counts": predicate_counts,
-            "alias": alias_updates,
-            "removed": [list(key) for key in removed],
-            "dim": dim,
-            "neighbor_limit": neighbor_limit,
-            "counts": {
-                "facts": len(facts),
-                "entities": len(entities),
-                "removed": len(removed),
-                "changed_nodes": len(changed_nodes),
-                "ctx_rows": len(ctx_entities),
-                "new_strings": len(new_strings),
-            },
-        },
-    )
-
-
-def load_delta(
-    directory: str | Path,
-    *,
-    expected_store_version: int | None = None,
-    mmap: bool = True,
-    verify: bool = True,
-) -> DeltaPayload:
-    """Load one delta directory written by :func:`save_delta`.
-
-    Raises :class:`StoreError` on corruption and
-    :class:`SnapshotStaleError` when the manifest's ``store_version``
-    disagrees with ``expected_store_version`` (the chain's record) —
-    callers drop the physical overlay and rebuild layers from the store.
-    """
-    manifest, arrays = load_arrays(
-        directory,
-        kind=DELTA_KIND,
-        expected_store_version=expected_store_version,
-        mmap=mmap,
-        verify=verify,
-    )
-    extra = manifest.get("extra", {})
-    ctx_matrix = arrays["ctx_matrix"]
-    ctx_entities = unpack_strings(arrays["ctx_blob"], arrays["ctx_offsets"])
-    if ctx_matrix.shape[0] != len(ctx_entities):
-        raise StoreError(
-            f"corrupt delta {directory}: {ctx_matrix.shape[0]} context rows "
-            f"for {len(ctx_entities)} entities"
-        )
-    changed_nodes = arrays["changed_nodes"]
-    if len(arrays["row_offsets"]) != len(changed_nodes) + 1 or len(
-        arrays["changed_degrees"]
-    ) != len(changed_nodes):
-        raise StoreError(f"corrupt delta {directory}: row arrays do not line up")
-    return DeltaPayload(
-        directory=Path(directory),
-        seq=int(extra.get("seq", 0)),
-        store_version=int(manifest["store_version"]),
-        parent_version=int(extra.get("parent_version", -1)),
-        new_strings=unpack_strings(arrays["new_blob"], arrays["new_offsets"]),
-        changed_nodes=changed_nodes,
-        row_offsets=arrays["row_offsets"],
-        row_indices=arrays["row_indices"],
-        changed_degrees=arrays["changed_degrees"],
-        ctx_entities=ctx_entities,
-        ctx_matrix=ctx_matrix,
-        alias_updates=extra.get("alias", {}),
-        predicate_counts=dict(extra.get("predicate_counts", {})),
-        removed=[tuple(key) for key in extra.get("removed", ())],
-        extra=extra,
-    )
-
-
-# -- read-time merging --------------------------------------------------------
-
-
-class DeltaOverlay:
-    """A merged read view of a base CSR plus an ordered delta chain.
-
-    Spot reads (:meth:`neighbors`, :meth:`degree`) consult the newest
-    delta first and fall through to the base; :meth:`collapse` splices the
-    chain into one ordinary :class:`CSRAdjacency` stamped at the tip
-    version — O(changed rows) Python work plus array copies — which is
-    what serving adopts (every downstream cache keys off one snapshot
-    object).
-    """
-
-    def __init__(self, base: CSRAdjacency, deltas: list[DeltaPayload]) -> None:
-        previous = base.built_version
-        for payload in deltas:
-            if payload.parent_version != previous:
-                raise StoreError(
-                    f"delta {payload.directory} built on parent "
-                    f"{payload.parent_version}, previous generation is {previous}"
-                )
-            previous = payload.store_version
-        self.base = base
-        self.deltas = list(deltas)
-        # Append-only id space: new strings extend the base dictionary in
-        # chain order.  The base dictionary itself is shared and never
-        # mutated here.
-        self._extra_strings: list[str] = []
-        self._extra_id_of: dict[str, int] = {}
-        base_n = base.num_nodes
-        for payload in self.deltas:
-            for string in payload.new_strings:
-                self._extra_id_of[string] = base_n + len(self._extra_strings)
-                self._extra_strings.append(string)
-        self._changed: dict[int, np.ndarray] = {}
-        self._degrees: dict[int, int] = {}
-        for payload in self.deltas:
-            self._changed.update(payload.changed_rows())
-            for node, degree in zip(
-                payload.changed_nodes.tolist(), payload.changed_degrees.tolist()
-            ):
-                self._degrees[int(node)] = int(degree)
-
-    @property
-    def tip_version(self) -> int:
-        return self.deltas[-1].store_version if self.deltas else self.base.built_version
-
-    @property
-    def num_nodes(self) -> int:
-        return self.base.num_nodes + len(self._extra_strings)
-
-    def _id_of(self, node: str) -> int | None:
-        node_id = self.base.dictionary.get(node)
-        if node_id is None:
-            node_id = self._extra_id_of.get(node)
-        return node_id
-
-    def _string_of(self, node_id: int) -> str:
-        base_n = self.base.num_nodes
-        if node_id < base_n:
-            return self.base.dictionary.string_of(node_id)
-        return self._extra_strings[node_id - base_n]
-
-    def neighbors(self, node: str) -> set[str]:
-        """Decoded neighbor set of ``node`` at the tip generation."""
-        node_id = self._id_of(node)
-        if node_id is None:
-            return set()
-        row = self._changed.get(node_id)
-        if row is None:
-            if node_id >= self.base.num_nodes:
-                return set()
-            row = self.base.neighbors_of(node_id)
-        return {self._string_of(int(i)) for i in np.asarray(row).tolist()}
-
-    def degree(self, node: str) -> int:
-        """Distinct-neighbor degree of ``node`` at the tip generation."""
-        node_id = self._id_of(node)
-        if node_id is None:
-            return 0
-        row = self._changed.get(node_id)
-        if row is not None:
-            return len(row)
-        if node_id >= self.base.num_nodes:
-            return 0
-        return int(self.base.indptr[node_id + 1] - self.base.indptr[node_id])
-
-    def collapse(self) -> CSRAdjacency:
-        """One merged :class:`CSRAdjacency` at the tip version.
-
-        The splice is O(changed) Python pieces: unchanged base rows copy
-        wholesale as contiguous segments between changed rows, changed and
-        new rows drop into their slots, and ``indptr`` is one cumsum.
-        """
-        base = self.base
-        if not self.deltas:
-            return base
-        base_n = base.num_nodes
-        total_n = base_n + len(self._extra_strings)
-        if self._changed and max(self._changed) >= total_n:
-            raise StoreError(
-                f"corrupt delta chain: changed node id {max(self._changed)} "
-                f"outside merged dictionary of {total_n} nodes"
-            )
-        dictionary = Dictionary(base.dictionary._strings_view())
-        for string in self._extra_strings:
-            dictionary.intern(string)
-        if len(dictionary) != total_n:
-            raise StoreError("corrupt delta chain: duplicate appended strings")
-
-        lengths = np.zeros(total_n, dtype=np.int64)
-        lengths[:base_n] = np.diff(base.indptr)
-        for node, row in self._changed.items():
-            lengths[node] = len(row)
-        indptr = np.zeros(total_n + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-
-        pieces: list[np.ndarray] = []
-        cursor = 0
-        for node in sorted(n for n in self._changed if n < base_n):
-            pieces.append(base.indices[base.indptr[cursor] : base.indptr[node]])
-            pieces.append(self._changed[node])
-            cursor = node + 1
-        pieces.append(base.indices[base.indptr[cursor] :])
-        # Rows past the base are either changed (spliced here, ascending id
-        # order matches the indptr layout) or empty.
-        for node in sorted(n for n in self._changed if n >= base_n):
-            pieces.append(self._changed[node])
-        indices = (
-            np.concatenate(pieces).astype(np.int32)
-            if pieces
-            else np.empty(0, dtype=np.int32)
-        )
-        if len(indices) != indptr[-1]:
-            raise StoreError("corrupt delta chain: spliced rows do not fill indptr")
-        if indices.size and int(indices.max()) >= total_n:
-            raise StoreError("corrupt delta chain: row references unknown node id")
-
-        degrees = np.zeros(total_n, dtype=np.int64)
-        degrees[:base_n] = base.entity_edge_degrees
-        for node, degree in self._degrees.items():
-            degrees[node] = degree
-        return CSRAdjacency(
-            dictionary=dictionary,
-            indptr=indptr,
-            indices=indices,
-            entity_edge_degrees=degrees,
-            predicate_counts=dict(self.deltas[-1].predicate_counts),
-            built_version=self.tip_version,
-        )
-
-
-def merge_context(
-    base_context: tuple | None, deltas: list[DeltaPayload]
-) -> tuple | None:
-    """Merge delta context rows over the base matrix; stamped at the tip.
-
-    Returns a ``(matrix, entities, built_version, extra)`` tuple shaped
-    like :func:`~repro.annotation.context_encoder.load_context_arrays`
-    output, or ``None`` when the base layer is absent (consumer rebuilds).
-    Existing entities' rows are overwritten in place; new entities append
-    in chain order (matching the store's entity insertion order).
-    """
-    if base_context is None or not deltas:
-        return base_context
-    base_matrix, base_entities, _version, extra = base_context
-    dim = base_matrix.shape[1] if base_matrix.size else int(extra.get("dim", 0))
-    for payload in deltas:
-        if payload.ctx_matrix.size and payload.ctx_matrix.shape[1] != dim:
-            raise StoreError(
-                f"delta {payload.directory} context dim "
-                f"{payload.ctx_matrix.shape[1]} != base dim {dim}"
-            )
-    row_of: dict[str, int] = {entity: row for row, entity in enumerate(base_entities)}
-    entities = list(base_entities)
-    for payload in deltas:
-        for entity in payload.ctx_entities:
-            if entity not in row_of:
-                row_of[entity] = len(entities)
-                entities.append(entity)
-    merged = np.empty((len(entities), dim), dtype=np.float64)
-    merged[: len(base_entities)] = base_matrix
-    for payload in deltas:
-        if payload.ctx_entities:
-            rows = np.array(
-                [row_of[entity] for entity in payload.ctx_entities], dtype=np.intp
-            )
-            merged[rows] = payload.ctx_matrix
-    tip = deltas[-1].store_version
-    return merged, entities, tip, dict(extra)
-
-
-def merge_alias(base_alias: tuple | None, deltas: list[DeltaPayload]) -> tuple | None:
-    """Apply each delta's alias-key updates over the base state; tip-stamped.
-
-    Returns a ``(state, built_version, extra)`` tuple shaped like
-    :func:`~repro.annotation.alias_table.load_alias_state` output, or
-    ``None`` when the base layer is absent.
-    """
-    if base_alias is None or not deltas:
-        return base_alias
-    from repro.annotation.alias_table import apply_alias_updates
-
-    state, _version, extra = base_alias
-    for payload in deltas:
-        state = apply_alias_updates(state, payload.alias_updates)
-    return state, deltas[-1].store_version, dict(extra)
-
-
-# -- chain-aware logical store ------------------------------------------------
-
-
-class ChainSnapshotStore(SnapshotStore):
-    """A :class:`SnapshotStore` that replays base + delta logs lazily.
-
-    Delta entity records load eagerly alongside the base's (the serving
-    paths need descriptors immediately); the fact replay applies, per
-    generation, the recorded removals first and then the end-state facts.
-    Re-recorded existing keys *replace* in place — a delta fact is the
-    store's exact end state at publish time, so merging metadata with the
-    superseded fact (as a plain upsert would) could resurrect a deleted
-    fact's confidence or provenance.  In-place replacement also preserves
-    scan order for add-and-update workloads, keeping chain-loaded stores
-    byte-compatible with a store that applied the same operations live.
-    """
-
-    def __init__(
-        self,
-        base_dir: str | Path,
-        *,
-        parts: list[tuple[Path, list[tuple[str, str, str]]]],
-        name: str = "kg",
-        pinned_version: int = 0,
-        defer_facts: bool = True,
-    ) -> None:
-        self._chain_parts = list(parts)
-        super().__init__(
-            base_dir, name=name, pinned_version=pinned_version, defer_facts=True
-        )
-        for directory, _removed in self._chain_parts:
-            path = directory / "entities.jsonl"
-            if path.exists():
-                for record in read_jsonl(path, EntityRecord.from_dict):
-                    self._entities[record.entity] = record
-        if not defer_facts:
-            self._ensure_facts()
-        self.version = pinned_version
-
-    def _ensure_facts(self) -> None:
-        if self._facts_loaded:
-            return
-        with self._replay_lock:
-            if self._facts_loaded:
-                return
-            pinned = self.version
-            for fact in read_jsonl(self._directory / "facts.jsonl", Fact.from_dict):
-                self._upsert(fact)
-            for directory, removed in self._chain_parts:
-                for key in removed:
-                    # Unbound base call: the wrapped SnapshotStore.remove
-                    # would re-enter _ensure_facts through its RLock.
-                    TripleStore.remove(self, *key)
-                facts_path = directory / "facts.jsonl"
-                if facts_path.exists():
-                    for fact in read_jsonl(facts_path, Fact.from_dict):
-                        if fact.key in self._facts:
-                            self._facts[fact.key] = fact
-                        else:
-                            self._upsert(fact)
-            # Replay is a load, not a mutation (removals above bumped the
-            # version); adopted tip-stamped layers must still match.
-            self.version = pinned
-            self._facts_loaded = True
-
-
-def load_chain_snapshot(
-    directory: str | Path,
-    *,
-    defer_facts: bool = True,
-    mmap: bool = True,
-    verify: bool = True,
-) -> KGSnapshot:
-    """Load a chained bundle: base + deltas merged into one tip snapshot.
-
-    The returned :class:`~repro.kg.persistence.KGSnapshot` looks exactly
-    like a freshly saved bundle at the tip version — workers, the serving
-    service and the gateway need no chain awareness.  Per layer, the usual
-    contract: mergeable layers come back tip-stamped; a stale delta
-    manifest (version disagreeing with the chain's record) drops the
-    physical overlays so consumers rebuild from the replayed store;
-    corruption raises :class:`StoreError`.  The embeddings layer does not
-    participate in deltas — it is ``None`` whenever the chain is non-empty
-    (suites retrain on demand; compaction restores the persisted layer).
-    """
-    from repro.kg.persistence import load_plain_snapshot
-
-    directory = Path(directory)
-    chain = read_chain(directory)
-    if chain is None:
-        raise StoreError(f"not a chained bundle: {directory} (missing {CHAIN_NAME})")
-    base_dir = directory if chain["base"] == "." else directory / chain["base"]
-    if not (base_dir / SNAPSHOT_MANIFEST).exists():
-        raise StoreError(f"chain base missing: {base_dir}")
-    base = load_plain_snapshot(
-        base_dir, defer_facts=defer_facts, mmap=mmap, verify=verify
-    )
-    base_version = int(chain["base_version"])
-    if int(base.manifest["store_version"]) != base_version:
-        raise StoreError(
-            f"chain base {base_dir} at store version "
-            f"{base.manifest['store_version']}, chain expects {base_version}"
-        )
-    if not chain["deltas"]:
-        base.directory = directory
-        return base
-
-    parts: list[tuple[Path, list[tuple[str, str, str]]]] = []
-    payloads: list[DeltaPayload] = []
-    physical_ok = True
-    for info in chain["deltas"]:
-        delta_dir = directory / info["dir"]
-        if not (delta_dir / MANIFEST_NAME).exists():
-            raise StoreError(
-                f"chain references missing delta: {delta_dir} "
-                "(crash-orphaned chains never reference unwritten deltas)"
-            )
-        manifest = read_manifest(delta_dir, kind=DELTA_KIND)
-        extra = manifest.get("extra", {})
-        parts.append(
-            (delta_dir, [tuple(key) for key in extra.get("removed", ())])
-        )
-        if physical_ok:
-            try:
-                payloads.append(
-                    load_delta(
-                        delta_dir,
-                        expected_store_version=int(info["store_version"]),
-                        mmap=mmap,
-                        verify=verify,
-                    )
-                )
-            except SnapshotStaleError:
-                # Stale delta manifest: drop every physical overlay (the
-                # chain's array view is no longer coherent) but keep the
-                # logical replay — consumers rebuild silently.
-                physical_ok = False
-                payloads = []
-
-    tip = chain_tip_version(chain)
-    store = ChainSnapshotStore(
-        base_dir,
-        parts=parts,
-        name=base.manifest.get("name", "kg"),
-        pinned_version=tip,
-        defer_facts=defer_facts,
-    )
-    adjacency = None
-    context = None
-    alias = None
-    if physical_ok:
-        if base.adjacency is not None:
-            adjacency = DeltaOverlay(base.adjacency, payloads).collapse()
-        context = merge_context(base.context, payloads)
-        alias = merge_alias(base.alias, payloads)
-    manifest = dict(base.manifest)
-    manifest["store_version"] = tip
-    manifest["chain"] = {
-        "base": chain["base"],
-        "base_version": base_version,
-        "deltas": len(chain["deltas"]),
-    }
-    return KGSnapshot(
-        directory=directory,
-        manifest=manifest,
-        store=store,
-        adjacency=adjacency,
-        context=context,
-        alias=alias,
-        embeddings=None,
-    )
 
 
 # -- the publisher ------------------------------------------------------------
@@ -759,6 +203,11 @@ class GenerationPublisher:
     delete into one removal — and writes a delta that is O(touched
     neighborhood), not O(graph).
 
+    ``layers`` names the physical layers every generation carries (each
+    needs a ``diff``); the default is the shared graph's adjacency,
+    context and alias layers, while ``()`` publishes the logical records
+    only — what a store that nobody serves from the physical layers needs.
+
     Crash safety: the delta directory is staged under a temp name and
     renamed into place, then ``chain.json`` swaps atomically; in-memory
     publisher state commits only after both succeed, so a failed publish
@@ -777,14 +226,17 @@ class GenerationPublisher:
         bundle_dir: str | Path,
         *,
         compact_every: int = 8,
-        embeddings: bool = False,
+        layers: Iterable[str] = SHARED_LAYERS,
         verify: bool = True,
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
         self.store = store
         self.bundle_dir = Path(bundle_dir)
         self.compact_every = compact_every
-        self.embeddings = embeddings
+        self.layers = tuple(layers)
+        for name in self.layers:
+            if LAYERS[name].diff is None:
+                raise ValueError(f"layer {name!r} has no diff and cannot ride a chain")
         self.verify = verify
         self.metrics = metrics
         self._lock = threading.Lock()
@@ -801,15 +253,13 @@ class GenerationPublisher:
 
         chain = read_chain(self.bundle_dir)
         if chain is None and not (self.bundle_dir / SNAPSHOT_MANIFEST).exists():
-            save_snapshot(self.store, self.bundle_dir, embeddings=self.embeddings)
+            save_snapshot(self.store, self.bundle_dir, layers=self.layers)
             chain = self._fresh_chain(".", self.store.version)
             write_chain(self.bundle_dir, chain)
         elif chain is None:
             # Adopt a pre-chain bundle: make it chain-aware in place.
-            manifest = json.loads(
-                (self.bundle_dir / SNAPSHOT_MANIFEST).read_text(encoding="utf-8")
-            )
-            chain = self._fresh_chain(".", int(manifest["store_version"]))
+            version = int(read_generation(self.bundle_dir)["store_version"])
+            chain = self._fresh_chain(".", version)
             write_chain(self.bundle_dir, chain)
         self._chain = chain
         if chain_tip_version(chain) != self.store.version:
@@ -818,12 +268,14 @@ class GenerationPublisher:
                 f"{self.bundle_dir} tip is {chain_tip_version(chain)}; "
                 "load the store from the bundle (or compact) before publishing"
             )
-        self._load_tip_state()
+        if not self._open_differs():
+            # Unmergeable physical chain: fold to a fresh base.
+            self._compact_locked()
 
     @staticmethod
     def _fresh_chain(base: str, base_version: int) -> dict[str, Any]:
         return {
-            "format_version": FORMAT_VERSION,
+            "format_version": CHAIN_FORMAT,
             "base": base,
             "base_version": base_version,
             "next_seq": 1,
@@ -831,45 +283,25 @@ class GenerationPublisher:
             "deltas": [],
         }
 
-    def _load_tip_state(self) -> None:
-        """Rebuild in-memory tip state (dictionary, context recipe, alias
-        bookkeeping) from the bundle; compacts first if the physical chain
-        cannot be merged (e.g. an incompatible marshal sidecar)."""
-        from repro.kg.persistence import load_snapshot
+    def _open_differs(self) -> bool:
+        """Position one differ per published layer at the bundle's tip.
 
+        Returns ``False`` when a layer cannot be merged there (stale, or
+        an incompatible marshal sidecar).  A logical-only publisher needs
+        no tip state and loads nothing.
+        """
+        self._differs: dict[str, Any] = {}
+        if not self.layers:
+            return True
         snapshot = load_snapshot(self.bundle_dir, verify=self.verify)
-        if snapshot.adjacency is None:
-            # Unmergeable physical chain: fold to a fresh base and retry.
-            self._compact_locked()
-            return
-        # The snapshot object is discarded after init, so taking ownership
-        # of its dictionary (and interning into it later) is safe.
-        self._dictionary = snapshot.adjacency.dictionary
-        ctx_extra = snapshot.context[3] if snapshot.context is not None else {}
-        self._ctx_dim = int(ctx_extra.get("dim", 256))
-        self._ctx_neighbor_limit = int(ctx_extra.get("neighbor_limit", 16))
-        self._alias_extra = snapshot.alias[2] if snapshot.alias is not None else {}
-        self._reset_alias_bookkeeping()
-
-    def _reset_alias_bookkeeping(self) -> None:
-        self._entity_pos: dict[str, int] = {}
-        self._surface_keys: dict[str, tuple[str, ...]] = {}
-        self._key_entities: dict[str, dict[str, None]] = {}
-        for position, record in enumerate(self.store.entities()):
-            self._entity_pos[record.entity] = position
-            keys = self._record_keys(record)
-            self._surface_keys[record.entity] = keys
-            for key in keys:
-                self._key_entities.setdefault(key, {})[record.entity] = None
-
-    @staticmethod
-    def _record_keys(record: EntityRecord) -> tuple[str, ...]:
-        keys: list[str] = []
-        for surface in {record.name, *record.aliases}:
-            key = normalize_name(surface)
-            if key and key not in keys:
-                keys.append(key)
-        return tuple(keys)
+        for name in self.layers:
+            state = getattr(snapshot, name)
+            if state is None:
+                return False
+            # The snapshot is discarded after this, so a differ may take
+            # ownership of its state (adjacency interns into the dictionary).
+            self._differs[name] = LAYERS[name].diff(self.store, state)
+        return True
 
     # -- recording --------------------------------------------------------
 
@@ -889,14 +321,6 @@ class GenerationPublisher:
                 self._pending_keys[tuple(key)] = None
             for entity in entities:
                 self._pending_entities[entity] = None
-
-    def record_facts(self, keys: Iterable[tuple[str, str, str]]) -> None:
-        """Convenience: :meth:`record` for fact keys only."""
-        self.record(keys=keys)
-
-    def record_entities(self, entities: Iterable[str]) -> None:
-        """Convenience: :meth:`record` for entity ids only."""
-        self.record(entities=entities)
 
     @property
     def pending(self) -> int:
@@ -947,71 +371,11 @@ class GenerationPublisher:
             return None
         started = time.perf_counter()
         keys = list(self._pending_keys)
-        changed_entities = list(self._pending_entities)
-
-        # -- adjacency: recompute the touched rows in the merged id space.
-        affected: dict[str, None] = {}
-        for entity in changed_entities:
-            if entity not in self._dictionary:
-                affected[entity] = None  # new catalogued entities get rows
-        for subject, _predicate, obj in keys:
-            affected[subject] = None
-            affected[obj] = None
-        new_id_of: dict[str, int] = {}
-        new_strings: list[str] = []
-
-        def node_id(string: str) -> int:
-            known = self._dictionary.get(string)
-            if known is not None:
-                return known
-            allocated = new_id_of.get(string)
-            if allocated is None:
-                allocated = len(self._dictionary) + len(new_strings)
-                new_id_of[string] = allocated
-                new_strings.append(string)
-            return allocated
-
-        for node in affected:
-            node_id(node)
-        changed_nodes: list[int] = []
-        changed_rows: list[np.ndarray] = []
-        changed_degrees: list[int] = []
-        entity_kind = ObjectKind.ENTITY
-        for node in affected:
-            row = [node_id(n) for n in sorted(store.neighbors(node))]
-            changed_nodes.append(node_id(node))
-            changed_rows.append(np.asarray(row, dtype=np.int32))
-            degree = sum(
-                1 for fact in store.scan(subject=node) if fact.obj_kind is entity_kind
-            )
-            degree += sum(
-                1 for fact in store.scan(obj=node) if fact.obj_kind is entity_kind
-            )
-            changed_degrees.append(degree)
-
-        # -- context: entities whose _compute inputs may have moved.
-        ctx_affected: dict[str, None] = {}
-        for subject, _predicate, obj in keys:
-            if store.has_entity(subject):
-                ctx_affected[subject] = None
-            if store.has_entity(obj):
-                ctx_affected[obj] = None
-        for entity in changed_entities:
-            if store.has_entity(entity):
-                ctx_affected[entity] = None
-                # A record change can alter neighbours' vectors (their
-                # neighbour-name tokens); conservatively recompute all.
-                for neighbor in store.neighbors(entity):
-                    if store.has_entity(neighbor):
-                        ctx_affected[neighbor] = None
-        ctx_entities = list(ctx_affected)
-        ctx_matrix = self._compute_context_rows(ctx_entities)
-
-        # -- alias: recompute every key any changed record touches.
-        alias_updates, alias_commit = self._alias_updates(changed_entities)
+        entities = list(self._pending_entities)
+        diffs = {name: differ.diff(keys, entities) for name, differ in self._differs.items()}
 
         # -- logical end state.
-        facts: list[Fact] = []
+        facts = []
         removed: list[tuple[str, str, str]] = []
         for key in keys:
             fact = store.get(*key)
@@ -1019,11 +383,7 @@ class GenerationPublisher:
                 removed.append(key)
             else:
                 facts.append(fact)
-        entity_records = [
-            store.entity(entity)
-            for entity in changed_entities
-            if store.has_entity(entity)
-        ]
+        records = [store.entity(entity) for entity in entities if store.has_entity(entity)]
 
         # -- stage, rename, swap the chain (the crash-ordering contract).
         seq = int(self._chain.get("next_seq", len(self._chain["deltas"]) + 1))
@@ -1034,24 +394,29 @@ class GenerationPublisher:
             shutil.rmtree(staging)
         if final_dir.exists():
             shutil.rmtree(final_dir)  # orphan of a crashed chain swap
-        save_delta(
+        write_jsonl(staging / "facts.jsonl", facts)
+        write_jsonl(staging / "entities.jsonl", records)
+        for name, (payload, _commit) in diffs.items():
+            write_arrays(
+                staging / name,
+                payload.arrays,
+                kind=LAYERS[name].delta_kind,
+                store_version=payload.store_version,
+                extra=payload.extra,
+            )
+        write_generation(
             staging,
-            seq=seq,
-            store_version=version,
-            parent_version=parent,
-            new_strings=new_strings,
-            changed_nodes=changed_nodes,
-            changed_rows=changed_rows,
-            changed_degrees=changed_degrees,
-            ctx_entities=ctx_entities,
-            ctx_matrix=ctx_matrix,
-            alias_updates=alias_updates,
-            predicate_counts=store.predicate_counts(),
-            facts=facts,
-            entities=entity_records,
-            removed=removed,
-            dim=self._ctx_dim,
-            neighbor_limit=self._ctx_neighbor_limit,
+            {
+                "format_version": FORMAT_VERSION,
+                "name": store.name,
+                "seq": seq,
+                "store_version": version,
+                "parent_version": parent,
+                "layers": list(diffs),
+                "removed": [list(key) for key in removed],
+                "num_facts": len(facts),
+                "num_entities": len(records),
+            },
         )
         _fault_point(SITE_PUBLISH_DELTA)
         os.replace(staging, final_dir)
@@ -1070,9 +435,8 @@ class GenerationPublisher:
 
         # -- commit in-memory tip state (only after the durable swap).
         self._chain = chain
-        for string in new_strings:
-            self._dictionary.intern(string)
-        alias_commit()
+        for _payload, commit in diffs.values():
+            commit()
         self._pending_keys.clear()
         self._pending_entities.clear()
         if self.metrics is not None:
@@ -1109,98 +473,6 @@ class GenerationPublisher:
             chain_length=self.chain_length,
             compacted=compacted,
         )
-
-    def _compute_context_rows(self, entities: list[str]) -> np.ndarray:
-        from repro.annotation.context_encoder import (
-            EntityContextIndex,
-            HashingContextEncoder,
-        )
-
-        if not entities:
-            return np.zeros((0, self._ctx_dim), dtype=np.float64)
-        index = EntityContextIndex(
-            self.store,
-            encoder=HashingContextEncoder(self._ctx_dim),
-            neighbor_limit=self._ctx_neighbor_limit,
-        )
-        return np.stack([index._compute(entity) for entity in entities])
-
-    def _alias_updates(self, changed_entities: list[str]):
-        """(updates payload, commit thunk) for the changed entity records.
-
-        Replays :meth:`AliasTable.refresh`'s accumulation exactly — per
-        key, contributing records in store insertion order, each record's
-        surface set in its own iteration order — so the merged state's
-        floats (prior sums, tie-breaks) are bitwise identical to a full
-        refresh at the tip version.
-        """
-        updated: dict[str, list] = {}
-        added: dict[str, list] = {}
-        removed: list[str] = []
-        if not changed_entities:
-            return {"updated": updated, "added": added, "removed": removed}, lambda: None
-        store = self.store
-        positions = dict(self._entity_pos)
-        for entity in changed_entities:
-            if entity not in positions:
-                positions[entity] = len(positions)
-        affected: dict[str, None] = {}
-        new_keys_of: dict[str, tuple[str, ...]] = {}
-        for entity in changed_entities:
-            if not store.has_entity(entity):
-                continue
-            new_keys = self._record_keys(store.entity(entity))
-            new_keys_of[entity] = new_keys
-            for key in self._surface_keys.get(entity, ()):
-                affected[key] = None
-            for key in new_keys:
-                affected[key] = None
-        members: dict[str, dict[str, None]] = {
-            key: dict(self._key_entities.get(key, {})) for key in affected
-        }
-        for entity, new_keys in new_keys_of.items():
-            old_keys = set(self._surface_keys.get(entity, ()))
-            for key in old_keys - set(new_keys):
-                members[key].pop(entity, None)
-            for key in new_keys:
-                members[key][entity] = None
-        for key in affected:
-            contributors = sorted(members[key], key=positions.__getitem__)
-            if not contributors:
-                if key in self._key_entities:
-                    removed.append(key)
-                continue
-            entries: list[tuple[str, float]] = []
-            for entity in contributors:
-                record = store.entity(entity)
-                for surface in {record.name, *record.aliases}:
-                    if normalize_name(surface) == key:
-                        weight = 1.0 if surface == record.name else 0.6
-                        entries.append((entity, record.popularity * weight))
-            total = sum(prior for _entity, prior in entries) or 1.0
-            normalized = sorted(
-                ((entity, prior / total, True) for entity, prior in entries),
-                key=lambda item: (-item[1], item[0]),
-            )
-            if key in self._key_entities:
-                updated[key] = normalized
-            else:
-                added[key] = normalized
-
-        def commit() -> None:
-            for entity, new_keys in new_keys_of.items():
-                for key in set(self._surface_keys.get(entity, ())) - set(new_keys):
-                    bucket = self._key_entities.get(key)
-                    if bucket is not None:
-                        bucket.pop(entity, None)
-                self._surface_keys[entity] = new_keys
-                for key in new_keys:
-                    self._key_entities.setdefault(key, {})[entity] = None
-            for key in removed:
-                self._key_entities.pop(key, None)
-            self._entity_pos = positions
-
-        return {"updated": updated, "added": added, "removed": removed}, commit
 
     # -- compaction -------------------------------------------------------
 
@@ -1289,29 +561,25 @@ class GenerationPublisher:
                 return self._compact_locked()
 
     def _compact_locked(self) -> GenerationInfo:
-        from repro.kg.graph_engine import GraphEngine
-
         store = self.store
         version = store.version
         started = time.perf_counter()
         base_rel = f"{BASES_DIR}/base-{version:08d}"
         base_dir = self.bundle_dir / base_rel
-        csr = build_csr(store)
-        engine = GraphEngine(store, csr)
-        save_snapshot(store, base_dir, engine=engine, embeddings=self.embeddings)
+        save_snapshot(store, base_dir, layers=self.layers)
         _fault_point(SITE_COMPACT)
         chain = self._fresh_chain(base_rel, version)
         chain["next_seq"] = int(self._chain.get("next_seq", 1))
         chain["compactions"] = int(self._chain.get("compactions", 0)) + 1
         write_chain(self.bundle_dir, chain)
         self._chain = chain
-        # A compaction is also a sync point for the in-memory tip state:
-        # the fresh build's dictionary replaces the chain-grown one (its
-        # id order is the fresh-build order from here on).
-        self._dictionary = csr.dictionary
-        self._reset_alias_bookkeeping()
         self._pending_keys.clear()
         self._pending_entities.clear()
+        # A compaction is also a sync point for the in-memory tip state:
+        # the differs restart from the fresh base (its dictionary's id
+        # order is the fresh-build order from here on).
+        if not self._open_differs():
+            raise StoreError(f"compacted base {base_dir} does not load")
         self._prune_stale_dirs(keep=base_rel)
         if self.metrics is not None:
             self.metrics.incr("publisher.compactions")

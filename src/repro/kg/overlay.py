@@ -1,14 +1,16 @@
 """Tenant overlay graphs: a personal KG spliced over the shared bundle.
 
 The delta machinery in :mod:`repro.kg.deltas` chains generations of *one*
-store: every :class:`DeltaPayload`'s base is the previous generation of the
+store: every adjacency delta's base is the previous generation of the
 same graph.  This module generalises the base away from "prior generation"
 to "shared open-domain bundle" — the Saga shape (Ilyas et al., 2022) where
 thousands of per-user personal graphs layer over a single immutable
-snapshot.  A tenant overlay is one synthetic in-memory delta built from a
-personal :class:`TripleStore`, merged through the existing
-:class:`DeltaOverlay` splice so every read-side invariant (append-only id
-space, string-sorted rows, tip-stamped versions) holds by construction:
+snapshot.  A tenant overlay is one synthetic in-memory
+:class:`~repro.kg.adjacency.AdjacencyDelta` built from a personal
+:class:`TripleStore` and merged by the adjacency layer's own ``apply``
+(:func:`~repro.kg.adjacency.apply_adjacency`) with the shared CSR as its
+base, so every read-side invariant (append-only id space, string-sorted
+rows, tip-stamped versions) holds by construction:
 
 * the shared base CSR is referenced, never copied or mutated — every
   resident tenant shares one mmap;
@@ -23,51 +25,29 @@ space, string-sorted rows, tip-stamped versions) holds by construction:
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from repro.common.errors import StoreError
-from repro.kg.adjacency import CSRAdjacency
-from repro.kg.deltas import DeltaOverlay, DeltaPayload
+from repro.kg.adjacency import AdjacencyDelta, CSRAdjacency, apply_adjacency, build_csr
 from repro.kg.graph_engine import GraphEngine
 from repro.kg.store import TripleStore
-from repro.kg.triple import ObjectKind
-
-OVERLAY_DIRECTORY = Path("<tenant-overlay>")
 
 
-def overlay_payload(base: CSRAdjacency, personal: TripleStore) -> DeltaPayload:
+def overlay_payload(base: CSRAdjacency, personal: TripleStore) -> AdjacencyDelta:
     """One synthetic delta layering ``personal``'s facts over ``base``.
 
-    Mirrors :func:`~repro.kg.adjacency.build_csr` edge semantics exactly
-    (entity facts edge both ways, every fact edges object->subject,
-    self-loops drop from rows but still count toward entity-edge degrees),
+    Each personal node's row is its :func:`~repro.kg.adjacency.build_csr`
+    row over the personal store united with its base row (degrees add),
     so a walk over the collapsed overlay visits the same neighbor sets a
     from-scratch build of shared+personal would.  Strings absent from the
     base dictionary append in sorted order — deterministic, so two builds
     of the same (base, personal) pair are byte-identical.
     """
-    entity_kind = ObjectKind.ENTITY
-    additions: dict[str, set[str]] = {}
-    degree_add: dict[str, int] = {}
-    nodes: set[str] = set(personal.entity_ids())
-    for fact in personal.scan():
-        subject, obj = fact.subject, fact.obj
-        nodes.add(subject)
-        nodes.add(obj)
-        if fact.obj_kind is entity_kind:
-            if subject != obj:
-                additions.setdefault(subject, set()).add(obj)
-                additions.setdefault(obj, set()).add(subject)
-            degree_add[subject] = degree_add.get(subject, 0) + 1
-            degree_add[obj] = degree_add.get(obj, 0) + 1
-        if subject != obj:
-            additions.setdefault(obj, set()).add(subject)
-
+    own = build_csr(personal)
+    own_strings = own.dictionary.strings()
     base_dictionary = base.dictionary
     base_n = base.num_nodes
-    new_strings = sorted(n for n in nodes if base_dictionary.get(n) is None)
+    new_strings = sorted(n for n in own_strings if base_dictionary.get(n) is None)
     extra_id_of = {string: base_n + i for i, string in enumerate(new_strings)}
 
     def node_id(string: str) -> int:
@@ -75,54 +55,27 @@ def overlay_payload(base: CSRAdjacency, personal: TripleStore) -> DeltaPayload:
         return extra_id_of[string] if known is None else known
 
     base_strings = base_dictionary._strings_view()
-    changed: list[tuple[int, str]] = sorted((node_id(n), n) for n in nodes)
-    changed_nodes = np.asarray([nid for nid, _ in changed], dtype=np.int64)
-    rows: list[np.ndarray] = []
-    degrees: list[int] = []
-    for nid, node in changed:
-        combined = set(additions.get(node, ()))
-        degree = degree_add.get(node, 0)
+    rows = []
+    for nid, own_id in sorted((node_id(n), i) for i, n in enumerate(own_strings)):
+        combined = {own_strings[i] for i in own.neighbors_of(own_id).tolist()}
+        degree = int(own.entity_edge_degrees[own_id])
         if nid < base_n:
             combined.update(base_strings[i] for i in base.neighbors_of(nid))
             degree += int(base.entity_edge_degrees[nid])
-        rows.append(
-            np.asarray([node_id(n) for n in sorted(combined)], dtype=np.int32)
-        )
-        degrees.append(degree)
-
-    row_offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    if rows:
-        np.cumsum([len(row) for row in rows], out=row_offsets[1:])
-    row_indices = (
-        np.concatenate(rows).astype(np.int32) if rows else np.empty(0, dtype=np.int32)
-    )
+        row = np.asarray([node_id(n) for n in sorted(combined)], dtype=np.int32)
+        rows.append((nid, row, degree))
 
     predicate_counts = dict(base.predicate_counts)
-    for predicate, count in personal.predicate_counts().items():
+    for predicate, count in own.predicate_counts.items():
         predicate_counts[predicate] = predicate_counts.get(predicate, 0) + count
-
-    return DeltaPayload(
-        directory=OVERLAY_DIRECTORY,
-        seq=1,
-        store_version=personal.version,
-        parent_version=base.built_version,
-        new_strings=new_strings,
-        changed_nodes=changed_nodes,
-        row_offsets=row_offsets,
-        row_indices=row_indices,
-        changed_degrees=np.asarray(degrees, dtype=np.int64),
-        ctx_entities=[],
-        ctx_matrix=np.zeros((0, 0), dtype=np.float64),
-        alias_updates={},
-        predicate_counts=predicate_counts,
-        removed=[],
-        extra={"overlay": True},
+    return AdjacencyDelta(
+        personal.version, base.built_version, new_strings, rows, predicate_counts
     )
 
 
 def collapse_overlay(base: CSRAdjacency, personal: TripleStore) -> CSRAdjacency:
     """The merged shared+personal CSR, stamped at ``personal.version``."""
-    return DeltaOverlay(base, [overlay_payload(base, personal)]).collapse()
+    return apply_adjacency(base, [overlay_payload(base, personal).to_payload()])
 
 
 class TenantOverlay:

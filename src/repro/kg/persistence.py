@@ -6,42 +6,58 @@ Two tiers, bundled under one directory:
   ``facts.jsonl`` (+ ``meta.json``) — append-friendly, diff-able, the
   interchange format the construction pipeline exchanges.
 * **Physical** (``save_snapshot``/``load_snapshot``): versioned binary
-  snapshots of the columnar serving layers next to the JSONL —
-  ``adjacency/`` (dictionary + CSR arrays), ``context/`` (annotation
-  context matrix + entity→row map), ``alias/`` (alias-table state),
-  ``embeddings/`` (trained embedding matrices + calibrated threshold +
-  IVF quantizer, :mod:`repro.embeddings.persistence`) — each with a
-  manifest carrying format version, ``store_version`` and per-file
-  checksums (:mod:`repro.common.snapshot_io`).
+  snapshots of the columnar serving layers next to the JSONL, one
+  directory per :class:`BundleLayer` in :data:`LAYERS` — ``adjacency/``
+  (dictionary + CSR arrays), ``context/`` (annotation context matrix +
+  entity→row map), ``alias/`` (alias-table state), ``embeddings/``
+  (trained embedding matrices + calibrated threshold + IVF quantizer,
+  :mod:`repro.embeddings.persistence`) — each with a manifest carrying
+  format version, ``store_version`` and per-file checksums
+  (:mod:`repro.common.snapshot_io`).  The bundle's ``snapshot.json``
+  lists the layers it carries.
 
 ``load_snapshot`` is the worker cold-start path (§4 serving): arrays are
 memory-mapped instead of rebuilt, the fact log replays *lazily* (walks and
-annotation serve entirely from the physical layers), and any layer whose
-manifest doesn't match the bundle's store version is dropped so its
+annotation serve entirely from the physical layers), and any listed layer
+whose manifest doesn't match the bundle's store version is dropped so its
 consumer rebuilds from the live store — the same adopt-or-rebuild
-contract as ``AliasTable.refresh``/``AdjacencyIndex``.
+contract as ``AliasTable.refresh``/``AdjacencyIndex``.  A listed layer
+that is missing or corrupt raises :class:`StoreError`.
+
+A chained bundle (:mod:`repro.kg.deltas`) loads through the same fold:
+every delta directory is laid out like a base (generation manifest,
+logical JSONL, one subdirectory per layer), and each layer's ``apply``
+merges the deltas' payloads over the base state.  A plain bundle is a
+chain with zero deltas.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.common.errors import StoreError
 from repro.common.serialization import read_jsonl, write_jsonl
-from repro.common.snapshot_io import SnapshotStaleError
-from repro.kg.adjacency import CSRAdjacency, build_csr, load_adjacency, save_adjacency
+from repro.common.snapshot_io import LayerPayload, SnapshotStaleError, load_payload
+from repro.kg.adjacency import (
+    AdjacencyDiff,
+    CSRAdjacency,
+    apply_adjacency,
+    build_csr,
+    load_adjacency,
+    save_adjacency,
+)
 from repro.kg.store import EntityRecord, TripleStore
 from repro.kg.triple import Fact
 
 if TYPE_CHECKING:  # annotation/embedding-layer types; imported lazily at runtime
     from repro.annotation.alias_table import AliasTable
     from repro.annotation.context_encoder import EntityContextIndex
-    from repro.embeddings.persistence import EmbeddingLayer
     from repro.embeddings.suite import EmbeddingSuite, EmbeddingSuiteConfig
     from repro.kg.graph_engine import GraphEngine
 
@@ -52,6 +68,9 @@ ADJACENCY_DIR = "adjacency"
 CONTEXT_DIR = "context"
 ALIAS_DIR = "alias"
 EMBEDDINGS_DIR = "embeddings"
+
+_CONTEXT = "repro.annotation.context_encoder"
+_ALIAS = "repro.annotation.alias_table"
 
 
 def save_store(store: TripleStore, directory: str | Path) -> dict[str, int]:
@@ -70,18 +89,26 @@ def save_store(store: TripleStore, directory: str | Path) -> dict[str, int]:
     return {"entities": n_entities, "facts": n_facts}
 
 
+def _read_manifest(path: Path, what: str) -> dict[str, Any]:
+    """A JSON manifest of this module's format; :class:`StoreError` if not."""
+    if not path.exists():
+        raise StoreError(f"not a saved {what}: {path.parent} (missing {path.name})")
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise StoreError(f"corrupt {what} manifest {path}: {exc}") from None
+    if manifest.get("format_version") != FORMAT_VERSION:
+        raise StoreError(
+            f"unsupported {what} format {manifest.get('format_version')!r} "
+            f"in {path.parent} (supported: {FORMAT_VERSION})"
+        )
+    return manifest
+
+
 def load_store(directory: str | Path) -> TripleStore:
     """Restore a store previously written by :func:`save_store`."""
     directory = Path(directory)
-    meta_path = directory / "meta.json"
-    if not meta_path.exists():
-        raise StoreError(f"not a saved store: {directory} (missing meta.json)")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    if meta.get("format_version") != FORMAT_VERSION:
-        raise StoreError(
-            f"unsupported store format {meta.get('format_version')!r} "
-            f"(supported: {FORMAT_VERSION})"
-        )
+    meta = _read_manifest(directory / "meta.json", "store")
     store = TripleStore(name=meta.get("name", "kg"))
     for record in read_jsonl(directory / "entities.jsonl", EntityRecord.from_dict):
         store.upsert_entity(record)
@@ -97,12 +124,21 @@ class SnapshotStore(TripleStore):
     """A :class:`TripleStore` restored from a bundle, fact log replayed lazily.
 
     Entity descriptors load eagerly (every serving path needs them: alias
-    table, candidates, typing).  The fact log — the bulk of cold-start
-    replay — loads on first access to any fact-reading or mutating
-    operation; walks and full-tier annotation served from adopted physical
-    snapshots never touch it.
+    table, candidates, typing), the base's first and then each delta's.
+    The fact log — the bulk of cold-start replay — loads on first access
+    to any fact-reading or mutating operation; walks and full-tier
+    annotation served from adopted physical snapshots never touch it.
 
-    ``version`` is pinned to the bundle's saved ``store_version``, so
+    The replay applies, per delta generation, the recorded removals first
+    and then the end-state facts.  Re-recorded existing keys *replace* in
+    place — a delta fact is the store's exact end state at publish time,
+    so merging metadata with the superseded fact (as a plain upsert
+    would) could resurrect a deleted fact's confidence or provenance.
+    In-place replacement also preserves scan order for add-and-update
+    workloads, keeping chain-loaded stores byte-compatible with a store
+    that applied the same operations live.
+
+    ``version`` is pinned to the bundle's tip ``store_version``, so
     physical layers stamped with that version adopt cleanly; the lazy
     replay itself never moves ``version`` (it is a load, not a logical
     mutation), while real mutations bump it as usual and invalidate every
@@ -113,24 +149,25 @@ class SnapshotStore(TripleStore):
         self,
         directory: str | Path,
         *,
+        deltas: Iterable[tuple[Path, list[list[str]]]] = (),
         name: str = "kg",
         pinned_version: int = 0,
         defer_facts: bool = True,
     ) -> None:
         super().__init__(name=name)
         self._directory = Path(directory)
+        self._deltas = list(deltas)
         self._facts_loaded = False
         # Concurrent in-process readers (serving worker threads) may race
         # to the first fact access; the replay must run exactly once and
         # no reader may observe a partially replayed index.
         self._replay_lock = threading.RLock()
-        for record in read_jsonl(
-            self._directory / "entities.jsonl", EntityRecord.from_dict
-        ):
-            self._entities[record.entity] = record
+        for path in (self._directory, *(path for path, _ in self._deltas)):
+            for record in read_jsonl(path / "entities.jsonl", EntityRecord.from_dict):
+                self._entities[record.entity] = record
+        self.version = pinned_version
         if not defer_facts:
             self._ensure_facts()
-        self.version = pinned_version
 
     def _ensure_facts(self) -> None:
         if self._facts_loaded:
@@ -142,8 +179,22 @@ class SnapshotStore(TripleStore):
             # fact log must keep raising on every access, never serve the
             # partial prefix as if it were the full graph.  (Upserts are
             # idempotent, so a retry after a transient error is safe.)
+            pinned = self.version
             for fact in read_jsonl(self._directory / "facts.jsonl", Fact.from_dict):
                 self._upsert(fact)
+            for path, removed in self._deltas:
+                for key in removed:
+                    # Unbound base call: the wrapped SnapshotStore.remove
+                    # would re-enter _ensure_facts through its RLock.
+                    TripleStore.remove(self, *key)
+                for fact in read_jsonl(path / "facts.jsonl", Fact.from_dict):
+                    if fact.key in self._facts:
+                        self._facts[fact.key] = fact
+                    else:
+                        self._upsert(fact)
+            # Removals above bumped the version; adopted tip-stamped
+            # layers must still match.
+            self.version = pinned
             self._facts_loaded = True
 
 
@@ -186,23 +237,150 @@ for _name in (
 # -- bundled physical snapshots ----------------------------------------------
 
 
+@dataclass(frozen=True)
+class BundleLayer:
+    """One physical bundle layer: how it is saved, loaded, diffed and merged.
+
+    * ``save(store, directory, built)`` writes it at ``store.version``
+      (reusing a fresh object from ``built``, the :func:`save_snapshot`
+      keywords); ``False`` means nothing to persist, so it goes unlisted.
+    * ``load(directory, *, expected_store_version, mmap, verify)`` returns
+      the state (the :class:`KGSnapshot` field of the same name); raises
+      :class:`SnapshotStaleError` when stale, :class:`StoreError` when corrupt.
+    * ``diff(store, state)`` is a differ at a published state whose
+      ``diff(keys, entities)`` returns the next :class:`LayerPayload` and a
+      commit thunk to run once that generation is durable.
+    * ``apply(state, payloads)`` merges delta payloads, stamped at the last.
+
+    A layer without ``diff``/``apply`` cannot ride a chain with deltas.
+    """
+
+    name: str
+    save: Callable[[TripleStore, Path, dict[str, Any]], bool]
+    load: Callable[..., Any]
+    diff: Callable[[TripleStore, Any], Any] | None = None
+    apply: Callable[[Any, list[LayerPayload]], Any] | None = None
+
+    @property
+    def delta_kind(self) -> str:
+        return f"{self.name}-delta"
+
+
+def _owned(module: str, *names: str) -> list[Callable[..., Any]]:
+    """``module``'s functions by name, each imported on first call (the
+    annotation and embedding layer owners import :mod:`repro.kg`)."""
+
+    def lazy(name: str) -> Callable[..., Any]:
+        return lambda *a, **kw: getattr(importlib.import_module(module), name)(*a, **kw)
+
+    return [lazy(name) for name in names]
+
+
+def _save_adjacency(store: TripleStore, directory: Path, built: dict[str, Any]) -> bool:
+    save_adjacency(build_csr(store), directory)
+    return True
+
+
+def _save_context(store: TripleStore, directory: Path, built: dict[str, Any]) -> bool:
+    from repro.annotation.context_encoder import EntityContextIndex, save_context_index
+
+    index = built.get("context_index")
+    if index is None:
+        index = EntityContextIndex(store)
+    if index.is_stale:
+        index.build()
+    save_context_index(index, directory)
+    return True
+
+
+def _save_alias(store: TripleStore, directory: Path, built: dict[str, Any]) -> bool:
+    from repro.annotation.alias_table import AliasTable, save_alias_table
+
+    table = built.get("alias_table")
+    if table is None:
+        table = AliasTable(store)
+    if table.is_stale:
+        table.refresh()
+    save_alias_table(table, directory)
+    return True
+
+
+def _load_alias(
+    directory: Path, *, expected_store_version: int | None, mmap: bool, verify: bool
+) -> tuple:
+    """The registry's loader contract over :func:`load_alias_state`: the
+    marshalled state is always read whole and checksummed."""
+    from repro.annotation.alias_table import load_alias_state
+
+    return load_alias_state(directory, expected_store_version=expected_store_version)
+
+
+def _save_embeddings(store: TripleStore, directory: Path, built: dict[str, Any]) -> bool:
+    from repro.common.errors import EmbeddingError
+    from repro.embeddings.persistence import save_embeddings
+    from repro.embeddings.suite import EmbeddingSuiteConfig, build_embedding_suite
+
+    config = built.get("embedding_config") or EmbeddingSuiteConfig()
+    suite = built.get("embedding_suite")
+    if suite is None:
+        try:
+            suite = build_embedding_suite(store, config)
+        except EmbeddingError:
+            return False  # no entity-valued facts: nothing to train
+    save_embeddings(suite, config, directory, store_version=store.version)
+    return True
+
+
+#: Every physical layer, in save order; adding a layer is one entry here
+#: (plus its :class:`KGSnapshot` field and consumer accessor).
+LAYERS: dict[str, BundleLayer] = {
+    layer.name: layer
+    for layer in (
+        BundleLayer(
+            ADJACENCY_DIR, _save_adjacency, load_adjacency, AdjacencyDiff, apply_adjacency
+        ),
+        BundleLayer(
+            CONTEXT_DIR,
+            _save_context,
+            *_owned(_CONTEXT, "load_context_arrays", "ContextDiff", "apply_context"),
+        ),
+        BundleLayer(
+            ALIAS_DIR,
+            _save_alias,
+            _load_alias,
+            *_owned(_ALIAS, "AliasDiff", "apply_alias"),
+        ),
+        # No diff: a chain with deltas drops it (suites retrain on demand).
+        BundleLayer(
+            EMBEDDINGS_DIR,
+            _save_embeddings,
+            *_owned("repro.embeddings.persistence", "load_embedding_layer"),
+        ),
+    )
+}
+
+#: The layers a growing shared graph publishes per generation.
+SHARED_LAYERS = (ADJACENCY_DIR, CONTEXT_DIR, ALIAS_DIR)
+
+
 @dataclass
 class KGSnapshot:
     """A loaded bundle: the logical store plus adoptable physical layers.
 
-    Layers that were missing, stale (built at a different store version
-    than the bundle) or written by an incompatible python are ``None`` —
-    their consumers rebuild from the live store.  Corrupt layers raise
+    One field per :data:`LAYERS` entry.  Layers that were unlisted, stale
+    (built at a different store version than the bundle) or written by an
+    incompatible python are ``None`` — their consumers rebuild from the
+    live store.  Missing or corrupt listed layers raise
     :class:`StoreError` at load instead (never garbage results).
     """
 
     directory: Path
     manifest: dict[str, Any]
     store: TripleStore
-    adjacency: CSRAdjacency | None
-    context: tuple | None  # (matrix, row entities, built_version, extra)
-    alias: tuple | None  # (state, built_version, extra)
-    embeddings: "EmbeddingLayer | None" = None
+    adjacency: CSRAdjacency | None = None
+    context: tuple | None = None  # (matrix, row entities, built_version, extra)
+    alias: tuple | None = None  # (state, built_version, extra)
+    embeddings: LayerPayload | None = None
 
     def engine(self) -> "GraphEngine":
         """A :class:`GraphEngine` with the persisted CSR adopted (if fresh)."""
@@ -289,81 +467,63 @@ class KGSnapshot:
         )
 
 
+def write_generation(directory: Path, manifest: dict[str, Any]) -> None:
+    """Write a bundle or delta directory's generation manifest."""
+    (directory / SNAPSHOT_MANIFEST).write_text(
+        json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
+    )
+
+
+def read_generation(directory: Path) -> dict[str, Any]:
+    """Read and validate a generation manifest (``snapshot.json``)."""
+    return _read_manifest(directory / SNAPSHOT_MANIFEST, "snapshot")
+
+
 def save_snapshot(
     store: TripleStore,
     directory: str | Path,
     *,
-    engine: "GraphEngine | None" = None,
+    layers: Iterable[str] | None = None,
     context_index: "EntityContextIndex | None" = None,
     alias_table: "AliasTable | None" = None,
     embedding_suite: "EmbeddingSuite | None" = None,
     embedding_config: "EmbeddingSuiteConfig | None" = None,
     embeddings: bool = True,
 ) -> dict[str, Any]:
-    """Write a full bundle: JSONL logical store + binary physical layers.
+    """Write a bundle: JSONL logical store + the named physical layers.
 
-    Layers are taken from the passed objects when fresh (a warm engine's
-    CSR, a built context index, an already-trained embedding suite) and
-    built from the store otherwise, so every layer manifest is stamped
-    with the *current* ``store.version``.  The ``embeddings/`` layer is
-    skipped for stores with no entity-valued facts (nothing to train) or
-    when ``embeddings=False`` (its consumers then train on demand).
-    Returns the bundle manifest (also written to ``snapshot.json``).
+    ``layers`` defaults to every :data:`LAYERS` entry; ``()`` writes the
+    logical store alone.  Layers are taken from the passed objects when
+    fresh (a built context index, an already-trained embedding suite) and
+    built from the store otherwise, so every layer
+    manifest is stamped with the *current* ``store.version``.  The
+    ``embeddings/`` layer is skipped for stores with no entity-valued
+    facts (nothing to train) or when ``embeddings=False`` (its consumers
+    then train on demand).  Returns the bundle manifest (also written to
+    ``snapshot.json``), which lists the layers written.
     """
-    from repro.annotation.alias_table import AliasTable, save_alias_table
-    from repro.annotation.context_encoder import EntityContextIndex, save_context_index
-
     directory = Path(directory)
+    built = {
+        "context_index": context_index,
+        "alias_table": alias_table,
+        "embedding_suite": embedding_suite,
+        "embedding_config": embedding_config,
+    }
     counts = save_store(store, directory)
-    version = store.version
-
-    snapshot = engine.snapshot() if engine is not None else build_csr(store)
-    save_adjacency(snapshot, directory / ADJACENCY_DIR)
-
-    if context_index is None:
-        context_index = EntityContextIndex(store)
-    if context_index.is_stale:
-        context_index.build()
-    save_context_index(context_index, directory / CONTEXT_DIR)
-
-    if alias_table is None:
-        alias_table = AliasTable(store)
-    if alias_table.is_stale:
-        alias_table.refresh()
-    save_alias_table(alias_table, directory / ALIAS_DIR)
-
-    layers = [ADJACENCY_DIR, CONTEXT_DIR, ALIAS_DIR]
-    if embeddings:
-        from repro.common.errors import EmbeddingError
-        from repro.embeddings.persistence import save_embeddings
-        from repro.embeddings.suite import EmbeddingSuiteConfig, build_embedding_suite
-
-        config = embedding_config or EmbeddingSuiteConfig()
-        if embedding_suite is None:
-            try:
-                embedding_suite = build_embedding_suite(store, config)
-            except EmbeddingError:
-                embedding_suite = None  # no entity-valued facts: no layer
-        if embedding_suite is not None:
-            save_embeddings(
-                embedding_suite,
-                config,
-                directory / EMBEDDINGS_DIR,
-                store_version=version,
-            )
-            layers.append(EMBEDDINGS_DIR)
-
     manifest = {
         "format_version": FORMAT_VERSION,
         "name": store.name,
-        "store_version": version,
+        "store_version": store.version,
         "num_entities": counts["entities"],
         "num_facts": counts["facts"],
-        "layers": layers,
+        "layers": [
+            name
+            for name in (LAYERS if layers is None else layers)
+            if (embeddings or name != EMBEDDINGS_DIR)
+            and LAYERS[name].save(store, directory / name, built)
+        ],
     }
-    (directory / SNAPSHOT_MANIFEST).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    write_generation(directory, manifest)
     return manifest
 
 
@@ -376,117 +536,86 @@ def load_snapshot(
 ) -> KGSnapshot:
     """Load a bundle written by :func:`save_snapshot` — chained or plain.
 
-    A bundle carrying a ``chain.json`` (written by
-    :class:`~repro.kg.deltas.GenerationPublisher`) loads through the delta
-    machinery: the base plus every delta overlay merge into one snapshot
-    stamped at the chain's tip version.  Plain bundles load directly.
-    Either way the returned :class:`KGSnapshot` honours the same contract,
-    so callers (workers, serving, tools) need no chain awareness.
+    Cold start is an mmap, not a rebuild: physical arrays map read-only
+    and the fact log replays lazily (``defer_facts=False`` forces an eager
+    replay).  Exactly the layers the base manifest lists load, each folded
+    over the chain's deltas (:class:`~repro.kg.deltas.GenerationPublisher`)
+    and stamped at the tip version, so callers (workers, serving, tools)
+    need no chain awareness.  A stale layer or delta drops that layer so
+    its consumer rebuilds; a generation manifest disagreeing with
+    ``chain.json`` drops every layer but keeps the logical replay.
+    Corruption — bad checksums, truncated or missing files, a chain
+    referencing a missing delta, broken version linkage — raises
+    :class:`StoreError`.
     """
-    from repro.kg.deltas import CHAIN_NAME, load_chain_snapshot
+    from repro.kg.deltas import chain_tip_version, read_chain
 
     directory = Path(directory)
-    if (directory / CHAIN_NAME).exists():
-        return load_chain_snapshot(
-            directory, defer_facts=defer_facts, mmap=mmap, verify=verify
+    chain = read_chain(directory)
+    base_dir = directory if chain is None else directory / chain["base"]
+    manifest = read_generation(base_dir)
+    base_version = int(manifest["store_version"])
+    generations: list[tuple[Path, dict[str, Any]]] = []
+    carried = {name for name, layer in LAYERS.items() if layer.apply is not None}
+    if chain is not None:
+        if base_version != chain["base_version"]:
+            raise StoreError(
+                f"chain base {base_dir} at store version {base_version}, "
+                f"chain expects {chain['base_version']}"
+            )
+        for info in chain["deltas"]:
+            delta_dir = directory / info["dir"]
+            if not (delta_dir / SNAPSHOT_MANIFEST).exists():
+                raise StoreError(
+                    f"chain references missing delta: {delta_dir} "
+                    "(crash-orphaned chains never reference unwritten deltas)"
+                )
+            generation = read_generation(delta_dir)
+            if generation["store_version"] == info["store_version"]:
+                carried &= set(generation["layers"])
+            else:
+                carried.clear()  # the chain's array view is no longer coherent
+            generations.append((delta_dir, generation))
+        manifest = dict(
+            manifest,
+            store_version=chain_tip_version(chain),
+            chain={
+                "base": chain["base"],
+                "base_version": base_version,
+                "deltas": len(generations),
+            },
         )
-    return load_plain_snapshot(
-        directory, defer_facts=defer_facts, mmap=mmap, verify=verify
-    )
-
-
-def load_plain_snapshot(
-    directory: str | Path,
-    *,
-    defer_facts: bool = True,
-    mmap: bool = True,
-    verify: bool = True,
-) -> KGSnapshot:
-    """Load a single (chain-free) bundle directory.
-
-    Cold start is an mmap, not a rebuild: physical arrays map read-only,
-    the fact log replays lazily (``defer_facts=False`` forces an eager
-    replay), and each layer's manifest is checked against the bundle's
-    ``store_version`` — a mismatched (stale) layer is dropped so its
-    consumer rebuilds, while corruption (bad checksums, truncated or
-    missing files) raises :class:`StoreError`.
-    """
-    from repro.annotation.alias_table import load_alias_state
-    from repro.annotation.context_encoder import load_context_arrays
-
-    directory = Path(directory)
-    manifest_path = directory / SNAPSHOT_MANIFEST
-    if not manifest_path.exists():
-        raise StoreError(
-            f"not a saved snapshot: {directory} (missing {SNAPSHOT_MANIFEST})"
-        )
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise StoreError(
-            f"unsupported snapshot format {manifest.get('format_version')!r} "
-            f"(supported: {FORMAT_VERSION})"
-        )
-    version = int(manifest["store_version"])
     store = SnapshotStore(
-        directory,
+        base_dir,
+        deltas=[(path, generation["removed"]) for path, generation in generations],
         name=manifest.get("name", "kg"),
-        pinned_version=version,
+        pinned_version=int(manifest["store_version"]),
         defer_facts=defer_facts,
     )
-
-    adjacency = None
-    if (directory / ADJACENCY_DIR).exists():
+    states = {}
+    for name in manifest["layers"]:
+        if name not in LAYERS:
+            raise StoreError(f"bundle {base_dir} lists unknown layer {name!r}")
+        layer = LAYERS[name]
         try:
-            adjacency = load_adjacency(
-                directory / ADJACENCY_DIR,
-                expected_store_version=version,
-                mmap=mmap,
-                verify=verify,
+            state = layer.load(
+                base_dir / name, expected_store_version=base_version, mmap=mmap, verify=verify
             )
+            if generations and name not in carried:
+                state = None
+            elif generations:
+                payloads = [
+                    load_payload(
+                        path / name,
+                        kind=layer.delta_kind,
+                        expected_store_version=generation["store_version"],
+                        mmap=mmap,
+                        verify=verify,
+                    )
+                    for path, generation in generations
+                ]
+                state = layer.apply(state, payloads)
         except SnapshotStaleError:
-            adjacency = None
-
-    context = None
-    if (directory / CONTEXT_DIR).exists():
-        try:
-            context = load_context_arrays(
-                directory / CONTEXT_DIR,
-                expected_store_version=version,
-                mmap=mmap,
-                verify=verify,
-            )
-        except SnapshotStaleError:
-            context = None
-
-    alias = None
-    if (directory / ALIAS_DIR).exists():
-        try:
-            alias = load_alias_state(
-                directory / ALIAS_DIR, expected_store_version=version
-            )
-        except SnapshotStaleError:
-            alias = None
-
-    embeddings = None
-    if (directory / EMBEDDINGS_DIR).exists():
-        from repro.embeddings.persistence import load_embedding_layer
-
-        try:
-            embeddings = load_embedding_layer(
-                directory / EMBEDDINGS_DIR,
-                expected_store_version=version,
-                mmap=mmap,
-                verify=verify,
-            )
-        except SnapshotStaleError:
-            embeddings = None
-
-    return KGSnapshot(
-        directory=directory,
-        manifest=manifest,
-        store=store,
-        adjacency=adjacency,
-        context=context,
-        alias=alias,
-        embeddings=embeddings,
-    )
+            state = None  # its consumer rebuilds from the store
+        states[name] = state
+    return KGSnapshot(directory=directory, manifest=manifest, store=store, **states)

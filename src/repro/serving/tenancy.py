@@ -157,11 +157,13 @@ class TenantState:
         else:
             self.directory.mkdir(parents=True, exist_ok=True)
             self.store = TripleStore(name=f"tenant-{tenant_id}")
+        # Logical-only chain: the served CSR is collapsed from the fused
+        # store at read time, so no generation writes a physical layer.
         self.publisher = GenerationPublisher(
             self.store,
             self.directory,
             compact_every=compact_every,
-            embeddings=False,
+            layers=(),
             verify=verify,
         )
         # (fused store, fused people), keyed by the durable store version
@@ -522,12 +524,15 @@ class TenantRegistry:
             if slot is not None and slot.state is state:
                 slot.pins -= 1
             evicted = self._evict_overflow_locked()
-            if evicted:
-                self.metrics.gauge("tenants.resident", float(len(self._resident)))
         self._close_evicted(evicted)
 
     def _evict_overflow_locked(self) -> list[TenantState]:
-        """Pop LRU slots past capacity that are ready and unpinned.
+        """Pop LRU slots past capacity (see :meth:`_evict_locked`)."""
+        overflow = len(self._resident) - self.max_resident
+        return self._evict_locked(list(self._resident), overflow) if overflow > 0 else []
+
+    def _evict_locked(self, tenant_ids: list[str], limit: int) -> list[TenantState]:
+        """Pop up to ``limit`` of ``tenant_ids`` that are ready and unpinned.
 
         Pinned or still-building slots are skipped — their eviction
         defers to the last release.  Returns the evicted states for the
@@ -535,18 +540,18 @@ class TenantRegistry:
         in-flight compaction, which must not stall other tenants).
         """
         evicted: list[TenantState] = []
-        overflow = len(self._resident) - self.max_resident
-        if overflow <= 0:
-            return evicted
-        for tenant_id, slot in list(self._resident.items()):
-            if len(evicted) >= overflow:
+        for tenant_id in tenant_ids:
+            if len(evicted) >= limit:
                 break
-            if slot.pins > 0 or not slot.ready.is_set() or slot.state is None:
+            slot = self._resident.get(tenant_id)
+            if slot is None or slot.pins > 0 or not slot.ready.is_set() or slot.state is None:
                 continue
             del self._resident[tenant_id]
             evicted.append(slot.state)
             self.evictions += 1
             self.metrics.incr("tenants.evicted")
+        if evicted:
+            self.metrics.gauge("tenants.resident", float(len(self._resident)))
         return evicted
 
     def _close_evicted(self, evicted: list[TenantState]) -> None:
@@ -589,17 +594,9 @@ class TenantRegistry:
         leased — evicting mid-request could double-attach the tenant.
         """
         with self._lock:
-            slot = self._resident.get(tenant_id)
-            if slot is None or slot.pins > 0 or not slot.ready.is_set():
-                return False
-            del self._resident[tenant_id]
-            state = slot.state
-            self.evictions += 1
-            self.metrics.incr("tenants.evicted")
-            self.metrics.gauge("tenants.resident", float(len(self._resident)))
-        if state is not None:
-            state.close()
-        return True
+            evicted = self._evict_locked([tenant_id], 1)
+        self._close_evicted(evicted)
+        return bool(evicted)
 
     def resident_count(self) -> int:
         with self._lock:

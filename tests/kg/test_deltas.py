@@ -32,7 +32,7 @@ NOTE = ids.predicate_id("note")
 def world(tmp_path):
     """A small fresh KG (mutable per test) plus its publisher bundle."""
     kg = generate_kg(SyntheticKGConfig(seed=11, scale=0.05))
-    publisher = GenerationPublisher(kg.store, tmp_path / "bundle", embeddings=False)
+    publisher = GenerationPublisher(kg.store, tmp_path / "bundle")
     return kg.store, publisher, tmp_path / "bundle"
 
 
@@ -171,7 +171,7 @@ class TestPublishParity:
         bundle = tmp_path / "plain"
         save_snapshot(kg.store, bundle, embeddings=False)
         assert not (bundle / CHAIN_NAME).exists()
-        publisher = GenerationPublisher(kg.store, bundle, embeddings=False)
+        publisher = GenerationPublisher(kg.store, bundle)
         assert (bundle / CHAIN_NAME).exists()
         publisher.record(keys=_mutate(kg.store, 1))
         assert publisher.publish() is not None
@@ -212,7 +212,7 @@ class TestDeltaEdgeCases:
     def test_chain_longer_than_compaction_threshold(self, tmp_path):
         kg = generate_kg(SyntheticKGConfig(seed=11, scale=0.05))
         publisher = GenerationPublisher(
-            kg.store, tmp_path / "bundle", compact_every=3, embeddings=False
+            kg.store, tmp_path / "bundle", compact_every=3
         )
         infos = []
         for round_no in range(4):
@@ -234,7 +234,7 @@ class TestDeltaEdgeCases:
         store, publisher, bundle = world
         publisher.record(keys=_mutate(store, 0))
         info = publisher.publish()
-        manifest_path = info.directory / "manifest.json"
+        manifest_path = info.directory / "snapshot.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         manifest["store_version"] = manifest["store_version"] - 1
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
@@ -254,7 +254,7 @@ class TestDeltaEdgeCases:
         store, publisher, bundle = world
         publisher.record(keys=_mutate(store, 0))
         info = publisher.publish()
-        target = info.directory / "changed_nodes.npy"
+        target = info.directory / "adjacency" / "changed_nodes.npy"
         target.write_bytes(target.read_bytes()[:-4] + b"\xff\xff\xff\xff")
         with pytest.raises(StoreError):
             load_snapshot(bundle)

@@ -173,7 +173,7 @@ class TestAppendOnlyAcrossGenerations:
         and keeps every pre-swap id meaningful."""
         kg = generate_kg(SyntheticKGConfig(seed=17, scale=0.05))
         publisher = GenerationPublisher(
-            kg.store, tmp_path / "bundle", embeddings=False
+            kg.store, tmp_path / "bundle"
         )
         base_v1 = load_snapshot(tmp_path / "bundle").adjacency
         personal = _personal_store(kg.store)
@@ -215,7 +215,7 @@ class TestAppendOnlyAcrossGenerations:
         past the larger base); resolution is by string, so reads agree."""
         kg = generate_kg(SyntheticKGConfig(seed=19, scale=0.05))
         publisher = GenerationPublisher(
-            kg.store, tmp_path / "bundle", embeddings=False
+            kg.store, tmp_path / "bundle"
         )
         base_v1 = load_snapshot(tmp_path / "bundle").adjacency
         personal = _personal_store(kg.store, people=1, links=1)

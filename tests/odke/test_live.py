@@ -38,7 +38,7 @@ def live_world(kg, search_engine, tmp_path_factory):
         key=lambda t: (t.entity, t.predicate),
     )
     bundle = tmp_path_factory.mktemp("live-bundle")
-    publisher = GenerationPublisher(deployed, bundle, embeddings=False)
+    publisher = GenerationPublisher(deployed, bundle)
     return deployed, pipeline, publisher, bundle, targets
 
 

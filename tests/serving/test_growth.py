@@ -21,7 +21,7 @@ def growing_world(tmp_path):
     """A live store, its publisher bundle, and an inline serving service."""
     kg = generate_kg(SyntheticKGConfig(seed=23, scale=0.05))
     bundle = tmp_path / "bundle"
-    publisher = GenerationPublisher(kg.store, bundle, embeddings=False)
+    publisher = GenerationPublisher(kg.store, bundle)
     service = ServingService(bundle, mode="inline", num_shards=2)
     yield kg.store, publisher, bundle, service
     service.close()

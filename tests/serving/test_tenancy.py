@@ -483,7 +483,7 @@ class TestConcurrentSwapSweep:
         kg = generate_kg(SyntheticKGConfig(seed=31, scale=0.05))
         entities = sorted(kg.store.entity_ids())
         bundle = tmp_path / "bundle"
-        publisher = GenerationPublisher(kg.store, bundle, embeddings=False)
+        publisher = GenerationPublisher(kg.store, bundle)
         service = ServingService(
             bundle, mode="inline", tenants_dir=tmp_path / "tenants"
         )
@@ -607,7 +607,7 @@ class TestTenantPipeline:
         kg = generate_kg(SyntheticKGConfig(seed=37, scale=0.05))
         entities = sorted(kg.store.entity_ids())
         bundle = tmp_path / "bundle"
-        publisher = GenerationPublisher(kg.store, bundle, embeddings=False)
+        publisher = GenerationPublisher(kg.store, bundle)
         with ServingService(
             bundle, mode="inline", tenants_dir=tmp_path / "tenants"
         ) as service:
@@ -650,7 +650,7 @@ class TestTenantPipeline:
         kg = generate_kg(SyntheticKGConfig(seed=41, scale=0.05))
         entities = sorted(kg.store.entity_ids())
         bundle = tmp_path / "bundle"
-        publisher = GenerationPublisher(kg.store, bundle, embeddings=False)
+        publisher = GenerationPublisher(kg.store, bundle)
         with ServingService(
             bundle, mode="inline", tenants_dir=tmp_path / "tenants"
         ) as service:
