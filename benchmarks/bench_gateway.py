@@ -68,7 +68,7 @@ def walk_requests(bench_kg):
 
 def test_gateway_walk_throughput(benchmark, bundle_dir, walk_requests):
     """Walk queries/s: facade vs async gateway vs HTTP wire round-trips."""
-    with ServingService(bundle_dir, mode="inline", num_shards=4) as svc:
+    with ServingService(bundle_dir, mode="inline") as svc:
         reference = [svc.serve(request).payload for request in walk_requests]
 
         def facade_run():

@@ -168,7 +168,7 @@ def test_overlay_read_overhead_and_swap_gap(benchmark, growth_kg, tmp_path_facto
     )
 
     # Swap gap: how long adopt_generation blocks the serving layer.
-    with ServingService(bundle, mode="inline", num_shards=2) as service:
+    with ServingService(bundle, mode="inline") as service:
         probe = NeighborhoodRequest(entities=(store.entity_ids()[0],), hops=1)
         assert service.serve(probe).ok
         publisher.record(keys=_mutate(store, 200))

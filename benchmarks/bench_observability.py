@@ -95,7 +95,7 @@ def test_tracing_overhead_http_walk_path(benchmark, bundle_dir, walk_requests):
     sampled_trace_ids = {"with": 0, "without": 0}
 
     async def drive():
-        with ServingService(bundle_dir, mode="inline", num_shards=4) as svc:
+        with ServingService(bundle_dir, mode="inline") as svc:
             gateway = AsyncGateway(
                 svc, max_concurrency=4, max_pending=4 * WALK_QUERIES
             )
@@ -258,8 +258,8 @@ def test_tracing_overhead_service_path(benchmark, bundle_dir, walk_requests):
     tracing.disarm()
     tracer = Tracer()
     with ServingService(
-        bundle_dir, mode="inline", num_shards=4
-    ) as plain, ServingService(bundle_dir, mode="inline", num_shards=4) as traced:
+        bundle_dir, mode="inline"
+    ) as plain, ServingService(bundle_dir, mode="inline") as traced:
         state = plain._pool.local_state
         reference = [plain.serve(request).payload for request in walk_requests]
         with tracing.armed(tracer):

@@ -73,8 +73,8 @@ def test_fault_free_overhead(benchmark, bundle_dir, walk_requests):
     both arms symmetrically.
     """
     with ServingService(
-        bundle_dir, mode="inline", num_shards=4, resilient=False
-    ) as bare, ServingService(bundle_dir, mode="inline", num_shards=4) as resilient:
+        bundle_dir, mode="inline", resilient=False
+    ) as bare, ServingService(bundle_dir, mode="inline") as resilient:
         reference = [bare.serve(request).payload for request in walk_requests]
         warm = [resilient.serve(request).payload for request in walk_requests]
         # Parity is unconditional: the supervision path must not change
@@ -139,7 +139,7 @@ def test_recovery_after_worker_kill(benchmark, bundle_dir, bench_kg):
     entities = tuple(sorted(bench_kg.store.entity_ids())[:WALK_QUERY_ENTITIES])
     request = NeighborhoodRequest(entities=entities, hops=1)
     with ServingService(
-        bundle_dir, mode="process", num_workers=2, num_shards=4, cache_capacity=1
+        bundle_dir, mode="process", num_workers=2, cache_capacity=1
     ) as service:
         before = service.serve(request)
         assert before.ok
@@ -183,7 +183,7 @@ def test_recovery_after_worker_kill(benchmark, bundle_dir, bench_kg):
 
 def test_chaos_throughput(benchmark, bundle_dir, walk_requests):
     """Queries/s with crashes injected at rate 0.2 — completion stays 100%."""
-    with ServingService(bundle_dir, mode="inline", num_shards=4) as healthy:
+    with ServingService(bundle_dir, mode="inline") as healthy:
         reference = [healthy.serve(request).payload for request in walk_requests]
 
     plan = FaultPlan(
@@ -200,7 +200,6 @@ def test_chaos_throughput(benchmark, bundle_dir, walk_requests):
         with ServingService(
             bundle_dir,
             mode="inline",
-            num_shards=4,
             cache_capacity=1,
             retry_policy=chaos_policy,
         ) as service:

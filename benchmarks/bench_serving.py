@@ -231,7 +231,7 @@ def test_walk_query_serving(benchmark, bench_kg, bundle_dir):
         for index in range(WALK_QUERIES)
     ]
 
-    with ServingService(bundle_dir, mode="inline", num_shards=WORKERS) as svc:
+    with ServingService(bundle_dir, mode="inline") as svc:
         reference = [svc.random_walks(query, seed=17) for query in queries]
 
         def cold_run():
@@ -252,7 +252,7 @@ def test_walk_query_serving(benchmark, bench_kg, bundle_dir):
 
     # Router invariance: a sharded fleet answers byte-identically.
     with ServingService(
-        bundle_dir, mode="process", num_workers=max(2, WORKERS // 2), num_shards=WORKERS
+        bundle_dir, mode="process", num_workers=max(2, WORKERS // 2)
     ) as fleet:
         fleet_results = [fleet.random_walks(query, seed=17) for query in queries[:10]]
     assert fleet_results == reference[:10]

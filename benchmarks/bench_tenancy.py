@@ -71,7 +71,6 @@ def test_tenant_read_overhead(benchmark, tenant_world, tmp_path_factory):
     with ServingService(
         bundle,
         mode="inline",
-        num_shards=2,
         tenants_dir=tmp_path_factory.mktemp("tenants"),
     ) as service:
         tenant = "bench-tenant"

@@ -5,13 +5,13 @@ Same shape as ``gateway_smoke.py`` — a small synthetic world
 (``CHAOS_SMOKE_SCALE``, default 0.05), a snapshot bundle, the asyncio
 HTTP front door on an ephemeral port, one wire request per protocol
 type — but with a :class:`FaultPlan` armed the whole time: worker
-crashes at rate 0.2, transient I/O errors at rate 0.1 and a slow
-replica at rate 0.1.  The resilience layer (retries + supervision) must
-absorb every injection: each request type still has to come back ``ok``
-with a payload, byte-compatible with a healthy control run, and
-``/healthz`` must keep answering 200 throughout.  Exits non-zero on any
-violation — including the degenerate one where the plan injected
-nothing, which would make the smoke vacuous.
+crashes at rate 0.2, transient I/O errors at rate 0.1, a slow replica
+at rate 0.1 and truncated worker results at rate 0.2.  The resilience
+layer (retries + supervision) must absorb every injection: each request
+type still has to come back ``ok`` with a payload, byte-compatible with
+a healthy control run, and ``/healthz`` must keep answering 200
+throughout.  Exits non-zero on any violation — including the degenerate
+one where the plan injected nothing, which would make the smoke vacuous.
 
 Run directly (CI does): ``PYTHONPATH=src python benchmarks/chaos_smoke.py``
 """
@@ -31,6 +31,7 @@ from repro.kg.generator import SyntheticKGConfig, generate_kg
 from repro.kg.persistence import save_snapshot
 from repro.serving.faults import (
     SITE_WORKER_EXECUTE,
+    SITE_WORKER_RESULT,
     FaultPlan,
     FaultSpec,
     armed,
@@ -56,6 +57,7 @@ PLAN = FaultPlan(
         FaultSpec(SITE_WORKER_EXECUTE, "crash", rate=0.2),
         FaultSpec(SITE_WORKER_EXECUTE, "io_error", rate=0.1),
         FaultSpec(SITE_WORKER_EXECUTE, "slow", rate=0.1, delay_s=0.005),
+        FaultSpec(SITE_WORKER_RESULT, "corrupt", rate=0.2),
     ),
     seed=41,
 )
@@ -191,7 +193,7 @@ def main() -> int:
         # Healthy control run first: chaos answers must match these
         # payloads (roundtripped through the wire codec, so both sides
         # compare in JSON-normalized form).
-        with ServingService(bundle, mode="inline", num_shards=4) as control:
+        with ServingService(bundle, mode="inline") as control:
             reference = {
                 type(request).__name__: decode_response(
                     encode_response(control.serve(request))
@@ -202,7 +204,6 @@ def main() -> int:
             with ServingService(
                 bundle,
                 mode="inline",
-                num_shards=4,
                 cache_capacity=1,
                 retry_policy=RETRY_POLICY,
             ) as service:

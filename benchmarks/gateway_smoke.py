@@ -235,7 +235,7 @@ def main() -> int:
         bundle = Path(tmp) / "bundle"
         kg = generate_kg(SyntheticKGConfig(seed=7, scale=SCALE))
         save_snapshot(kg.store, bundle)
-        with ServingService(bundle, mode="inline", num_shards=4) as service:
+        with ServingService(bundle, mode="inline") as service:
             failures = asyncio.run(smoke(service))
     if failures:
         print("\nFAILURES:", file=sys.stderr)

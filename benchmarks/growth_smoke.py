@@ -151,7 +151,7 @@ async def smoke(bundle: Path, fresh_bundle: Path) -> list[str]:
     failures: list[str] = []
     deployed, pipeline, targets = build_world()
     publisher = GenerationPublisher(deployed, bundle)
-    service = ServingService(bundle, mode="inline", num_shards=2)
+    service = ServingService(bundle, mode="inline")
     gateway = AsyncGateway(service, max_concurrency=4, max_pending=64)
     server = GatewayHTTPServer(gateway)
     host, port = await server.start()
@@ -251,7 +251,7 @@ async def smoke(bundle: Path, fresh_bundle: Path) -> list[str]:
     service.close()
 
     save_snapshot(deployed, fresh_bundle, embeddings=False)
-    with ServingService(fresh_bundle, mode="inline", num_shards=2) as fresh:
+    with ServingService(fresh_bundle, mode="inline") as fresh:
         for request, chained in zip(probes, gateway_answers):
             if chained is None:
                 continue

@@ -116,7 +116,7 @@ async def smoke(bundle: Path, tenants_dir: Path) -> list[str]:
     store = kg.store
     publisher = GenerationPublisher(store, bundle)
     service = ServingService(
-        bundle, mode="inline", num_shards=2, tenants_dir=tenants_dir
+        bundle, mode="inline", tenants_dir=tenants_dir
     )
     gateway = AsyncGateway(service, max_concurrency=4, max_pending=64)
     server = GatewayHTTPServer(gateway)

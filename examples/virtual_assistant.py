@@ -98,7 +98,7 @@ async def run(bundle: Path, tenants_dir: Path) -> None:
     kg = generate_kg(SyntheticKGConfig(seed=7, scale=0.2))
     save_snapshot(kg.store, bundle, embeddings=False)
     service = ServingService(
-        bundle, mode="inline", num_shards=2, tenants_dir=tenants_dir
+        bundle, mode="inline", tenants_dir=tenants_dir
     )
     gateway = AsyncGateway(service, max_concurrency=4, max_pending=64)
     server = GatewayHTTPServer(gateway)

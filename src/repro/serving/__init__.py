@@ -1,9 +1,9 @@
-"""Sharded, batched KG serving over persisted snapshot bundles (§4–5).
+"""Fanned-out, batched KG serving over persisted snapshot bundles (§4–5).
 
 The subsystem that fronts the platform: a :class:`ServingService` facade
 with one uniform ``serve(request) -> Response`` dispatch over a
-:class:`ShardRouter` (int32 id-space partitioning with deterministic
-merges), a :class:`WorkerPool` of bundle replicas (inline / thread /
+:class:`ShardRouter` (int32 id-space partitioning into one part per
+worker, with deterministic merges), a :class:`WorkerPool` of bundle replicas (inline / thread /
 subprocess executors over mmap-shared snapshot pages), a
 :class:`MicroBatcher` (cross-document annotation batching) and a
 versioned :class:`QueryCache` (LRU over ``(store_version, request)``).

@@ -18,7 +18,7 @@ Fault kinds (:data:`FAULT_KINDS`):
 * ``io_error`` — the site raises :class:`InjectedIOError`, a transient,
   retryable I/O failure (a flaky mmap read, a dropped connection).
 * ``corrupt`` — the site's *value* comes back mangled (a truncated
-  shard response); downstream validation must catch it.
+  worker response); downstream validation must catch it.
 
 Determinism: every decision is a pure function of ``(seed, salt, site,
 call_number)`` through :func:`~repro.common.rng.stable_hash` — re-running
@@ -253,7 +253,7 @@ def fault_point(site: str, value: Any = None, request_type: str = "") -> Any:
         raise InjectedCrash(f"injected worker crash at {site}")
     # corrupt: a truncated response — the shape a partial read or a
     # mid-write crash produces.  Downstream length validation must catch
-    # it (and does: the scatter/gather path checks per-shard counts).
+    # it (and does: WorkerPool.resolve checks every family's item count).
     if isinstance(value, list):
         return value[:-1] if value else [None]
     return None

@@ -50,6 +50,7 @@ import asyncio
 import contextvars
 import functools
 import json
+import signal
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -663,6 +664,9 @@ def main(argv: list[str] | None = None) -> int:
         set_level(args.log_level)
     if args.trace:
         tracing.arm(tracing.Tracer(sample_every=args.trace_sample))
+    # SIGTERM takes SIGINT's path out: KeyboardInterrupt unwinds the loop
+    # and closes the service, whose pool shuts its workers down.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     with ServingService(
         args.bundle_dir,
         mode=args.mode,

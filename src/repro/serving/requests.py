@@ -47,7 +47,7 @@ def valid_tenant_id(tenant_id: object) -> bool:
     return isinstance(tenant_id, str) and bool(TENANT_ID_PATTERN.match(tenant_id))
 
 # Status values of a Response envelope.  ``degraded`` is the graceful
-# middle ground: a *usable* payload that is incomplete (failed shards
+# middle ground: a *usable* payload that is incomplete (failed parts
 # past the retry budget) or stale (served from a previous generation's
 # cache when fresh compute failed) — flagged so clients can decide.
 STATUS_OK = "ok"
@@ -260,7 +260,7 @@ class TenantDeleteRequest(Request):
 
 
 def sub_request(request: Request, entities: tuple[str, ...]) -> Request:
-    """The same request narrowed to ``entities`` (shard fan-out unit)."""
+    """The same request narrowed to ``entities`` (one worker's part)."""
     family = family_of(request)
     if family is None or not family.splittable:
         raise TypeError(f"request type {type(request).__name__} is not splittable")
@@ -295,10 +295,10 @@ class ErrorInfo:
 #:   gateway-minted rejection envelopes, inside the gateway).  Present on
 #:   **every** response: ok, degraded, cached, stale and error alike.
 #: - ``cache_ms`` — cache key build + lookup (cacheable requests only).
-#: - ``scatter_ms`` — request split + per-shard dispatch (split path).
+#: - ``scatter_ms`` — request split into per-worker parts (split path).
 #: - ``compute_ms`` — worker execution: the whole fan-out window on the
 #:   split path, the single dispatch otherwise.
-#: - ``gather_ms`` — merging per-shard partials (split path only).
+#: - ``gather_ms`` — merging per-worker partials (split path only).
 #:
 #: Stages that did not run are absent, never zero-filled.  When tracing
 #: is armed each stage's span carries the *same* measurement in its
@@ -464,6 +464,10 @@ class RequestFamily:
       :class:`~repro.serving.worker.WorkerState` (a tenant read passes a
       view whose ``engine`` is the tenant overlay); the tenant-write
       family runs ``execute(registry, tenant, request)``.
+    * ``items`` names the request field with one payload item per entry
+      (entities, texts, candidates or pairs): a worker result of any other
+      length is truncated, and the pool retries it.  ``None`` for the
+      tenant-write family, whose payload is one record.
     * ``item_to_wire`` / ``item_from_wire`` convert one payload item (one
       entity's, text's, candidate's or pair's result) to and from JSON;
       ``None`` means JSON-native already.
@@ -477,12 +481,17 @@ class RequestFamily:
     tenant_role: str = SHARED
     cacheable: Callable[[Any], bool] = _always
     micro_batched: bool = False
+    items: str | None = "entities"
     item_to_wire: Callable[[Any], Any] | None = None
     item_from_wire: Callable[[Any], Any] | None = None
 
     @property
     def wire_type(self) -> str:
         return self.request_cls.wire_type
+
+    def expected_items(self, request: Request) -> int | None:
+        """The payload length a correct answer to ``request`` has."""
+        return None if self.items is None else len(getattr(request, self.items))
 
 
 def _walks(state, request: WalkRequest) -> list[list[list[str]]]:
@@ -545,6 +554,7 @@ FAMILIES: dict[str, RequestFamily] = {
             lambda state, r: state.pipeline(r.tier).annotate_batch(list(r.texts)),
             cacheable=lambda r: len(r.texts) == 1,
             micro_batched=True,
+            items="texts",
             # EntityLink.to_dict(): candidate feature lists stay server-side.
             item_to_wire=lambda links: [link.to_dict() for link in links],
             item_from_wire=lambda links: [_link_from_wire(item) for item in links],
@@ -562,6 +572,7 @@ FAMILIES: dict[str, RequestFamily] = {
         RequestFamily(
             VerifyRequest, VerifyResponse,
             lambda state, r: state.embedding_suite().verifier.verify_batch(list(r.candidates)),
+            items="candidates",
             item_to_wire=asdict,
             item_from_wire=_from_fields("repro.services.fact_verification", "Verdict"),
         ),
@@ -570,7 +581,7 @@ FAMILIES: dict[str, RequestFamily] = {
             lambda state, r: state.embedding_suite().embedding_service.batch_similarity(
                 list(r.pairs)
             ),
-            cheap_to_recompute=True,
+            cheap_to_recompute=True, items="pairs",
         ),
         RequestFamily(
             KnnRequest, KnnResponse,
@@ -586,21 +597,21 @@ FAMILIES: dict[str, RequestFamily] = {
         RequestFamily(
             TenantUpsertRequest, TenantUpsertResponse,
             lambda registry, tenant, r: registry.upsert(tenant, r.records),
-            tenant_role=TENANT_WRITE, cacheable=_never,
+            tenant_role=TENANT_WRITE, cacheable=_never, items=None,
         ),
         RequestFamily(
             TenantSyncRequest, TenantSyncResponse,
             lambda registry, tenant, r: registry.sync(
                 tenant, records=r.records, tombstones=r.tombstones, epsilon=r.epsilon
             ),
-            tenant_role=TENANT_WRITE, cacheable=_never,
+            tenant_role=TENANT_WRITE, cacheable=_never, items=None,
         ),
         RequestFamily(
             TenantDeleteRequest, TenantDeleteResponse,
             lambda registry, tenant, r: registry.delete(
                 tenant, r.source, r.record_id, r.sequence
             ),
-            tenant_role=TENANT_WRITE, cacheable=_never,
+            tenant_role=TENANT_WRITE, cacheable=_never, items=None,
         ),
     )
 }

@@ -9,7 +9,7 @@ the only question is budget.  Two primitives encode it:
   transient ``IOError`` or a crashed worker is worth a resubmit, a
   deterministic ``ValueError`` would fail identically forever.
 * :class:`CircuitBreaker` — the classic closed → open → half-open state
-  machine over a sliding outcome window.  When a worker or shard fails
+  machine over a sliding outcome window.  When the worker fleet fails
   persistently, the breaker opens and callers fail fast (or degrade)
   instead of burning their latency budget on a dead backend; after
   ``open_duration_s`` a bounded number of half-open probes test recovery.
@@ -52,7 +52,7 @@ class WorkerCrashError(TransientServingError):
 
 
 class ShardResultError(TransientServingError):
-    """A shard replica returned a malformed (wrong-length / corrupt)
+    """A worker replica returned a malformed (wrong-length / corrupt)
     result — retryable, because a healthy replica will answer correctly."""
 
 

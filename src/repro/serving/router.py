@@ -1,26 +1,25 @@
 """Shard routing: deterministic partitioning of the entity-id space.
 
 The snapshot dictionary gives every node a dense int32 id, and that id
-space hash-partitions trivially (ROADMAP, "Sharding"): shard of id ``i``
-is ``i % num_shards``.  Entities the dictionary doesn't know (possible on
-a stale bundle or a typo'd query) fall back to a stable string hash, so
-routing never depends on process-local state.
+space hash-partitions trivially: shard of id ``i`` is ``i % num_shards``.
+Entities the dictionary doesn't know (possible on a stale bundle or a
+typo'd query) fall back to a stable string hash, so routing never
+depends on process-local state.
 
-Workers in this subsystem are *replicas* — each one maps the same bundle,
-so any worker can answer any shard's sub-request and correctness never
-depends on shard→worker placement.  What the partition buys is
-deterministic fan-out units (a bounded amount of work per dispatched
-task), per-shard stability of the grouping, and intra-request
-parallelism across the pool.  Note that modulo sharding *strides* the id
-space — a shard's CSR rows are spread across the arrays, not contiguous;
-a future move to true data partitioning (per-shard sub-bundles) would
-swap this for range partitioning so each shard owns a row range.
+The service builds its router with one shard per worker, so fan-out is
+per worker: a splittable request costs each worker at most one message.
+Workers are *replicas* — each one maps the same bundle, so any worker
+can answer any part and correctness never depends on placement; what the
+partition buys is intra-request parallelism across the pool.  Modulo
+sharding *strides* the id space — a part's CSR rows are spread across
+the arrays, not contiguous; a future move to true data partitioning
+(per-worker sub-bundles) would swap this for range partitioning.
 
 The merge contract: :meth:`ShardRouter.scatter` records each entity's
 original position; :meth:`ShardRouter.gather` puts per-entity results
 back in request order.  The merged output is therefore identical to a
-single worker answering the unpartitioned request — sharding is invisible
-to clients.
+single worker answering the unpartitioned request — the partition is
+invisible to clients.
 """
 
 from __future__ import annotations
@@ -31,15 +30,13 @@ from repro.common import tracing
 from repro.common.rng import stable_hash
 from repro.serving.requests import Request, family_of, sub_request
 
-DEFAULT_NUM_SHARDS = 8
-
 
 class ShardRouter:
     """Hash-partitions entities over a fixed number of shards."""
 
     def __init__(
         self,
-        num_shards: int = DEFAULT_NUM_SHARDS,
+        num_shards: int,
         id_of: Callable[[str], int | None] | None = None,
     ) -> None:
         if num_shards <= 0:
@@ -88,9 +85,9 @@ class ShardRouter:
 
         The fan-out unit the dispatch submits to the pool: each returned
         ``(positions, sub_request)`` pair narrows the original request to
-        one shard's members (every other parameter carried verbatim), so
-        any replica can answer it and :meth:`gather` can merge the
-        per-entity results back into request order.  Raises ``TypeError``
+        one shard's (one worker's) members, every other parameter carried
+        verbatim, so any replica can answer it and :meth:`gather` can merge
+        the per-entity results back into request order.  Raises ``TypeError``
         for non-splittable request types — the policy lives in the
         request's family record, not here.
         """

@@ -26,16 +26,18 @@ only, so the legacy delegating wrappers can re-raise it).  Every request
 lands in per-type counters and bounded latency histograms surfaced by
 :meth:`stats`.
 
-Graceful degradation (``resilient=True``, the default): shard failures
-retry under the pool's :class:`RetryPolicy` on healthy replicas, and a
-shard that stays down past its budget *degrades* the response instead of
+Graceful degradation (``resilient=True``, the default): a splittable
+request fans out as one part per worker, and each part waits through
+the pool's one retry loop (:meth:`WorkerPool.resolve`: crashes,
+transient errors and truncated results retry on a healthy replica).  A
+part that stays down past its budget *degrades* the response instead of
 failing it — the envelope comes back ``status="degraded"`` with the
-healthy shards' results in place, ``None`` holes for the failed
+healthy parts' results in place, ``None`` holes for the failed
 entities, and the underlying error attached.  A fully-failed cacheable
 request falls back to the newest previous-generation answer
 (serve-stale-on-error, :meth:`QueryCache.get_stale`) before surfacing an
-error.  Per-shard circuit breakers fail persistent offenders fast;
-:meth:`health` aggregates breaker and fleet state for ``/healthz``.
+error.  The pool's circuit breaker fails a persistently failing fleet
+fast; :meth:`health` reports it with the fleet state for ``/healthz``.
 """
 
 from __future__ import annotations
@@ -75,14 +77,8 @@ from repro.serving.requests import (
     WalkRequest,
     family_of,
 )
-from repro.serving.resilience import (
-    OPEN,
-    CircuitBreaker,
-    RetryPolicy,
-    ShardResultError,
-    error_fields,
-)
-from repro.serving.router import DEFAULT_NUM_SHARDS, ShardRouter
+from repro.serving.resilience import OPEN, RetryPolicy, error_fields
+from repro.serving.router import ShardRouter
 from repro.serving.tenancy import TenantNotFound, TenantRegistry, TenantState
 from repro.serving.worker import WORKER_MODES, WorkerConfig, WorkerPool
 
@@ -93,12 +89,12 @@ _NO_LEASE = nullcontext(None)
 
 
 class PartialResultError(Exception):
-    """Some shards failed past their retry budget; the rest answered.
+    """Some parts failed past their retry budget; the rest answered.
 
     Raised by the scatter/gather path and caught by :meth:`serve`, which
     turns it into a ``degraded`` envelope: ``payload`` holds the merged
     results with ``None`` holes at the failed entities' positions, and
-    ``cause`` is the first shard's terminal exception.
+    ``cause`` is the first failed part's terminal exception.
     """
 
     def __init__(
@@ -119,7 +115,7 @@ class PartialResultError(Exception):
 
 
 class ServingService:
-    """Sharded, batched, cached KG serving over one snapshot bundle."""
+    """Fanned-out, batched, cached KG serving over one snapshot bundle."""
 
     def __init__(
         self,
@@ -127,7 +123,6 @@ class ServingService:
         *,
         mode: str = "inline",
         num_workers: int = 1,
-        num_shards: int = DEFAULT_NUM_SHARDS,
         tier: str = FULL_TIER,
         cache_capacity: int = 2048,
         batch_max_docs: int = 16,
@@ -143,7 +138,6 @@ class ServingService:
         if mode not in WORKER_MODES:
             raise ValueError(f"mode must be one of {WORKER_MODES}, got {mode!r}")
         self.tier = tier
-        self.num_shards = num_shards
         self.metrics = metrics or MetricsRegistry("serving")
         # resilient=False is the bare dispatch: no retries, no degradation,
         # no stale fallback — the control arm the overhead benchmark
@@ -157,7 +151,6 @@ class ServingService:
             metrics=self.metrics,
             stale_capacity=stale_capacity if resilient else 0,
         )
-        self._shard_breakers: dict[int, CircuitBreaker] = {}
         self._pool: WorkerPool | None = None
         self._router: ShardRouter | None = None
         # Bumped on every generation swap; serve() captures it up front
@@ -201,9 +194,11 @@ class ServingService:
         )
         previous, self._pool = self._pool, pool
         self._swap_epoch += 1
+        # One part per worker: a splittable request costs each worker at
+        # most one message, whatever its entity count.
         dictionary = pool.local_state.dictionary
         self._router = ShardRouter(
-            self.num_shards,
+            pool.num_workers,
             id_of=dictionary.get if dictionary is not None else None,
         )
         if previous is not None:
@@ -398,7 +393,7 @@ class ServingService:
                 self.metrics.incr("serve.swap_retries")
                 return self._serve_impl(request, tenant, swap_retries - 1)
             if isinstance(exc, PartialResultError):
-                # Graceful degradation: the healthy shards' answers go out
+                # Graceful degradation: the healthy parts' answers go out
                 # with None holes at the failed entities, plus the terminal
                 # error — a partial answer beats a 500 for a KG lookup.
                 self.metrics.incr("serve.degraded")
@@ -503,21 +498,6 @@ class ServingService:
                 payload = pool.submit(request).result()
         return payload
 
-    def _breakers(self) -> list[tuple[str, CircuitBreaker]]:
-        """Every circuit breaker by name: the pool's, then each shard's."""
-        assert self._pool is not None
-        shards = sorted(self._shard_breakers.items())
-        return [("pool", self._pool.breaker)] + [(f"shard:{n}", b) for n, b in shards]
-
-    def _shard_breaker(self, shard: int) -> CircuitBreaker:
-        """The (lazily created) circuit breaker guarding ``shard``."""
-        breaker = self._shard_breakers.get(shard)
-        if breaker is None:
-            breaker = self._shard_breakers.setdefault(
-                shard, CircuitBreaker(f"shard:{shard}", metrics=self.metrics)
-            )
-        return breaker
-
     def _execute_split(
         self,
         request: Request,
@@ -526,158 +506,79 @@ class ServingService:
         timings: dict[str, float],
         resilience: dict[str, float],
     ) -> list:
-        """Scatter a splittable request over shards, gather in order.
+        """Scatter a splittable request, one part per worker; gather in order.
 
         (version, pool, router) were captured by :meth:`serve`, so a
         generation swap mid-request can't split the fan-out across two
         snapshots or cache an old-fleet result under the new version.
 
-        Under ``resilient`` dispatch each shard resolves through the
-        pool's retry loop behind its own circuit breaker; shards that
-        stay down past the budget raise :class:`PartialResultError` with
-        the healthy results merged in place (the degraded envelope).
+        Every part is submitted before any is waited on.  ``resilient``
+        only picks the wait: the pool's retry loop, where a part that
+        stays down past the budget becomes ``None`` holes in a
+        :class:`PartialResultError` (the degraded envelope), or the bare
+        future, whose first failure fails the request.
         """
         with _stage(timings, "scatter_ms", "serve.scatter") as scatter_span:
             parts = router.scatter_request(request)
             scatter_span.set_attribute("shards", len(parts))
         self.metrics.incr("serve.shard_fanout", len(parts))
-        # Resilient fan-out submits everything up front (breaker-gated: a
-        # tripped shard fails fast instead of queueing doomed work), then
-        # resolves each shard under the retry budget.  Each shard gets its
-        # own (non-activated) span, activated piecewise around its submit
-        # and resolve windows so worker spans and retry events parent
-        # under the right shard without the shard spans nesting.
-        with _stage(timings, "compute_ms", "serve.compute"):
-            if self.resilient:
-                shard_results, failed, attempts_total = self._fan_out(parts, pool, router)
-            else:
-                futures = [(positions, pool.submit(part)) for positions, part in parts]
-                shard_results = [(positions, future.result()) for positions, future in futures]
-                failed, attempts_total = [], len(shard_results)
-        if attempts_total > len(shard_results):
-            resilience["attempts"] = float(attempts_total)
-        if not failed:
-            with _stage(timings, "gather_ms", "serve.gather"):
-                return ShardRouter.gather(len(request.entities), shard_results)
-        gather_started = time.perf_counter()
-        if not shard_results:
-            # Nothing answered: a plain error (serve() may still find a
-            # stale previous-generation result for it).
-            raise failed[0][1]
-        merged = [None] * len(request.entities)
-        for positions, results in shard_results:
-            for position, result in zip(positions, results):
-                merged[position] = result
-        failed_positions = sorted(
-            position for positions, _ in failed for position in positions
-        )
-        timings["gather_ms"] = _ms_since(gather_started)
-        raise PartialResultError(
-            merged, failed_positions, failed[0][1], attempts_total
-        )
-
-    def _fan_out(
-        self,
-        parts: list[tuple[list[int], Request]],
-        pool: WorkerPool,
-        router: ShardRouter,
-    ) -> tuple[
-        list[tuple[list[int], list]],
-        list[tuple[list[int], BaseException]],
-        int,
-    ]:
-        """Submit + resolve every shard part; ``(results, failures, attempts)``."""
         tracer = tracing.active()
-        pending: list[tuple[list[int], Request, CircuitBreaker, object, object]] = []
-        for positions, shard_request in parts:
-            shard = router.shard_of(shard_request.entities[0])
-            breaker = self._shard_breaker(shard)
-            shard_span = (
+        answered: list[tuple[list[int], list]] = []
+        failed: list[tuple[list[int], BaseException]] = []
+        attempts = 0
+        with _stage(timings, "compute_ms", "serve.compute"):
+            pool.breaker.check()
+            # Each part's span is activated only around its own submit and
+            # wait, so worker spans and retry events parent under the
+            # right part without the part spans nesting.
+            spans = [
                 tracer.start_span(
-                    "serve.shard",
-                    {"shard": shard, "entities": len(shard_request.entities)},
-                    activate=False,
+                    "serve.shard", {"entities": len(positions)}, activate=False
                 )
                 if tracer is not None
                 else None
-            )
+                for positions, _part in parts
+            ]
             try:
-                with tracing.using(shard_span):
-                    breaker.check()
-                    entry = pool.submit(shard_request)
-            except Exception as exc:  # CircuitOpenError, or a failed submit
-                entry = exc
-                if shard_span is not None:
-                    shard_span.set_attribute("error", type(exc).__name__)
-                    shard_span.finish()
-                    shard_span = None
-            pending.append((positions, shard_request, breaker, entry, shard_span))
-        shard_results: list[tuple[list[int], list]] = []
-        failed: list[tuple[list[int], BaseException]] = []
-        attempts_total = 0
-        for positions, shard_request, breaker, entry, shard_span in pending:
-            if isinstance(entry, BaseException):
-                failed.append((positions, entry))
-                continue
-            try:
-                with tracing.using(shard_span):
-                    result, attempts = self._resolve_shard(
-                        pool, shard_request, entry, breaker
-                    )
-            except Exception as exc:
-                failed.append((positions, exc))
-                if shard_span is not None:
-                    shard_span.set_attribute("error", type(exc).__name__)
-                    shard_span.finish()
-                continue
-            if shard_span is not None:
-                shard_span.set_attribute("attempts", attempts)
-                shard_span.finish()
-            attempts_total += attempts
-            shard_results.append((positions, result))
-        return shard_results, failed, attempts_total
-
-    def _resolve_shard(
-        self,
-        pool: WorkerPool,
-        shard_request: Request,
-        future,
-        breaker: CircuitBreaker,
-    ) -> tuple[list, int]:
-        """One shard's result under retry + breaker + length validation.
-
-        The pool's retry loop already covers crashes and transient
-        errors; this wrapper additionally validates the *shape* of a
-        nominally-successful result — a corrupt (truncated) shard
-        response is retryable too, because a healthy replica answers
-        correctly.  Outcomes feed the shard's breaker either way.
-        """
-        policy = pool.retry_policy
-        expected = len(shard_request.entities)
-        attempts = 0
-        while True:
-            try:
-                result, waited = pool.resolve(shard_request, future)
-            except Exception:
-                breaker.record_failure()
-                raise
-            attempts += waited
-            if len(result) == expected:
-                breaker.record_success()
-                return result, attempts
-            self.metrics.incr("serve.shard_corrupt")
-            tracing.event(
-                "shard.corrupt", returned=len(result), expected=expected
-            )
-            breaker.record_failure()
-            error = ShardResultError(
-                f"shard returned {len(result)} results for {expected} entities"
-            )
-            if attempts >= policy.max_attempts:
-                raise error
-            time.sleep(policy.backoff_s(attempts, key=repr(shard_request)))
-            breaker.check()
-            future = pool.submit(shard_request)
+                futures = []
+                for (_positions, part), span in zip(parts, spans):
+                    with tracing.using(span):
+                        futures.append(pool.submit(part))
+                for (positions, part), span, future in zip(parts, spans, futures):
+                    try:
+                        with tracing.using(span):
+                            if self.resilient:
+                                result, waited = pool.resolve(part, future)
+                            else:
+                                result, waited = future.result(), 1
+                    except Exception as exc:
+                        if span is not None:
+                            span.set_attribute("error", type(exc).__name__)
+                        if not self.resilient:
+                            raise
+                        failed.append((positions, exc))
+                        continue
+                    if span is not None:
+                        span.set_attribute("attempts", waited)
+                    attempts += waited
+                    answered.append((positions, result))
+            finally:
+                for span in spans:
+                    if span is not None:
+                        span.finish()
+        if attempts > len(answered):
+            resilience["attempts"] = float(attempts)
+        if not answered and failed:
+            # Nothing answered: a plain error (serve() may still find a
+            # stale previous-generation result for it).
+            raise failed[0][1]
+        holes = [(positions, [None] * len(positions)) for positions, _exc in failed]
+        with _stage(timings, "gather_ms", "serve.gather"):
+            merged = ShardRouter.gather(len(request.entities), answered + holes)
+        if failed:
+            failed_positions = sorted(p for positions, _ in failed for p in positions)
+            raise PartialResultError(merged, failed_positions, failed[0][1], attempts)
+        return merged
 
     def _execute_annotate(
         self, request: AnnotateRequest, pool: WorkerPool, timings: dict[str, float]
@@ -834,17 +735,15 @@ class ServingService:
     def health(self) -> dict[str, object]:
         """Liveness/readiness snapshot for the gateway's ``/healthz``.
 
-        ``healthy`` goes false when every circuit breaker is open — the
-        whole fleet is failing and callers should route elsewhere — or
-        when no worker is alive.  Individual open breakers (one bad
-        shard) keep the service healthy-but-degraded.
+        ``healthy`` goes false when the pool's circuit breaker is open —
+        the fleet is failing and callers should route elsewhere — or
+        when no worker is alive.
         """
         pool = self._pool
         assert pool is not None
-        breakers = {name: breaker.state for name, breaker in self._breakers()}
-        all_open = all(state == OPEN for state in breakers.values())
+        breaker = pool.breaker.state
         live = pool.live_workers()
-        healthy = live > 0 and not all_open
+        healthy = live > 0 and breaker != OPEN
         return {
             "healthy": healthy,
             "status": "ok" if healthy else "unhealthy",
@@ -853,7 +752,7 @@ class ServingService:
             "workers": pool.num_workers,
             "live_workers": live,
             "respawns": int(pool.stats().get("pool.executor_respawns", 0.0)),
-            "breakers": breakers,
+            "breakers": {"pool": breaker},
         }
 
     def stats(self) -> dict[str, float | str]:
@@ -873,10 +772,6 @@ class ServingService:
             for key, value in self._pool.stats().items()
             if key.startswith("pool.")
         )
-        for shard, breaker in sorted(self._shard_breakers.items()):
-            snap = breaker.snapshot()
-            out[f"serve.breaker.shard{shard}.state"] = snap["state"]
-            out[f"serve.breaker.shard{shard}.transitions"] = snap["transitions"]
         latency = self.metrics.histograms.get("serve.latency")
         out["serve.p50_s"] = latency.quantile(0.50) if latency is not None else 0.0
         out["serve.p95_s"] = latency.quantile(0.95) if latency is not None else 0.0
@@ -899,7 +794,6 @@ class ServingService:
             "serve.cache_misses": float(self._cache.misses),
             "serve.cache_evictions": float(self._cache.evictions),
             "serve.workers": float(pool.num_workers),
-            "serve.shards": float(self.num_shards),
             "serve.batch_pending": float(self._batcher.pending),
         }
         if self._tenants is not None:
@@ -952,14 +846,12 @@ class ServingService:
         )
         # Breaker state is categorical; expose it one-hot, the idiomatic
         # Prometheus encoding for state machines.
-        lines = ["# TYPE kg_breaker_state gauge"]
-        for name, breaker in self._breakers():
-            state = breaker.state
-            for candidate in ("closed", "open", "half_open"):
-                flag = 1 if candidate == state else 0
-                lines.append(
-                    f'kg_breaker_state{{breaker="{name}",state="{candidate}"}} {flag}'
-                )
+        state = self._pool.breaker.state
+        lines = ["# TYPE kg_breaker_state gauge"] + [
+            f'kg_breaker_state{{breaker="pool",state="{candidate}"}} '
+            f"{int(candidate == state)}"
+            for candidate in ("closed", "open", "half_open")
+        ]
         return body + "\n".join(lines) + "\n"
 
 

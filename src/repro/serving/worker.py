@@ -32,6 +32,9 @@ through all entities, which no partitioning could reproduce.)
 from __future__ import annotations
 
 import contextvars
+import os
+import signal
+import stat
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
@@ -41,7 +44,12 @@ from pathlib import Path
 from repro.common import tracing
 from repro.common.metrics import MetricsRegistry
 from repro.serving import faults
-from repro.serving.resilience import CircuitBreaker, RetryPolicy, is_retryable
+from repro.serving.resilience import (
+    CircuitBreaker,
+    RetryPolicy,
+    ShardResultError,
+    is_retryable,
+)
 from repro.serving.requests import TENANT_WRITE, Request, family_of
 from repro.serving.requests import entity_walk_seed as entity_walk_seed  # re-export
 
@@ -285,6 +293,9 @@ def _process_initializer(
     incarnation: int = 1,
 ) -> None:
     global _PROCESS_STATE
+    _close_inherited_sockets()
+    # The gateway routes SIGTERM into its own shutdown; a worker just dies.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     # Crashes in a subprocess worker must be real process deaths (the pool
     # then reports BrokenProcessPool, exactly like a segfault would).
     faults.mark_worker_process()
@@ -294,6 +305,31 @@ def _process_initializer(
         # scheduled crash can't wedge every respawn forever.
         faults.arm(plan.reseeded(incarnation))
     _PROCESS_STATE = WorkerState(bundle_dir, config)
+
+
+def _close_inherited_sockets() -> None:
+    """Drop this forked worker's copies of the parent's sockets.
+
+    The pool forks lazily, from whichever thread submits first (at boot,
+    after a generation swap, on respawn) — in a gateway, while client
+    connections are open.  A child holding a copy keeps that connection
+    alive after the gateway closes it, so the client never sees EOF.  The
+    pool's own channels are pipes, never sockets.  Each socket descriptor
+    is pointed at ``/dev/null`` rather than closed: its number stays
+    taken, so a copied socket object finalised in this child later
+    cannot close a descriptor the worker opened since.
+    """
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for name in os.listdir("/dev/fd"):
+            fd = int(name)
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd)
+            except OSError:
+                pass  # the listing's own descriptor, closed since
+    finally:
+        os.close(devnull)
 
 
 _COLLECTOR: tracing.Tracer | None = None
@@ -459,10 +495,11 @@ class WorkerPool:
     ``pool.latency``); :meth:`stats` flattens them for the facade.
 
     Supervision: :meth:`resolve` waits on a future under ``retry_policy``
-    — a retryable failure (worker crash, broken pool, transient I/O)
-    heals the executor (:meth:`ProcessExecutor.respawn`) and re-dispatches
-    until the budget runs out, while the pool-level :class:`CircuitBreaker`
-    trips after sustained failure so callers stop hammering a dead fleet.
+    — a retryable failure (worker crash, broken pool, transient I/O, a
+    truncated result) heals the executor (:meth:`ProcessExecutor.respawn`)
+    and re-dispatches until the budget runs out, while the pool-level
+    :class:`CircuitBreaker` trips after sustained failure so callers stop
+    hammering a dead fleet.
     Retries are safe because every request is a pure read over an
     immutable snapshot generation, and replacement replicas rebuild from
     the same pinned ``WorkerConfig`` — a retried answer is byte-identical
@@ -535,6 +572,9 @@ class WorkerPool:
     def resolve(self, request: Request, future: Future) -> tuple[list, int]:
         """Wait on ``future``, retrying under the policy; ``(result, attempts)``.
 
+        The serving stack's one retry loop.  A result shorter or longer
+        than the request's item count (a truncated reply) fails the
+        attempt as a retryable :class:`ShardResultError`, like a crash.
         Each failed attempt records into the breaker and heals the
         executor; past the budget (or on a non-retryable error) the last
         exception propagates to the caller's degradation path.  Waiting
@@ -542,12 +582,19 @@ class WorkerPool:
         turns a worker death into a retry instead of a client-visible 500.
         """
         policy = self.retry_policy
+        family = family_of(request)
+        expected = family.expected_items(request) if family is not None else None
         key = repr(request)
         attempts = 0
         while True:
             attempts += 1
             try:
                 result = future.result()
+                if expected is not None and len(result) != expected:
+                    self.metrics.incr("pool.corrupt_results")
+                    raise ShardResultError(
+                        f"worker returned {len(result)} results for {expected} items"
+                    )
             except BaseException as exc:
                 self.metrics.incr("pool.failures")
                 self.breaker.record_failure()

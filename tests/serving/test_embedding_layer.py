@@ -112,14 +112,14 @@ class TestKnnServing:
     def test_knn_request_is_shard_invariant(self, bundle_dir, symbols):
         entities, _triples = symbols
         results = []
-        for num_shards in (1, 5):
-            with ServingService(bundle_dir, num_shards=num_shards) as svc:
+        for mode, num_workers in (("thread", 1), ("thread", 3), ("process", 2)):
+            with ServingService(bundle_dir, mode=mode, num_workers=num_workers) as svc:
                 results.append(svc.serve(KnnRequest(entities=entities, k=5)).payload)
-        assert results[0] == results[1]
+        assert results[0] == results[1] == results[2]
 
     def test_served_knn_matches_backend_batch(self, bundle_dir, symbols):
         entities, _triples = symbols
-        with ServingService(bundle_dir, num_shards=4) as svc:
+        with ServingService(bundle_dir) as svc:
             served = svc.serve(KnnRequest(entities=entities, k=5)).payload
             suite = svc._pool.local_state.embedding_suite()
             direct = suite.embedding_service.knn_many(list(entities), k=5)

@@ -2,11 +2,17 @@
 
 import asyncio
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.serving.gateway import AsyncGateway, GatewayHTTPServer
 from repro.serving.protocol import (
     decode_response,
@@ -29,7 +35,7 @@ from repro.serving.service import ServingService
 
 @pytest.fixture(scope="module")
 def service(bundle_dir) -> ServingService:
-    svc = ServingService(bundle_dir, mode="inline", num_shards=4)
+    svc = ServingService(bundle_dir, mode="inline")
     yield svc
     svc.close()
 
@@ -454,3 +460,98 @@ class TestHTTPFrontDoor:
         assert decode_response(missing[1]).error.code == "bad_request"
         assert wrong_method[0] == b"HTTP/1.1 405 Method Not Allowed"
         assert decode_response(wrong_method[1]).error.code == "bad_request"
+
+
+def group_pids(pgid: int) -> list[int]:
+    """Live (non-zombie) processes in process group ``pgid``."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text(encoding="latin-1")
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state ppid pgrp ...
+        fields = stat[stat.rfind(")") + 2 :].split()
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+async def read_to_eof(host: str, port: int, request) -> bytes:
+    """POST ``request`` and read the reply up to EOF, within 5 s."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(post_query(encode_request(request)))
+        await writer.drain()
+        # A forked worker holding a copy of this connection would keep it
+        # open after the gateway closes it: no EOF, a timeout here.
+        return await asyncio.wait_for(reader.read(), timeout=5.0)
+    finally:
+        writer.close()
+
+
+class TestProcessModeLifecycle:
+    """Process-mode workers hold no gateway socket and die with it."""
+
+    def test_client_reading_to_eof_returns_after_boot_and_swap(
+        self, bundle_dir, seed_entities
+    ):
+        async def go(service):
+            gateway = AsyncGateway(service, max_concurrency=2, max_pending=8)
+            server = GatewayHTTPServer(gateway)
+            host, port = await server.start()
+            try:
+                # The first request forks the fleet, mid-connection.
+                booted = await read_to_eof(
+                    host, port, NeighborhoodRequest(entities=tuple(seed_entities[:2]))
+                )
+                # A swap builds a new fleet, which forks on its first request.
+                service.adopt_generation(bundle_dir)
+                swapped = await read_to_eof(
+                    host, port, NeighborhoodRequest(entities=tuple(seed_entities[2:4]))
+                )
+            finally:
+                await server.stop()
+                gateway.close()
+            return booted, swapped
+
+        with ServingService(bundle_dir, mode="process") as service:
+            for data in run(go(service)):
+                assert data.startswith(b"HTTP/1.1 200 OK")
+
+    def test_sigterm_leaves_no_process_in_the_group(self, bundle_dir, seed_entities, tmp_path):
+        log_path = tmp_path / "gateway.log"
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        with open(log_path, "wb") as log:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro.serving.gateway", str(bundle_dir),
+                 "--mode", "process", "--port", "0"],
+                stdin=subprocess.DEVNULL, stdout=log, stderr=subprocess.STDOUT,
+                env=env, start_new_session=True,
+            )
+        try:
+            port = 0
+            deadline = time.monotonic() + 60.0
+            while not port:
+                assert process.poll() is None, log_path.read_text()
+                assert time.monotonic() < deadline, "gateway did not start"
+                for line in log_path.read_text(errors="replace").splitlines():
+                    if '"server.started"' in line:
+                        port = json.loads(line)["port"]
+                time.sleep(0.02)
+            request = NeighborhoodRequest(entities=tuple(seed_entities[:2]))
+            data = run(read_to_eof("127.0.0.1", port, request))
+            assert data.startswith(b"HTTP/1.1 200 OK")
+            assert len(group_pids(process.pid)) >= 2  # the gateway and its worker
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0
+            deadline = time.monotonic() + 10.0
+            while group_pids(process.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert group_pids(process.pid) == []
+        finally:
+            if group_pids(process.pid):
+                os.killpg(process.pid, signal.SIGKILL)
+            process.wait(timeout=10)

@@ -22,7 +22,7 @@ def growing_world(tmp_path):
     kg = generate_kg(SyntheticKGConfig(seed=23, scale=0.05))
     bundle = tmp_path / "bundle"
     publisher = GenerationPublisher(kg.store, bundle)
-    service = ServingService(bundle, mode="inline", num_shards=2)
+    service = ServingService(bundle, mode="inline")
     yield kg.store, publisher, bundle, service
     service.close()
 

@@ -61,7 +61,7 @@ def _disarmed():
 
 @pytest.fixture(scope="module")
 def service(bundle_dir) -> ServingService:
-    svc = ServingService(bundle_dir, mode="inline", num_shards=4)
+    svc = ServingService(bundle_dir, mode="inline")
     yield svc
     svc.close()
 
@@ -227,7 +227,7 @@ class TestCrossProcessStitching:
     @pytest.fixture(scope="class")
     def process_service(self, bundle_dir):
         svc = ServingService(
-            bundle_dir, mode="process", num_workers=1, num_shards=2
+            bundle_dir, mode="process", num_workers=1
         )
         yield svc
         svc.close()

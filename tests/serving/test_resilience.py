@@ -277,14 +277,14 @@ class TestCircuitBreaker:
 
 class TestDegradation:
     def test_one_dead_shard_degrades_instead_of_failing(self, bundle_dir, seed_entities, monkeypatch):
-        with ServingService(bundle_dir, mode="inline", num_shards=4) as service:
+        with ServingService(bundle_dir, mode="thread", num_workers=3) as service:
             request = NeighborhoodRequest(entities=tuple(seed_entities[:8]), hops=1)
             healthy = service.serve(request)
             assert healthy.ok
 
-            # Pick a real shard and kill it deterministically: every
-            # sub-request containing its first entity fails, replicas or
-            # not — the retry budget must exhaust and degrade.
+            # Pick a real worker's part and kill it deterministically: every
+            # sub-request containing its entities fails, replicas or not —
+            # the retry budget must exhaust and degrade.
             router = service._router
             parts = router.scatter_request(request)
             dead_positions, dead_part = parts[0]
@@ -315,7 +315,7 @@ class TestDegradation:
             assert service.stats()["counter.serve.degraded"] >= 1.0
 
     def test_degraded_envelope_roundtrips_the_wire(self, bundle_dir, seed_entities, monkeypatch):
-        with ServingService(bundle_dir, mode="inline", num_shards=4) as service:
+        with ServingService(bundle_dir, mode="thread", num_workers=3) as service:
             request = RelatedRequest(entities=tuple(seed_entities[:6]), k=4)
             parts = service._router.scatter_request(request)
             dead = set(parts[0][1].entities)
@@ -337,7 +337,7 @@ class TestDegradation:
             assert decoded.resilience == response.resilience
 
     def test_full_failure_serves_stale_previous_generation(self, bundle_dir, seed_entities, monkeypatch):
-        with ServingService(bundle_dir, mode="inline", num_shards=2) as service:
+        with ServingService(bundle_dir, mode="inline") as service:
             request = NeighborhoodRequest(entities=tuple(seed_entities[:4]), hops=1)
             fresh = service.serve(request)
             assert fresh.ok
@@ -359,7 +359,7 @@ class TestDegradation:
 
     def test_bare_dispatch_skips_resilience(self, bundle_dir, seed_entities, monkeypatch):
         with ServingService(
-            bundle_dir, mode="inline", num_shards=2, resilient=False
+            bundle_dir, mode="inline", resilient=False
         ) as service:
             assert service.retry_policy.max_attempts == 1
             state = service._pool.local_state
@@ -374,14 +374,14 @@ class TestDegradation:
             request = NeighborhoodRequest(entities=tuple(seed_entities[:4]), hops=1)
             response = service.serve(request)
             assert not response.ok and response.status == "error"
-            assert len(calls) <= 2  # one per shard, no retries
+            assert len(calls) == 1  # one part for one worker, no retries
             monkeypatch.setattr(state, "_dispatch", original)
 
     def test_sustained_failure_trips_the_pool_breaker(self, bundle_dir, seed_entities):
         plan = FaultPlan(
             (FaultSpec(SITE_WORKER_EXECUTE, "io_error", rate=1.0),), seed=1
         )
-        with ServingService(bundle_dir, mode="inline", num_shards=2) as service:
+        with ServingService(bundle_dir, mode="inline") as service:
             request = NeighborhoodRequest(entities=tuple(seed_entities[:4]), hops=1)
             with armed(plan):
                 response = service.serve(request)
@@ -396,7 +396,7 @@ class TestDegradation:
             (FaultSpec(SITE_WORKER_RESULT, "corrupt", rate=0.6, max_injections=3),),
             seed=2,
         )
-        with ServingService(bundle_dir, mode="inline", num_shards=4) as service:
+        with ServingService(bundle_dir, mode="inline") as service:
             request = NeighborhoodRequest(entities=tuple(seed_entities[:8]), hops=1)
             healthy = service.serve(request)
             service._cache.clear()
@@ -405,7 +405,39 @@ class TestDegradation:
             assert plan.injections() > 0
             assert response.ok
             assert response.payload == healthy.payload
-            assert service.stats()["counter.serve.shard_corrupt"] >= 1.0
+            assert service.stats()["counter.pool.corrupt_results"] >= 1.0
+
+    def test_truncated_whole_request_results_are_retried(self, bundle_dir, sample_texts):
+        """Whole-request families validate their result length too: a
+        truncated worker reply is retried, never answered or cached."""
+        with ServingService(bundle_dir, mode="inline") as service:
+            suite = service._pool.local_state.embedding_suite()
+            dataset = suite.trained.dataset
+            triples = [dataset.decode(*map(int, row)) for row in dataset.triples[:3]]
+            pairs = tuple(zip(dataset.entities[:3], dataset.entities[3:6]))
+            requests = [
+                SimilarityRequest(pairs=pairs),
+                VerifyRequest(candidates=tuple(triples)),
+                AnnotateRequest(texts=tuple(sample_texts[:3])),
+            ]
+            healthy = [encode_response(service.serve(r)) for r in requests]
+            service._cache.clear()
+            for request, expected in zip(requests, healthy):
+                plan = FaultPlan(
+                    (FaultSpec(SITE_WORKER_RESULT, "corrupt", rate=1.0, max_injections=1),),
+                    seed=5,
+                )
+                with armed(plan):
+                    response = service.serve(request)
+                assert plan.injections() == 1
+                assert response.ok, type(request).__name__
+                assert decode_response(encode_response(response)).payload == (
+                    decode_response(expected).payload
+                ), type(request).__name__
+                if request.cacheable():
+                    cached = service._cache.get(service.store_version, request)
+                    assert cached == response.payload, type(request).__name__
+            assert service.stats()["counter.pool.corrupt_results"] == 3.0
 
 
 # -- batcher poison isolation ---------------------------------------------------
@@ -516,7 +548,7 @@ class TestGatewayResilience:
                 gateway._pending = 0
                 gateway.close()
 
-        with ServingService(bundle_dir, mode="inline", num_shards=2) as service:
+        with ServingService(bundle_dir, mode="inline") as service:
             asyncio.run(scenario(service))
 
     def test_healthz_reports_fleet_and_breakers(self, bundle_dir):
@@ -546,7 +578,7 @@ class TestGatewayResilience:
                 await server.stop()
                 gateway.close()
 
-        with ServingService(bundle_dir, mode="inline", num_shards=2) as service:
+        with ServingService(bundle_dir, mode="inline") as service:
             asyncio.run(scenario(service))
 
 
@@ -566,7 +598,7 @@ async def _http_get(host: str, port: int, path: str) -> tuple[str, bytes]:
 class TestChaosInvariant:
     @pytest.fixture(scope="class")
     def healthy_payloads(self, bundle_dir, seed_entities, sample_texts):
-        with ServingService(bundle_dir, mode="inline", num_shards=4) as service:
+        with ServingService(bundle_dir, mode="inline") as service:
             workload = mixed_workload(service, seed_entities, sample_texts)
             responses = [service.serve(request) for request in workload]
             assert all(response.ok for response in responses)
@@ -588,7 +620,6 @@ class TestChaosInvariant:
                 bundle_dir,
                 mode="process",
                 num_workers=2,
-                num_shards=4,
                 cache_capacity=1,  # no cache assists: every answer recomputed
             ) as service:
                 responses = [service.serve(request) for request in workload]
@@ -608,7 +639,7 @@ class TestChaosInvariant:
         import signal
 
         with ServingService(
-            bundle_dir, mode="process", num_workers=1, num_shards=2
+            bundle_dir, mode="process", num_workers=1
         ) as service:
             request = NeighborhoodRequest(entities=tuple(seed_entities[:4]), hops=1)
             before = service.serve(request)
@@ -641,7 +672,6 @@ class TestChaosInvariant:
                     bundle_dir,
                     mode=mode,
                     num_workers=2,
-                    num_shards=4,
                     cache_capacity=1,
                 ) as service:
                     responses = [service.serve(request) for request in workload]

@@ -24,7 +24,7 @@ from repro.serving.worker import entity_walk_seed
 
 @pytest.fixture(scope="module")
 def service(bundle_dir) -> ServingService:
-    svc = ServingService(bundle_dir, mode="inline", num_shards=4)
+    svc = ServingService(bundle_dir, mode="inline")
     yield svc
     svc.close()
 
@@ -32,8 +32,8 @@ def service(bundle_dir) -> ServingService:
 class TestTraversalServing:
     def test_walks_are_shard_invariant(self, bundle_dir, seed_entities):
         results = []
-        for num_shards in (1, 3, 8):
-            with ServingService(bundle_dir, num_shards=num_shards) as svc:
+        for mode, num_workers in (("thread", 1), ("thread", 3), ("process", 2)):
+            with ServingService(bundle_dir, mode=mode, num_workers=num_workers) as svc:
                 results.append(svc.random_walks(seed_entities, seed=7))
         assert results[0] == results[1] == results[2]
 
@@ -146,7 +146,7 @@ class TestGenerationAdoption:
 
 class TestStatsSurface:
     def test_stats_keys(self, bundle_dir, seed_entities, sample_texts):
-        with ServingService(bundle_dir, num_shards=4) as svc:
+        with ServingService(bundle_dir) as svc:
             svc.random_walks(seed_entities[:4])
             svc.annotate(sample_texts[0])
             stats = svc.stats()
@@ -154,14 +154,14 @@ class TestStatsSurface:
         assert stats["hist.serve.latency.count"] == 2.0
         assert stats["serve.workers"] == 1.0
         assert stats["serve.mode"] == "inline"
-        assert stats["serve.shards"] == 4.0
         assert 0.0 <= stats["serve.cache_hit_rate"] <= 1.0
         assert stats["serve.store_version"] == float(svc.store_version)
 
     def test_shard_fanout_counter(self, bundle_dir, seed_entities):
-        with ServingService(bundle_dir, num_shards=4) as svc:
+        with ServingService(bundle_dir) as svc:
             svc.random_walks(seed_entities)
-            assert 1 <= svc.metrics.counters["serve.shard_fanout"] <= 4
+            # One worker, one part: the fan-out unit is the worker.
+            assert svc.metrics.counters["serve.shard_fanout"] == 1
 
 
 @pytest.fixture(scope="module")
@@ -248,14 +248,14 @@ class TestServeDispatch:
         _entities, predicate, triples = embed_symbols
         subjects = tuple(sorted({s for s, _p, _o in triples}))
         results = []
-        for num_shards in (1, 5):
-            with ServingService(bundle_dir, num_shards=num_shards) as svc:
+        for mode, num_workers in (("thread", 1), ("thread", 3), ("process", 2)):
+            with ServingService(bundle_dir, mode=mode, num_workers=num_workers) as svc:
                 results.append(
                     svc.serve(
                         FactRankRequest(entities=subjects, predicate=predicate)
                     ).payload
                 )
-        assert results[0] == results[1]
+        assert results[0] == results[1] == results[2]
 
 
 class TestAnnotationTiers:
@@ -360,7 +360,7 @@ class TestCacheWarming:
 
 class TestPerTypeStats:
     def test_per_request_type_counters_and_p95(self, bundle_dir, seed_entities, sample_texts):
-        with ServingService(bundle_dir, num_shards=4) as svc:
+        with ServingService(bundle_dir) as svc:
             svc.random_walks(seed_entities[:4])
             svc.random_walks(seed_entities[:4], seed=1)
             svc.annotate(sample_texts[0])
