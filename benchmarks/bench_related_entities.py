@@ -3,12 +3,14 @@
 Paper claim (§2): for the related-entities task, *specialized* embeddings
 from graph-engine pre-computed traversals beat reusing the generic KG
 embeddings.  We compare precision/recall@10 of the two backends against
-generator ground truth and time a ``related`` call.
+generator ground truth and time a ``related`` call.  The traversal backend
+uses the recipe every serving worker builds (``WorkerConfig``).
 """
 
 import pytest
 
-from benchmarks.conftest import record_result
+from benchmarks.conftest import SCALE, record_result
+from repro.serving.worker import WorkerConfig
 from repro.services.related_entities import (
     EmbeddingRelatedEntities,
     TraversalRelatedEntities,
@@ -22,8 +24,14 @@ def backends(bench_kg, bench_trained):
     generic = EmbeddingRelatedEntities(
         EmbeddingService(bench_trained.trained), bench_kg.store
     )
+    served = WorkerConfig()
     specialized = TraversalRelatedEntities(
-        bench_kg.store, dim=32, walk_length=8, walks_per_entity=8, seed=3
+        bench_kg.store,
+        dim=served.related_dim,
+        walk_length=served.related_walk_length,
+        walks_per_entity=served.related_walks_per_entity,
+        window=served.related_window,
+        seed=served.related_seed,
     )
     return {"generic-kge": generic, "traversal-specialized": specialized}
 
@@ -45,6 +53,7 @@ def test_related_entities_quality(benchmark, bench_kg, backends, name):
         "F2-rel",
         {
             "backend": name,
+            "scale": SCALE,
             "precision_at_5": round(at_5.precision_at_k, 3),
             "recall_at_5": round(at_5.recall_at_k, 3),
             "precision_at_10": round(at_10.precision_at_k, 3),

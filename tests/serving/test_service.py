@@ -9,6 +9,7 @@ from repro.serving.requests import (
     FactRankRequest,
     FactRankResponse,
     KnnRequest,
+    RelatedRequest,
     SimilarityRequest,
     VerifyRequest,
     WalkRequest,
@@ -22,6 +23,22 @@ from repro.serving.service import (
 from repro.serving.worker import entity_walk_seed
 
 
+# Every worker mode and count must give byte-identical payloads: walk
+# seeds and every helper build (the related-entities vectors included)
+# are deterministic per bundle, in and across processes.
+WORKER_LAYOUTS = (("inline", 1), ("thread", 1), ("thread", 3), ("process", 2))
+
+
+def payloads_per_layout(bundle_dir, request) -> list:
+    payloads = []
+    for mode, num_workers in WORKER_LAYOUTS:
+        with ServingService(bundle_dir, mode=mode, num_workers=num_workers) as svc:
+            response = svc.serve(request)
+            assert response.ok, response.error
+            payloads.append(response.payload)
+    return payloads
+
+
 @pytest.fixture(scope="module")
 def service(bundle_dir) -> ServingService:
     svc = ServingService(bundle_dir, mode="inline")
@@ -31,11 +48,16 @@ def service(bundle_dir) -> ServingService:
 
 class TestTraversalServing:
     def test_walks_are_shard_invariant(self, bundle_dir, seed_entities):
-        results = []
-        for mode, num_workers in (("thread", 1), ("thread", 3), ("process", 2)):
-            with ServingService(bundle_dir, mode=mode, num_workers=num_workers) as svc:
-                results.append(svc.random_walks(seed_entities, seed=7))
-        assert results[0] == results[1] == results[2]
+        payloads = payloads_per_layout(
+            bundle_dir, WalkRequest(entities=tuple(seed_entities), seed=7)
+        )
+        assert all(payload == payloads[0] for payload in payloads)
+
+    def test_related_is_shard_invariant(self, bundle_dir, serving_kg):
+        entities = tuple(sorted(serving_kg.store.entity_ids())[::9])
+        payloads = payloads_per_layout(bundle_dir, RelatedRequest(entities=entities, k=5))
+        assert any(payloads[0])
+        assert all(payload == payloads[0] for payload in payloads)
 
     def test_walks_match_cold_engine_contract(self, service, bundle_dir, seed_entities):
         from repro.kg.persistence import load_snapshot
@@ -247,15 +269,10 @@ class TestServeDispatch:
     def test_splittable_requests_are_shard_invariant(self, bundle_dir, embed_symbols):
         _entities, predicate, triples = embed_symbols
         subjects = tuple(sorted({s for s, _p, _o in triples}))
-        results = []
-        for mode, num_workers in (("thread", 1), ("thread", 3), ("process", 2)):
-            with ServingService(bundle_dir, mode=mode, num_workers=num_workers) as svc:
-                results.append(
-                    svc.serve(
-                        FactRankRequest(entities=subjects, predicate=predicate)
-                    ).payload
-                )
-        assert results[0] == results[1] == results[2]
+        payloads = payloads_per_layout(
+            bundle_dir, FactRankRequest(entities=subjects, predicate=predicate)
+        )
+        assert all(payload == payloads[0] for payload in payloads)
 
 
 class TestAnnotationTiers:
