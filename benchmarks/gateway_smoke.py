@@ -7,10 +7,12 @@ exercises mmap adoption rather than training — boots the asyncio HTTP
 front door on an ephemeral port and issues one wire request per protocol
 type — walks,
 neighborhoods, related entities, annotation, fact ranking, verification,
-similarity and k-NN — plus a malformed-JSON and a wrong-schema-version
+similarity and k-NN — twice, plus a malformed-JSON and a wrong-schema-version
 probe.  Every answer must be a well-formed response envelope: ``ok`` with
 a payload for the real requests, a structured error (never a traceback)
-for the probes.  Exits non-zero on any violation.
+for the probes.  Each repeat must be a cache hit (``cached: true``) whose
+raw payload bytes equal the first answer's.  Exits non-zero on any
+violation.
 
 Run directly (CI does): ``PYTHONPATH=src python benchmarks/gateway_smoke.py``
 """
@@ -70,6 +72,13 @@ async def http_get(host: str, port: int, path: str) -> tuple[str, str, bytes]:
     head, _, payload = raw.partition(b"\r\n\r\n")
     lines = head.split(b"\r\n")
     return lines[0].decode("latin-1"), head.decode("latin-1"), payload
+
+
+def payload_bytes(body: bytes) -> bytes:
+    """The raw ``payload`` value of a sorted-key ok envelope: after the
+    ``"payload"`` key, up to the ``"protocol"`` key that follows it."""
+    start = body.index(b'"payload": ') + len(b'"payload": ')
+    return body[start : body.rindex(b', "protocol": ')]
 
 
 # Every Prometheus series the serving stack promises after one request of
@@ -182,7 +191,21 @@ async def smoke(service: ServingService) -> list[str]:
             if response.payload is None or "total_ms" not in response.timings:
                 failures.append(f"{name}: envelope missing payload/timings")
                 continue
-            print(f"  ok  {name:<22} total_ms={response.timings['total_ms']:.2f}")
+            # The same request again is a cache hit, answered on the event
+            # loop with the entry's spliced payload JSON: the payload bytes
+            # on the wire must be the miss's, byte for byte.
+            hit_status, hit_body = await http_post(
+                host, port, "/v1/query", encode_request(request)
+            )
+            hit = decode_response(hit_body)
+            if hit_status != "HTTP/1.1 200 OK" or not hit.ok or not hit.cached:
+                failures.append(f"{name}: repeat was not a cache hit ({hit_status})")
+                continue
+            if payload_bytes(hit_body) != payload_bytes(body):
+                failures.append(f"{name}: cache-hit payload bytes differ from the miss's")
+                continue
+            print(f"  ok  {name:<22} total_ms={response.timings['total_ms']:.2f}, "
+                  f"hit {hit.timings['total_ms']:.2f} (payload bytes identical)")
 
         # After all eight types answered, the /metrics scrape must be
         # parseable Prometheus text carrying every promised series.

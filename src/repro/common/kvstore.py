@@ -102,6 +102,11 @@ class MemoryKVStore(KVStore):
         with self._lock:
             return self._data.pop(key, _MISSING) is not _MISSING
 
+    def pop(self, key: str, default: Any = None) -> Any:
+        """Remove and return ``key``'s value (no hit/miss accounting)."""
+        with self._lock:
+            return self._data.pop(key, default)
+
     def clear(self) -> None:
         with self._lock:
             self._data.clear()

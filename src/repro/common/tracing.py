@@ -829,7 +829,9 @@ class using:
     The fan-out pattern: one shard span is activated around its submit
     window and again around its resolve window, so worker spans and
     retry events parent under the right shard without the shard spans
-    nesting into each other.
+    nesting into each other.  The same holds for a ``serve.request``
+    span the gateway opens on its event loop and an executor thread
+    continues (``ServingService.probe``/``serve``).
 
     Class-based rather than ``@contextmanager``: it brackets every
     shard's submit and resolve windows on the serving hot path, and a
@@ -845,8 +847,12 @@ class using:
 
     def __enter__(self) -> Any:
         span_obj = self._span
-        if span_obj is not None and span_obj.recording:
-            self._token = _CURRENT.set(span_obj)
+        if span_obj is not None:
+            if span_obj.recording:
+                self._token = _CURRENT.set(span_obj)
+            elif type(span_obj) is _SuppressedSpan:
+                # An unsampled root keeps its whole subtree no-op.
+                self._token = _CURRENT.set(_SUPPRESSED)
         return span_obj
 
     def __exit__(self, *exc_info: Any) -> None:

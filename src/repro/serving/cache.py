@@ -16,7 +16,11 @@ the registry only records generation invalidations.
 
 Cached values are returned by reference and must be treated as read-only
 — the serving facade hands them straight to clients, exactly like the
-mmap-backed arrays underneath.
+mmap-backed arrays underneath.  Each live entry is a :class:`CacheEntry`:
+the payload plus, once a hit has been encoded, the payload's wire JSON,
+so a repeated hit splices those bytes into its envelope instead of
+re-encoding the payload.  The wire JSON lives and dies with its entry:
+eviction, demotion to the stale store and a generation purge all drop it.
 
 Serve-stale-on-error: when a generation swap demotes entries, the most
 recent result per request survives in a bounded *stale* store instead of
@@ -35,6 +39,21 @@ from repro.common.kvstore import MemoryKVStore
 from repro.common.metrics import MetricsRegistry
 
 _SENTINEL = object()
+
+
+class CacheEntry:
+    """One live cache entry: the result and its lazily filled wire JSON.
+
+    ``wire`` is ``None`` until the first hit on the entry is encoded;
+    :func:`~repro.serving.protocol.encode_response` then stores the
+    payload's canonical JSON (UTF-8 bytes) here for every later hit.
+    """
+
+    __slots__ = ("payload", "wire")
+
+    def __init__(self, payload: Any) -> None:
+        self.payload = payload
+        self.wire: bytes | None = None
 
 
 class QueryCache:
@@ -76,8 +95,9 @@ class QueryCache:
     def _family(request: Hashable) -> str:
         return getattr(type(request), "wire_type", None) or type(request).__name__
 
-    def get(self, version: int, request: Hashable, tenant=None) -> Any:
-        """The cached result, or ``None`` on a miss.
+    def get(self, version: int, request: Hashable, tenant=None) -> CacheEntry | None:
+        """The :class:`CacheEntry` (the result and its memoised wire JSON),
+        or ``None`` on a miss.
 
         ``tenant`` is a ``(tenant_id, tenant_version)`` pair scoping the
         entry to one tenant overlay generation, or ``None`` for the
@@ -87,13 +107,12 @@ class QueryCache:
         counters land in the registry (``cache.hits.<wire_type>`` /
         ``cache.misses.<wire_type>``) for the /metrics exposition.
         """
-        value = self._store.get((version, tenant, request), _SENTINEL)
+        entry = self._store.get((version, tenant, request))
         family = self._family(request)
-        if value is _SENTINEL:
-            self.metrics.incr(f"cache.misses.{family}")
-            return None
-        self.metrics.incr(f"cache.hits.{family}")
-        return value
+        self.metrics.incr(
+            f"cache.misses.{family}" if entry is None else f"cache.hits.{family}"
+        )
+        return entry
 
     def put(self, version: int, request: Hashable, value: Any, tenant=None) -> None:
         """Insert a result, evicting the least-recently-used past capacity.
@@ -110,7 +129,7 @@ class QueryCache:
             self.metrics.incr("cache.swap_races")
             self._demote(version, request, value, tenant)
             return
-        self._store.put((version, tenant, request), value)
+        self._store.put((version, tenant, request), CacheEntry(value))
 
     def _demote(self, version: int, request: Hashable, value: Any, tenant=None) -> None:
         """Move one entry into the stale store if it is the newest there."""
@@ -199,17 +218,17 @@ class QueryCache:
 
         Dropped entries are *demoted*, not lost: the newest result per
         request moves into the bounded stale store for
-        serve-stale-on-error (:meth:`get_stale`).
+        serve-stale-on-error (:meth:`get_stale`), without its wire JSON.
+        The sweep neither counts as hits nor refreshes LRU order.
         """
         self._adopted_version = version
         dropped = 0
         for _sweep in range(2):
             stale = [key for key in self._store.keys() if key[0] != version]
             for key in stale:
-                value = self._store.get(key, _SENTINEL)
-                if value is not _SENTINEL:
-                    self._demote(key[0], key[2], value, key[1])
-                self._store.delete(key)
+                found = self._store.pop(key, _SENTINEL)
+                if found is not _SENTINEL:
+                    self._demote(key[0], key[2], found.payload, key[1])
             dropped += len(stale)
             if not stale:
                 break

@@ -11,14 +11,23 @@ knowledge-based service):
   gateway at once; request ``max_pending + 1`` is *rejected immediately*
   with an ``overloaded`` error envelope instead of queueing without
   bound (backpressure the client can see and retry against);
-* **concurrency cap** — of the admitted requests, at most
+* **cache hits on the event loop** — after the fault point, the reject
+  check and the shed check, a shared-scope request is probed against
+  the query cache right on the loop (:meth:`ServingService.probe`).  A
+  hit is answered there, with no executor slot and no thread hand-off;
+  a miss carries its probe on to the executor, so it is probed and
+  counted once (one cancelled before it reaches a thread is finished
+  ``unavailable`` by :meth:`ServingService.abandon`).  Tenant-scoped
+  requests and non-cacheable families always take the executor;
+* **concurrency cap** — of the admitted misses, at most
   ``max_concurrency`` execute on the facade simultaneously (one executor
   thread each, bridging the pool's futures to awaitables); the rest
   await a semaphore;
-* **per-request deadline** — an admitted request that exceeds its
-  deadline resolves to a ``deadline_exceeded`` envelope (the worker's
-  in-flight computation finishes and is discarded; with a cacheable
-  request its result still lands in the query cache for the retry);
+* **per-request deadline** — a request on the executor path that
+  exceeds its deadline resolves to a ``deadline_exceeded`` envelope (the
+  worker's in-flight computation finishes and is discarded; with a
+  cacheable request its result still lands in the query cache for the
+  retry).  Loop-served hits take no deadline;
 * **load shedding** — past ``shed_fraction`` of the pending budget the
   gateway starts rejecting the *cheap-to-recompute* request classes
   (graph walks, neighborhoods, similarity — pure reads a client retries
@@ -35,9 +44,10 @@ Entry points:
   yielded in request order as they complete (streaming batch);
 * :class:`GatewayHTTPServer` — a minimal stdlib ``asyncio`` HTTP/1.1
   server speaking the JSON wire protocol (:mod:`repro.serving.protocol`):
-  ``POST /v1/query`` with a request envelope body, plus ``GET /healthz``
-  and ``GET /stats``.  ``python -m repro.serving.gateway <bundle>`` boots
-  it — the repo is drivable with ``curl``.
+  ``POST /v1/query`` with a request envelope body, plus ``GET /healthz``,
+  ``GET /stats``, ``GET /metrics`` and ``GET /debug/traces``.
+  ``python -m repro.serving.gateway <bundle>`` boots it — the repo is
+  drivable with ``curl``.
 
 Every failure crosses the boundary as a structured error envelope; raw
 tracebacks stay in the server process.
@@ -77,7 +87,7 @@ from repro.serving.requests import (
     Response,
     family_of,
 )
-from repro.serving.service import ServingService
+from repro.serving.service import Probe, ServingService
 
 DEFAULT_MAX_CONCURRENCY = 8
 DEFAULT_MAX_PENDING = 64
@@ -253,7 +263,20 @@ class AsyncGateway:
                 f"({self._pending}/{self.max_pending} pending)",
                 timings={"total_ms": _ms_since(started)},
             )
-        return await self._admitted(request, deadline_s, tenant, started=started)
+        probe = None
+        if tenant is None:
+            # Shared scope: probe the query cache here on the loop.  A hit
+            # is answered without an executor slot or a thread hand-off; a
+            # miss carries its probe along, so it is probed and counted
+            # once.  (A tenant lease may cold-attach from disk, so tenant
+            # reads always take the executor.)
+            probe = self.service.probe(request)
+            if probe.response is not None:
+                self.metrics.incr("gateway.requests")
+                return probe.response
+        return await self._admitted(
+            request, deadline_s, tenant, started=started, probe=probe
+        )
 
     async def _admitted(
         self,
@@ -262,6 +285,7 @@ class AsyncGateway:
         tenant: str | None = None,
         *,
         started: float | None = None,
+        probe: Probe | None = None,
     ) -> Response:
         """The post-admission path (streaming batches enter here directly:
         a pull-based caller self-throttles, so queue-full rejection would
@@ -271,6 +295,7 @@ class AsyncGateway:
         deadline = deadline_s if deadline_s is not None else self.default_deadline_s
         self._pending += 1
         self.metrics.incr("gateway.requests")
+        submitted = False
         try:
             semaphore = self._admission()
             # acquire() sits inside the try: a caller cancelled while
@@ -287,7 +312,9 @@ class AsyncGateway:
             deferred_release = False
             try:
                 loop = asyncio.get_running_loop()
-                call = functools.partial(self.service.serve, request, tenant=tenant)
+                call = functools.partial(
+                    self.service.serve, request, tenant=tenant, probe=probe
+                )
                 if tracing.active() is not None:
                     # Executor threads do not inherit this task's
                     # contextvars; carry the gateway span across so the
@@ -298,8 +325,11 @@ class AsyncGateway:
                     )
                 else:
                     future = loop.run_in_executor(self._executor, call)
+                submitted = True
+                # Shielded: once handed to a thread the call always runs
+                # (and finishes its probe), even if this caller is gone.
                 if deadline is None:
-                    return await future
+                    return await asyncio.shield(future)
                 try:
                     return await asyncio.wait_for(asyncio.shield(future), deadline)
                 except asyncio.TimeoutError:
@@ -326,6 +356,10 @@ class AsyncGateway:
                     semaphore.release()
         finally:
             self._pending -= 1
+            if probe is not None and not submitted:
+                # Cancelled while queued for a slot, or the bridge is
+                # closed: serve() will never see this counted miss.
+                self.service.abandon(probe, request)
 
     async def serve_stream(
         self,

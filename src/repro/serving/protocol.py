@@ -354,6 +354,12 @@ def encode_response(response: Response) -> bytes:
 
     The in-process ``exception`` field never crosses the wire — clients
     see only the structured error envelope.
+
+    A cache hit's payload is encoded once per cache entry: the first
+    encode stores the payload's JSON on the entry
+    (:class:`~repro.serving.cache.CacheEntry`), and every encode of a hit
+    splices those bytes in where ``"payload"`` sorts among the envelope
+    keys.  The bytes equal ``json.dumps(envelope, sort_keys=True)``.
     """
     envelope: dict[str, Any] = {
         "protocol": PROTOCOL_VERSION,
@@ -371,8 +377,17 @@ def encode_response(response: Response) -> bytes:
         envelope["trace_id"] = response.trace_id
     # Degraded envelopes carry BOTH: the usable (partial/stale) payload
     # and the structured error explaining what degraded.
+    wire = None
     if response.status in (STATUS_OK, STATUS_DEGRADED):
-        envelope["payload"] = payload_to_wire(response.request_type, response.payload)
+        entry = response.cache_entry
+        if entry is None:
+            envelope["payload"] = payload_to_wire(response.request_type, response.payload)
+        else:
+            wire = entry.wire
+            if wire is None:
+                wire = entry.wire = json.dumps(
+                    payload_to_wire(response.request_type, entry.payload), sort_keys=True
+                ).encode("utf-8")
     if response.status != STATUS_OK:
         error = response.error or ErrorInfo("internal", "request failed")
         envelope["error"] = {
@@ -381,7 +396,16 @@ def encode_response(response: Response) -> bytes:
             "retryable": error.retryable,
             "exception_type": error.exception_type,
         }
-    return json.dumps(envelope, sort_keys=True).encode("utf-8")
+    text = json.dumps(envelope, sort_keys=True)
+    if wire is None:
+        return text.encode("utf-8")
+    # "protocol" is always present and is the first key after "payload"
+    # in sorted order; a quote inside any string value is escaped, so the
+    # first match is the key itself.
+    cut = text.index(', "protocol": ')
+    return b"".join(
+        (text[:cut].encode("utf-8"), b', "payload": ', wire, text[cut:].encode("utf-8"))
+    )
 
 
 def decode_response(data: bytes | str) -> Response:

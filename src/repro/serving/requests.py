@@ -291,9 +291,12 @@ class ErrorInfo:
 #: The stable ``Response.timings`` key vocabulary.  Every value is
 #: wall-clock milliseconds measured by the server:
 #:
-#: - ``total_ms`` — end-to-end time inside ``KGService.serve`` (or, for
-#:   gateway-minted rejection envelopes, inside the gateway).  Present on
-#:   **every** response: ok, degraded, cached, stale and error alike.
+#: - ``total_ms`` — end-to-end time inside the service: inside
+#:   ``ServingService.serve``, or inside ``ServingService.probe`` for a
+#:   hit the gateway answers on its event loop (for gateway-minted
+#:   rejection envelopes, inside the gateway).  A miss's wait for an
+#:   executor slot is never part of it.  Present on **every** response:
+#:   ok, degraded, cached, stale and error alike.
 #: - ``cache_ms`` — cache key build + lookup (cacheable requests only).
 #: - ``scatter_ms`` — request split into per-worker parts (split path).
 #: - ``compute_ms`` — worker execution: the whole fan-out window on the
@@ -331,6 +334,11 @@ class Response:
     from a previous generation's cache) — empty on the clean path.  A
     ``degraded`` response carries *both* a usable payload and an
     ``error`` explaining what is missing or stale.
+
+    ``cache_entry`` is the live :class:`~repro.serving.cache.CacheEntry`
+    a hit was answered from: the codec splices the entry's memoised
+    payload JSON into the envelope instead of re-encoding the payload.
+    Like ``exception``, it never crosses the wire.
     """
 
     request_type: str
@@ -343,6 +351,7 @@ class Response:
     exception: BaseException | None = None
     resilience: dict[str, Any] = field(default_factory=dict)
     trace_id: str = ""
+    cache_entry: Any = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:

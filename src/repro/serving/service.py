@@ -114,6 +114,31 @@ class PartialResultError(Exception):
         self.attempts = attempts
 
 
+class Probe:
+    """One request as :meth:`ServingService.probe` first saw it.
+
+    Holds the generation the request is served under (``epoch``,
+    ``pool``, ``router``, ``version``), its ``timings`` so far, its
+    ``serve.request`` span (``None`` disarmed) and ``response``: the
+    finished envelope when the probe alone answered (a cache hit, an
+    unsupported type), else ``None`` until :meth:`ServingService.serve`
+    answers it.
+    """
+
+    __slots__ = (
+        "family", "span", "started", "timings", "cacheable", "response",
+        "epoch", "pool", "router", "version",
+    )
+
+    def __init__(self, family: RequestFamily | None, span) -> None:
+        self.family = family
+        self.span = span
+        self.started = time.perf_counter()
+        self.timings: dict[str, float] = {}
+        self.cacheable = False
+        self.response: Response | None = None
+
+
 class ServingService:
     """Fanned-out, batched, cached KG serving over one snapshot bundle."""
 
@@ -254,7 +279,12 @@ class ServingService:
     # -- the uniform dispatch --------------------------------------------------
 
     def serve(
-        self, request: Request, *, tenant: str | None = None, _swap_retries: int = 2
+        self,
+        request: Request,
+        *,
+        tenant: str | None = None,
+        probe: Probe | None = None,
+        _swap_retries: int = 2,
     ) -> Response:
         """Answer any request with a typed response envelope.
 
@@ -276,6 +306,15 @@ class ServingService:
         version only.  Circuit breakers guard the pool, so they never
         apply to tenant work.
 
+        ``probe`` is the request's :meth:`probe`, when the caller already
+        took one (the gateway does, on its event loop): the request is
+        then neither counted nor probed again.  A missed probe is pinned
+        afresh to the current generation and its clock restarted here, so
+        a generation swap while it queued for an executor slot costs no
+        swap retry and ``total_ms`` is time inside the service on every
+        path.  (Its ``serve.request`` span still opens at the probe,
+        which its ``serve.cache`` child belongs to.)
+
         Generation swaps drop zero reads: a read whose captured pool was
         shut down mid-flight by ``adopt_generation`` re-dispatches against
         the new generation in the same tenant scope (``_swap_retries``
@@ -283,90 +322,166 @@ class ServingService:
         race as an error.
 
         Under an armed tracer the whole dispatch (including swap
-        retries) runs inside one ``serve.request`` span and the envelope
-        carries the trace id; disarmed, the only extra cost here is one
-        ``None`` check.
+        retries) runs inside one ``serve.request`` span, opened by
+        :meth:`probe`, and the envelope carries the trace id; disarmed,
+        each hook costs one ``None`` check.
         """
-        if tracing.active() is None:
-            response = self._serve_impl(request, tenant, _swap_retries)
-            self.metrics.incr(f"serve.status.{response.status}")
-            return response
-        with tracing.span(
-            "serve.request", request_type=type(request).__name__
-        ) as span:
-            response = self._serve_impl(request, tenant, _swap_retries)
-            self.metrics.incr(f"serve.status.{response.status}")
+        if probe is None:
+            probe = self.probe(request, tenant)
+        elif probe.response is None:
+            self._capture(probe)
+            probe.started = time.perf_counter()
+        if probe.response is None:
+            with tracing.using(probe.span):
+                probe.response = self._serve_impl(request, tenant, _swap_retries, probe)
+            self._finish(probe, tenant)
+        return probe.response
+
+    def probe(self, request: Request, tenant: str | None = None) -> Probe:
+        """Open ``request``: count it, capture the generation it is served
+        under and, in the shared scope, probe the query cache.
+
+        This is the request path's one cache probe.  :meth:`serve` calls
+        it, and so does the gateway on its event loop: a hit comes back
+        finished (``probe.response`` is set, counted and its span closed)
+        and costs no executor thread; a miss comes back with ``response``
+        ``None`` and goes on to :meth:`serve`.  A tenant scope is probed
+        later, under the tenant's lease (:meth:`_serve_impl`).
+        """
+        type_name = type(request).__name__
+        self.metrics.incr("serve.requests")
+        self.metrics.incr(f"serve.requests.{type_name}")
+        tracer = tracing.active()
+        span = (
+            None
+            if tracer is None
+            else tracer.start_span(
+                "serve.request", {"request_type": type_name}, activate=False
+            )
+        )
+        probe = Probe(family_of(request), span)
+        self._capture(probe)
+        if probe.family is None:
+            probe.response = self._fail(
+                probe, request, ERROR_UNSUPPORTED_TYPE,
+                f"unsupported request type: {type_name}",
+            )
+        elif tenant is None:
+            # A hostile in-process request object (mistyped fields that
+            # defeat hashing) must come back as an envelope, not raise.
+            try:
+                with tracing.using(span):
+                    probe.response = self._lookup(probe, request, None)
+            except Exception as exc:
+                probe.response = self._fail(
+                    probe, request, ERROR_INTERNAL, f"{type(exc).__name__}: {exc}", exc
+                )
+        if probe.response is not None:
+            self._finish(probe, tenant)
+        return probe
+
+    def _capture(self, probe: Probe) -> None:
+        """Pin ``probe`` to the current generation: the envelope's
+        store_version, the pool and router computing shared work and the
+        CSR a tenant overlay is spliced onto all belong to it."""
+        probe.epoch = self._swap_epoch
+        probe.pool, probe.router = self._pool, self._router
+        assert probe.pool is not None and probe.router is not None
+        probe.version = probe.pool.store_version
+
+    def _lookup(self, probe: Probe, request: Request, scope) -> Response | None:
+        """Family admission and the ``QueryCache`` lookup; a hit's envelope
+        (carrying its cache entry, for the codec's payload splice) or
+        ``None``."""
+        probe.cacheable = probe.family.cacheable(request)
+        if not probe.cacheable:
+            return None
+        with _stage(probe.timings, "cache_ms", "serve.cache") as cache_span:
+            entry = self._cache.get(probe.version, request, scope)
+            cache_span.set_attribute("hit", entry is not None)
+        if entry is None:
+            return None
+        return _envelope(
+            probe.family, probe.version, probe.started, probe.timings, STATUS_OK,
+            entry.payload, cached=True, cache_entry=entry,
+        )
+
+    def _finish(self, probe: Probe, tenant: str | None) -> None:
+        """Count the final status and close the ``serve.request`` span."""
+        response = probe.response
+        self.metrics.incr(f"serve.status.{response.status}")
+        span = probe.span
+        if span is not None:
             span.set_attribute("status", response.status)
             span.set_attribute("cached", response.cached)
             if tenant is not None:
                 span.set_attribute("tenant", tenant)
             if span.recording:
                 response.trace_id = span.trace_id
-            return response
+            span.finish()
+
+    def abandon(self, probe: Probe, request: Request) -> None:
+        """Finish a missed ``probe`` that will never reach :meth:`serve`
+        (its caller was cancelled, or its executor closed, before the
+        request was handed over): answer it ``unavailable``, count it and
+        close its span, so every counted request has a final status."""
+        probe.response = self._fail(
+            probe, request, ERROR_UNAVAILABLE, "request abandoned before execution"
+        )
+        self._finish(probe, None)
+
+    def _fail(
+        self,
+        probe: Probe,
+        request: Request,
+        code: str,
+        message: str,
+        exception: BaseException | None = None,
+    ) -> Response:
+        type_name = type(request).__name__
+        self.metrics.incr("serve.errors")
+        self.metrics.incr(f"serve.errors.{type_name}")
+        probe.timings["total_ms"] = _ms_since(probe.started)
+        return error_response(
+            getattr(type(request), "wire_type", "unknown"), probe.version, code,
+            message, timings=probe.timings, exception=exception,
+        )
 
     def _serve_impl(
-        self, request: Request, tenant: str | None, swap_retries: int
+        self, request: Request, tenant: str | None, swap_retries: int, probe: Probe
     ) -> Response:
-        """The one request pipeline: capture generation -> resolve tenancy
-        scope -> probe cache -> execute -> write cache -> envelope, with
-        failures classified into swap retries, degraded (partial or stale)
-        or error envelopes.  A tenant scope adds ``(tenant, tenant_version)``
-        to the cache key and runs the work in-process (see :meth:`_execute`).
+        """The one request pipeline past the probe: resolve tenancy scope
+        (and probe a tenant's cache under its lease) -> execute -> write
+        cache -> envelope, with failures classified into swap retries,
+        degraded (partial or stale) or error envelopes.  A tenant scope
+        adds ``(tenant, tenant_version)`` to the cache key and runs the
+        work in-process (see :meth:`_execute`).
         """
-        started = time.perf_counter()
-        timings: dict[str, float] = {}
-        # One captured generation: the envelope's store_version, the pool
-        # and router computing shared work and the CSR a tenant overlay is
-        # spliced onto all belong to it.
-        epoch = self._swap_epoch
-        pool, router = self._pool, self._router
-        assert pool is not None and router is not None
-        version = pool.store_version
+        family = probe.family
+        pool, router, version = probe.pool, probe.router, probe.version
+        timings = probe.timings
         type_name = type(request).__name__
-        self.metrics.incr("serve.requests")
-        self.metrics.incr(f"serve.requests.{type_name}")
-        family = family_of(request)
-        wire_type = getattr(type(request), "wire_type", "unknown")
-
-        def fail(code: str, message: str, exception: BaseException | None = None):
-            self.metrics.incr("serve.errors")
-            self.metrics.incr(f"serve.errors.{type_name}")
-            timings["total_ms"] = _ms_since(started)
-            return error_response(
-                wire_type, version, code, message, timings=timings, exception=exception
-            )
-
-        if family is None:
-            return fail(ERROR_UNSUPPORTED_TYPE, f"unsupported request type: {type_name}")
         resilience: dict[str, float] = {}
-        cacheable = False
         scope = None
-        # Everything after type dispatch sits under one except: even a
-        # hostile request object (mistyped fields that defeat hashing in
-        # the cache probe — the wire codec rejects those, but serve() is
-        # also a public in-process API) must come back as an envelope.
+        # Everything sits under one except: even a hostile request object
+        # (mistyped fields that defeat hashing in the cache probe — the
+        # wire codec rejects those, but serve() is also a public
+        # in-process API) must come back as an envelope.
         try:
             with self._lease(family, tenant) as state:
                 if state is not None:
                     scope = (tenant, state.version)
-                cacheable = family.cacheable(request)
-                if cacheable:
-                    with _stage(timings, "cache_ms", "serve.cache") as cache_span:
-                        cached = self._cache.get(version, request, scope)
-                        cache_span.set_attribute("hit", cached is not None)
+                    cached = self._lookup(probe, request, scope)
                     if cached is not None:
-                        return _envelope(
-                            family, version, started, timings, STATUS_OK, cached,
-                            cached=True,
-                        )
+                        return cached
                 with self.metrics.hist_timed("serve.latency"), self.metrics.hist_timed(
                     f"serve.latency.{type_name}"
                 ):
                     payload = self._execute(
                         request, family, tenant, state, pool, router, timings, resilience
                     )
-            if cacheable:
-                if epoch == self._swap_epoch:
+            if probe.cacheable:
+                if probe.epoch == self._swap_epoch:
                     self._cache.put(version, request, payload, scope)
                 else:
                     # A generation swap landed mid-request: parts of this
@@ -376,9 +491,9 @@ class ServingService:
                     # itself also refuses cross-generation writes.
                     self.metrics.incr("serve.swap_races")
         except ProtocolError as exc:
-            return fail(exc.code, exc.message)
+            return self._fail(probe, request, exc.code, exc.message)
         except TenantNotFound as exc:
-            return fail(ERROR_BAD_REQUEST, str(exc), exc)
+            return self._fail(probe, request, ERROR_BAD_REQUEST, str(exc), exc)
         except Exception as exc:
             if (
                 pool is not self._pool
@@ -391,7 +506,8 @@ class ServingService:
                 # degrade a healthy fleet — zero dropped reads.  (Writes
                 # never touch a generation.)
                 self.metrics.incr("serve.swap_retries")
-                return self._serve_impl(request, tenant, swap_retries - 1)
+                self._capture(probe)
+                return self._serve_impl(request, tenant, swap_retries - 1, probe)
             if isinstance(exc, PartialResultError):
                 # Graceful degradation: the healthy parts' answers go out
                 # with None holes at the failed entities, plus the terminal
@@ -399,7 +515,8 @@ class ServingService:
                 self.metrics.incr("serve.degraded")
                 self.metrics.incr(f"serve.degraded.{type_name}")
                 return _envelope(
-                    family, version, started, timings, STATUS_DEGRADED, exc.payload,
+                    family, version, probe.started, timings, STATUS_DEGRADED,
+                    exc.payload,
                     error=_unavailable(exc.cause, str(exc)),
                     resilience={
                         **resilience,
@@ -408,7 +525,7 @@ class ServingService:
                     },
                     exception=exc.cause,
                 )
-            if self.resilient and cacheable:
+            if self.resilient and probe.cacheable:
                 # Serve-stale-on-error: fresh compute is gone past its
                 # budget, but a previous generation answered this exact
                 # request in this exact scope — degraded beats unavailable.
@@ -417,7 +534,7 @@ class ServingService:
                     stale_version, stale_payload = stale
                     self.metrics.incr("serve.stale_served")
                     return _envelope(
-                        family, version, started, timings, STATUS_DEGRADED,
+                        family, version, probe.started, timings, STATUS_DEGRADED,
                         stale_payload,
                         cached=True,
                         error=_unavailable(exc, f"{type(exc).__name__}: {exc}"),
@@ -428,9 +545,11 @@ class ServingService:
                         },
                         exception=exc,
                     )
-            return fail(ERROR_INTERNAL, f"{type(exc).__name__}: {exc}", exc)
+            return self._fail(
+                probe, request, ERROR_INTERNAL, f"{type(exc).__name__}: {exc}", exc
+            )
         return _envelope(
-            family, version, started, timings, STATUS_OK, payload,
+            family, version, probe.started, timings, STATUS_OK, payload,
             resilience=resilience,
         )
 
@@ -508,7 +627,7 @@ class ServingService:
     ) -> list:
         """Scatter a splittable request, one part per worker; gather in order.
 
-        (version, pool, router) were captured by :meth:`serve`, so a
+        (version, pool, router) were captured by :meth:`probe`, so a
         generation swap mid-request can't split the fan-out across two
         snapshots or cache an old-fleet result under the new version.
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.common import tracing
 from repro.serving.gateway import AsyncGateway, GatewayHTTPServer
 from repro.serving.protocol import (
     decode_response,
@@ -135,7 +136,7 @@ class TestServeAsync:
             starts[request.seed] = time.perf_counter()
             if request.seed == 0:
                 time.sleep(0.3)
-            return real_serve(request)
+            return real_serve(request, **kwargs)
 
         monkeypatch.setattr(service, "serve", slow_head_serve)
         requests = [
@@ -183,7 +184,7 @@ class TestBackpressure:
 
         def slow_serve(request, **kwargs):
             release.wait(timeout=5.0)
-            return real_serve(request)
+            return real_serve(request, **kwargs)
 
         monkeypatch.setattr(service, "serve", slow_serve)
         request = WalkRequest(entities=(seed_entities[0],), seed=99)
@@ -231,15 +232,17 @@ class TestDeadline:
 
         def slow_serve(request, **kwargs):
             time.sleep(0.3)
-            return real_serve(request)
+            return real_serve(request, **kwargs)
 
         monkeypatch.setattr(service, "serve", slow_serve)
 
         async def go():
             gateway = AsyncGateway(service, max_concurrency=1, max_pending=2)
             try:
+                # A seed no other test serves: a cached answer is given on
+                # the event loop and never reaches the (slowed) executor.
                 return await gateway.serve_async(
-                    WalkRequest(entities=(seed_entities[0],), seed=5),
+                    WalkRequest(entities=(seed_entities[0],), seed=1005),
                     deadline_s=0.05,
                 )
             finally:
@@ -260,22 +263,24 @@ class TestDeadline:
         real_serve = service.serve
 
         def sometimes_slow(request, **kwargs):
-            if request.seed == 0:
+            if request.seed == 1000:
                 time.sleep(0.3)
-            return real_serve(request)
+            return real_serve(request, **kwargs)
 
         monkeypatch.setattr(service, "serve", sometimes_slow)
 
         async def go():
             gateway = AsyncGateway(service, max_concurrency=1, max_pending=4)
             try:
+                # Seeds no other test serves: both requests are misses, so
+                # both need the executor (a hit is answered on the loop).
                 timed_out = await gateway.serve_async(
-                    WalkRequest(entities=(seed_entities[0],), seed=0),
+                    WalkRequest(entities=(seed_entities[0],), seed=1000),
                     deadline_s=0.05,
                 )
                 follow_up_started = time.perf_counter()
                 follow_up = await gateway.serve_async(
-                    WalkRequest(entities=(seed_entities[0],), seed=1)
+                    WalkRequest(entities=(seed_entities[0],), seed=1001)
                 )
                 waited = time.perf_counter() - follow_up_started
                 return timed_out, follow_up, waited
@@ -460,6 +465,301 @@ class TestHTTPFrontDoor:
         assert decode_response(missing[1]).error.code == "bad_request"
         assert wrong_method[0] == b"HTTP/1.1 405 Method Not Allowed"
         assert decode_response(wrong_method[1]).error.code == "bad_request"
+
+
+def counters_of(stats: dict) -> dict:
+    """The request, status and cache counters a front-door change must keep."""
+    prefixes = (
+        "counter.gateway.requests", "counter.serve.requests", "counter.serve.status.",
+        "counter.cache.hits.", "counter.cache.misses.", "serve.cache_hits",
+        "serve.cache_misses", "serve.cache_hit_rate",
+    )
+    return {key: value for key, value in stats.items() if key.startswith(prefixes)}
+
+
+class TestLoopHits:
+    """Shared-scope cache hits are answered on the event loop; misses keep
+    the executor bridge and are probed once."""
+
+    def test_counters_match_the_executor_only_path(
+        self, bundle_dir, every_request, sample_texts
+    ):
+        uncacheable = AnnotateRequest(texts=tuple(sample_texts[:2]))
+        requests = every_request + [uncacheable] + every_request * 2
+        hits, misses = 2 * len(every_request), len(every_request)
+
+        async def front_door(service):
+            gateway = AsyncGateway(service, max_concurrency=2, max_pending=8)
+            server = GatewayHTTPServer(gateway)
+            host, port = await server.start()
+            try:
+                bodies = [
+                    (await http_roundtrip(host, port, post_query(encode_request(r))))[1]
+                    for r in requests
+                ]
+                metrics = await http_roundtrip(
+                    host, port, b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n"
+                )
+            finally:
+                await server.stop()
+                gateway.close()
+            return [decode_response(body) for body in bodies], metrics[1].decode()
+
+        async def executor_only(service):
+            # serve_stream enters the post-admission path directly: every
+            # request crosses the executor and probes the cache there.
+            gateway = AsyncGateway(service, max_concurrency=1, max_pending=1)
+            try:
+                return [r async for r in gateway.serve_stream(requests)]
+            finally:
+                gateway.close()
+
+        with ServingService(bundle_dir, mode="inline") as looped:
+            responses, metrics_text = run(front_door(looped))
+            looped_counters = counters_of(looped.stats())
+        with ServingService(bundle_dir, mode="inline") as bridged:
+            bridged_responses = run(executor_only(bridged))
+            bridged_counters = counters_of(bridged.stats())
+
+        assert all(r.ok for r in responses + bridged_responses)
+        assert [r.cached for r in responses] == [r.cached for r in bridged_responses]
+        assert sum(r.cached for r in responses) == hits
+        assert looped_counters == bridged_counters
+        assert looped_counters["counter.gateway.requests"] == len(requests)
+        assert looped_counters["counter.serve.requests"] == len(requests)
+        assert looped_counters["counter.serve.status.ok"] == len(requests)
+        assert looped_counters["serve.cache_hits"] == hits
+        assert looped_counters["serve.cache_misses"] == misses  # not twice
+        for request in every_request:
+            name, wire = type(request).__name__, type(request).wire_type
+            assert looped_counters[f"counter.cache.hits.{wire}"] == 2
+            assert looped_counters[f"counter.cache.misses.{wire}"] == 1
+            assert looped_counters[f"counter.serve.requests.{name}"] == 3 + (
+                name == "AnnotateRequest"
+            )
+        samples = dict(
+            line.rsplit(" ", 1) for line in metrics_text.splitlines()
+            if line and not line.startswith("#")
+        )
+        assert float(samples["kg_gateway_requests_total"]) == len(requests)
+        assert float(samples["kg_serve_requests_total"]) == len(requests)
+        assert float(samples['kg_serve_responses_by_status_total{status="ok"}']) == len(requests)
+        assert float(samples['kg_cache_hits_by_type_total{type="walk"}']) == 2
+        assert float(samples['kg_cache_misses_by_type_total{type="walk"}']) == 1
+
+    def test_hit_needs_no_executor_slot(self, service, seed_entities, monkeypatch):
+        hot = WalkRequest(entities=(seed_entities[1],), seed=2001)
+        assert service.serve(hot).ok  # cached
+        release = threading.Event()
+        real_serve = service.serve
+
+        def blocking_serve(request, **kwargs):
+            release.wait(timeout=5.0)
+            return real_serve(request, **kwargs)
+
+        monkeypatch.setattr(service, "serve", blocking_serve)
+
+        async def go():
+            gateway = AsyncGateway(service, max_concurrency=1, max_pending=4)
+            try:
+                cold = asyncio.ensure_future(gateway.serve_async(
+                    WalkRequest(entities=(seed_entities[1],), seed=2002)
+                ))
+                await asyncio.sleep(0.05)  # the miss holds the only slot
+                hit = await gateway.serve_async(hot)
+                still_blocked = not cold.done()
+                release.set()
+                return hit, still_blocked, await cold
+            finally:
+                release.set()
+                gateway.close()
+
+        hit, still_blocked, cold = run(go())
+        assert hit.ok and hit.cached and still_blocked
+        assert cold.ok and not cold.cached
+
+    def test_cancelled_queued_miss_still_gets_a_status(self, bundle_dir, seed_entities):
+        """A miss probed on the loop, then cancelled while it queued for an
+        executor slot, never reaches serve(): it is still counted with a
+        final status and its serve.request span still closes."""
+        release = threading.Event()
+
+        with ServingService(bundle_dir, mode="inline") as svc:
+            real_serve = svc.serve
+
+            def blocking_serve(request, **kwargs):
+                release.wait(timeout=5.0)
+                return real_serve(request, **kwargs)
+
+            svc.serve = blocking_serve
+
+            async def go():
+                gateway = AsyncGateway(svc, max_concurrency=1, max_pending=4)
+                try:
+                    holder = asyncio.ensure_future(gateway.serve_async(
+                        WalkRequest(entities=(seed_entities[2],), seed=2003)
+                    ))
+                    await asyncio.sleep(0.05)  # the holder has the only slot
+                    queued = asyncio.ensure_future(gateway.serve_async(
+                        WalkRequest(entities=(seed_entities[2],), seed=2004)
+                    ))
+                    await asyncio.sleep(0.05)
+                    queued.cancel()
+                    with pytest.raises(asyncio.CancelledError):
+                        await queued
+                    release.set()
+                    return await holder
+                finally:
+                    release.set()
+                    gateway.close()
+
+            with tracing.armed() as tracer:
+                holder = run(go())
+                traces = tracer.recent()
+            stats = svc.stats()
+
+        assert holder.ok
+        assert stats["counter.serve.requests"] == 2
+        assert stats["counter.serve.status.ok"] == 1
+        assert stats["counter.serve.status.error"] == 1
+        serve_spans = [
+            span for trace in traces for span in trace["spans"]
+            if span["name"] == "serve.request"
+        ]
+        assert sorted(span["attributes"]["status"] for span in serve_spans) == [
+            "error", "ok"
+        ]
+
+
+async def raw_exchanges(service, scripts) -> list[bytes]:
+    """Run raw client scripts against one gateway, in order.
+
+    A script is a list of byte chunks (written with a short pause
+    between them) and ends with ``"close"`` (hang up without reading),
+    ``"eof"`` (half-close, then read the answer) or ``"read"`` (read the
+    answer); each script yields the raw bytes it read.
+    """
+    gateway = AsyncGateway(service, max_concurrency=1, max_pending=2)
+    server = GatewayHTTPServer(gateway)
+    host, port = await server.start()
+    answers = []
+    try:
+        for script in scripts:
+            *chunks, ending = script
+            reader, writer = await asyncio.open_connection(host, port)
+            for index, chunk in enumerate(chunks):
+                if index:
+                    await asyncio.sleep(0.02)
+                writer.write(chunk)
+                await writer.drain()
+            if ending == "eof":
+                writer.write_eof()
+            if ending == "close":
+                answers.append(b"")
+            else:
+                answers.append(await asyncio.wait_for(reader.read(), timeout=10.0))
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except ConnectionError:
+                pass
+        await asyncio.sleep(0.05)  # let the server finish the last handler
+    finally:
+        await server.stop()
+        gateway.close()
+    return answers
+
+
+def split_answer(raw: bytes) -> tuple[bytes, bytes]:
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return head.split(b"\r\n")[0], body
+
+
+class TestHTTPFraming:
+    """The request-head parser's framing contract."""
+
+    def test_crlf_and_bare_lf_head_terminators(self, service, seed_entities):
+        body = encode_request(WalkRequest(entities=tuple(seed_entities[:2]), seed=41))
+        head = f"POST /v1/query HTTP/1.1\r\nHost: t\r\nContent-Length: {len(body)}\r\n\r\n"
+        crlf, bare = run(
+            raw_exchanges(
+                service,
+                [[head.encode() + body, "read"],
+                 [head.replace("\r\n", "\n").encode() + body, "read"]],
+            )
+        )
+        for raw in (crlf, bare):
+            status_line, payload = split_answer(raw)
+            assert status_line == b"HTTP/1.1 200 OK", raw
+            assert decode_response(payload).ok
+        assert json.loads(split_answer(crlf)[1])["payload"] == json.loads(
+            split_answer(bare)[1]
+        )["payload"]
+
+    def test_head_split_across_writes(self, service, seed_entities):
+        body = encode_request(WalkRequest(entities=tuple(seed_entities[:2]), seed=42))
+        raw = post_query(body)
+        [answer] = run(raw_exchanges(service, [[raw[:7], raw[7:30], raw[30:], "read"]]))
+        assert split_answer(answer)[0] == b"HTTP/1.1 200 OK"
+
+    def test_get_without_headers_or_body(self, service):
+        crlf, bare = run(
+            raw_exchanges(
+                service,
+                [[b"GET /healthz HTTP/1.1\r\n\r\n", "read"],
+                 [b"GET /healthz HTTP/1.1\n\n", "read"]],
+            )
+        )
+        for raw in (crlf, bare):
+            status_line, body = split_answer(raw)
+            assert status_line == b"HTTP/1.1 200 OK", raw
+            assert json.loads(body)["healthy"] is True
+
+    def test_malformed_request_line(self, service):
+        [raw] = run(raw_exchanges(service, [[b"GARBAGE\r\n\r\n", "read"]]))
+        status_line, body = split_answer(raw)
+        assert status_line == b"HTTP/1.1 400 Bad Request"
+        assert decode_response(body).error.code == "bad_request"
+
+    @pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
+    def test_bad_content_length(self, service, value):
+        raw_request = f"POST /v1/query HTTP/1.1\r\nContent-Length: {value}\r\n\r\n"
+        [raw] = run(raw_exchanges(service, [[raw_request.encode(), "read"]]))
+        status_line, body = split_answer(raw)
+        assert status_line == b"HTTP/1.1 400 Bad Request"
+        assert decode_response(body).error.code == "bad_request"
+
+    def test_body_over_the_limit_is_refused_unread(self, service):
+        from repro.serving.gateway import MAX_REQUEST_BYTES
+
+        raw_request = (
+            f"POST /v1/query HTTP/1.1\r\nContent-Length: {MAX_REQUEST_BYTES + 1}\r\n\r\n"
+        )
+        [raw] = run(raw_exchanges(service, [[raw_request.encode(), "read"]]))
+        status_line, body = split_answer(raw)
+        assert status_line == b"HTTP/1.1 413 Payload Too Large"
+        assert decode_response(body).error.code == "bad_request"
+
+    def test_client_closing_mid_head_gets_no_traceback(
+        self, service, seed_entities, caplog
+    ):
+        partial = b"POST /v1/query HTTP/1.1\r\nContent-Le"
+        good = post_query(encode_request(WalkRequest(entities=(seed_entities[0],), seed=43)))
+        with caplog.at_level("WARNING"):
+            _closed, half_closed, after = run(
+                raw_exchanges(
+                    service,
+                    [[partial, "close"], [partial, "eof"], [good, "read"]],
+                )
+            )
+        status_line, body = split_answer(half_closed)
+        assert status_line == b"HTTP/1.1 400 Bad Request", half_closed
+        assert b"Traceback" not in body
+        assert decode_response(body).error.code == "bad_request"
+        assert split_answer(after)[0] == b"HTTP/1.1 200 OK"
+        assert not [r for r in caplog.records if r.levelname in ("ERROR", "CRITICAL")], [
+            r.getMessage() for r in caplog.records
+        ]
 
 
 def group_pids(pgid: int) -> list[int]:

@@ -223,6 +223,94 @@ class TestServeTracing:
         assert decode_request(wire) == request
 
 
+def payload_slice(body: bytes) -> bytes:
+    """The raw ``payload`` bytes of a sorted-key ok envelope."""
+    start = body.index(b'"payload": ') + len(b'"payload": ')
+    return body[start : body.rindex(b', "protocol": ')]
+
+
+class TestLoopHitTracing:
+    """Cache hits answered on the gateway's event loop trace like any other."""
+
+    @pytest.fixture(scope="class")
+    def loop_service(self, bundle_dir):
+        # Its own cache: the module service's answers must stay misses
+        # for the tests that expect worker spans.
+        svc = ServingService(bundle_dir, mode="inline")
+        yield svc
+        svc.close()
+
+    @staticmethod
+    def front_door(service, raws: list[bytes]) -> list[bytes]:
+        async def go():
+            gateway = AsyncGateway(service, max_concurrency=2, max_pending=8)
+            server = GatewayHTTPServer(gateway)
+            host, port = await server.start()
+            try:
+                return [(await http_roundtrip(host, port, raw))[2] for raw in raws]
+            finally:
+                await server.stop()
+                gateway.close()
+
+        return run(go())
+
+    def test_loop_hit_records_the_span_chain(self, loop_service, seed_entities):
+        raw = post_query(encode_request(WalkRequest(entities=tuple(seed_entities[:2]), seed=71)))
+        self.front_door(loop_service, [raw])  # the miss fills the cache, untraced
+        with tracing.armed() as tracer:
+            [body] = self.front_door(loop_service, [raw])
+            [trace] = tracer.recent()
+        response = decode_response(body)
+        assert response.ok and response.cached
+        assert response.trace_id == trace["trace_id"]
+        assert_single_well_formed_trace(trace, "gateway.request")
+        by_name = {record["name"]: record for record in trace["spans"]}
+        assert [r["name"] for r in trace["spans"]].count("serve.request") == 1
+        assert by_name["serve.request"]["parent_id"] == by_name["gateway.request"]["span_id"]
+        assert by_name["serve.cache"]["parent_id"] == by_name["serve.request"]["span_id"]
+        assert by_name["serve.cache"]["attributes"]["hit"] is True
+        assert by_name["serve.request"]["attributes"]["cached"] is True
+        assert by_name["serve.cache"]["attributes"]["stage_ms"] == response.timings["cache_ms"]
+        assert "worker.execute" not in by_name
+
+    def test_traced_miss_keeps_one_serve_request_span(self, loop_service, seed_entities):
+        raw = post_query(encode_request(WalkRequest(entities=tuple(seed_entities[:3]), seed=72)))
+        with tracing.armed() as tracer:
+            [body] = self.front_door(loop_service, [raw])
+            [trace] = tracer.recent()
+        response = decode_response(body)
+        assert response.ok and not response.cached
+        assert_single_well_formed_trace(trace, "gateway.request")
+        serve_spans = [r for r in trace["spans"] if r["name"] == "serve.request"]
+        assert len(serve_spans) == 1
+        serve_id = serve_spans[0]["span_id"]
+        children = {r["name"] for r in trace["spans"] if r["parent_id"] == serve_id}
+        assert {"serve.cache", "serve.scatter", "serve.compute", "serve.gather"} <= children
+        assert response.timings["total_ms"] <= serve_spans[0]["wall_ms"] + 1.0
+
+    def test_payloads_identical_traced_vs_untraced_for_loop_hits(
+        self, loop_service, every_request
+    ):
+        raws = [post_query(encode_request(request)) for request in every_request]
+        untraced_misses = self.front_door(loop_service, raws)
+        untraced_hits = self.front_door(loop_service, raws)
+        with tracing.armed():
+            traced_hits = self.front_door(loop_service, raws)
+        for request, miss, hit, traced in zip(
+            every_request, untraced_misses, untraced_hits, traced_hits
+        ):
+            name = type(request).__name__
+            assert not json.loads(miss)["cached"], name
+            assert json.loads(hit)["cached"] and json.loads(traced)["cached"], name
+            assert "trace_id" not in json.loads(hit) and json.loads(traced)["trace_id"]
+            assert payload_slice(hit) == payload_slice(miss), name
+            assert payload_slice(traced) == payload_slice(miss), name
+            direct = loop_service.serve(request)
+            assert payload_slice(miss) == json.dumps(
+                payload_to_wire(type(request).wire_type, direct.payload), sort_keys=True
+            ).encode(), name
+
+
 class TestCrossProcessStitching:
     @pytest.fixture(scope="class")
     def process_service(self, bundle_dir):

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.annotation.mention import EntityLink, Mention
+from repro.serving.cache import CacheEntry
 from repro.serving.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -14,6 +15,7 @@ from repro.serving.protocol import (
     encode_request,
     encode_response,
     error_response,
+    payload_to_wire,
 )
 from repro.serving.requests import (
     REQUEST_TYPES,
@@ -418,3 +420,91 @@ class TestPolicyDeclarations:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 request.__class__.__setattr__(request, "seed", 1)
             hash(request)
+
+
+# The eight read families: the ones whose answers enter the query cache.
+READ_RESPONSES = EVERY_RESPONSE[:8]
+
+
+def plain_bytes(response: Response) -> bytes:
+    """The envelope spelled out and dumped whole: the reference a spliced
+    cache-hit encoding must equal byte for byte."""
+    envelope = {
+        "protocol": PROTOCOL_VERSION,
+        "type": response.request_type,
+        "status": response.status,
+        "store_version": response.store_version,
+        "timings": response.timings,
+        "cached": response.cached,
+    }
+    if response.resilience:
+        envelope["resilience"] = response.resilience
+    if response.trace_id:
+        envelope["trace_id"] = response.trace_id
+    if response.status in ("ok", "degraded"):
+        envelope["payload"] = payload_to_wire(response.request_type, response.payload)
+    if response.status != "ok":
+        envelope["error"] = dataclasses.asdict(response.error)
+    return json.dumps(envelope, sort_keys=True).encode("utf-8")
+
+
+def hit_of(response: Response, entry: CacheEntry | None, **fields) -> Response:
+    fields.setdefault("cached", entry is not None)
+    return dataclasses.replace(response, cache_entry=entry, **fields)
+
+
+class TestPayloadSplice:
+    """A hit's memoised payload JSON spliced into its envelope encodes to
+    the same bytes as dumping the whole envelope."""
+
+    @pytest.mark.parametrize("response", READ_RESPONSES, ids=lambda r: r.request_type)
+    def test_hit_bytes_equal_plain_dumps(self, response):
+        entry = CacheEntry(response.payload)
+        first = hit_of(response, entry)
+        assert entry.wire is None
+        assert encode_response(first) == plain_bytes(first)  # fills the memo
+        assert entry.wire is not None
+        wire = entry.wire
+        again = hit_of(response, entry, timings={"cache_ms": 0.01, "total_ms": 0.02})
+        assert encode_response(again) == plain_bytes(again)
+        assert entry.wire is wire  # encoded once per entry
+        # A miss (no entry) and the same answer as a hit differ only in
+        # the envelope fields around the payload.
+        miss = hit_of(response, None)
+        assert encode_response(miss) == plain_bytes(miss)
+        assert json.loads(encode_response(miss))["payload"] == json.loads(wire)
+
+    @pytest.mark.parametrize("response", READ_RESPONSES, ids=lambda r: r.request_type)
+    def test_optional_envelope_fields(self, response):
+        entry = CacheEntry(response.payload)
+        variants = [
+            hit_of(response, entry, trace_id="trace-1"),
+            hit_of(response, entry, resilience={"attempts": 2.0}),
+            hit_of(
+                response,
+                entry,
+                status="degraded",
+                error=ErrorInfo("unavailable", 'stale "answer"', True, "RuntimeError"),
+                resilience={"stale": True, "stale_version": 2.0},
+            ),
+            # A stale fallback carries no live entry: plain encoding.
+            hit_of(
+                response,
+                None,
+                cached=True,
+                status="degraded",
+                error=ErrorInfo("unavailable", "stale", True, "RuntimeError"),
+                resilience={"stale": True, "stale_version": 2.0},
+            ),
+        ]
+        for variant in variants:
+            assert encode_response(variant) == plain_bytes(variant)
+            decoded = decode_response(encode_response(variant))
+            assert decoded.trace_id == variant.trace_id
+            assert decoded.resilience == variant.resilience
+
+    def test_error_envelope_ignores_an_entry(self):
+        response = hit_of(READ_RESPONSES[0], CacheEntry([["x"]]), status="error",
+                          error=ErrorInfo("internal", "boom"))
+        assert encode_response(response) == plain_bytes(response)
+        assert "payload" not in json.loads(encode_response(response))

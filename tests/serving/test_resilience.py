@@ -436,7 +436,7 @@ class TestDegradation:
                 ), type(request).__name__
                 if request.cacheable():
                     cached = service._cache.get(service.store_version, request)
-                    assert cached == response.payload, type(request).__name__
+                    assert cached.payload == response.payload, type(request).__name__
             assert service.stats()["counter.pool.corrupt_results"] == 3.0
 
 
