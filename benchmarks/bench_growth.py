@@ -76,9 +76,9 @@ def test_delta_publish_vs_full_resave(benchmark, growth_kg, tmp_path_factory):
 
     resave_dir = tmp_path_factory.mktemp("full-resave")
     start = time.perf_counter()
-    save_snapshot(store, resave_dir, embeddings=False)
+    save_snapshot(store, resave_dir, layers=("adjacency", "context", "alias"))
     full_resave = time.perf_counter() - start
-    benchmark(lambda: save_snapshot(store, resave_dir, embeddings=False))
+    benchmark(lambda: save_snapshot(store, resave_dir, layers=("adjacency", "context", "alias")))
 
     delta_ms = min(publish_times) * 1000
     full_ms = full_resave * 1000
@@ -122,7 +122,7 @@ def test_overlay_read_overhead_and_swap_gap(benchmark, growth_kg, tmp_path_facto
         assert publisher.publish() is not None
 
     plain_dir = tmp_path_factory.mktemp("plain-bundle")
-    save_snapshot(store, plain_dir, embeddings=False)
+    save_snapshot(store, plain_dir, layers=("adjacency", "context", "alias"))
 
     # The chain loader collapses the delta overlay into one CSR at load
     # time, so per-query overhead vs a plain snapshot should be ~zero —

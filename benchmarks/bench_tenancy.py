@@ -67,7 +67,7 @@ def _best_of(fn, repeats=3):
 def test_tenant_read_overhead(benchmark, tenant_world, tmp_path_factory):
     kg, entities = tenant_world
     bundle = tmp_path_factory.mktemp("tenant-bundle")
-    save_snapshot(kg.store, bundle, embeddings=False)
+    save_snapshot(kg.store, bundle, layers=("adjacency", "context", "alias"))
     with ServingService(
         bundle,
         mode="inline",

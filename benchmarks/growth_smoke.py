@@ -11,8 +11,12 @@ fails unless:
 * **zero** requests fail across every generation swap;
 * the ``store_version`` observed on ``/healthz`` only ever advances, and
   ends at the publisher's tip;
-* the final generation's answers are byte-identical to a service booted
-  from a from-scratch full snapshot of the same store;
+* the final generation's graph and annotation answers are byte-identical
+  to a service booted from a from-scratch full snapshot of the same store;
+* its embedding-family answers (fact rank, verify, similarity, k-NN)
+  equal a replay of the chain — a fresh service loading the same base and
+  deltas — and still do after ``publisher.compact()``, so no generation
+  retrains;
 * both bundles pass :mod:`repro.kg.fsck` at exit.
 
 Run directly (CI does): ``PYTHONPATH=src python benchmarks/growth_smoke.py``
@@ -33,8 +37,8 @@ from repro.common import ids
 from repro.kg.deltas import GenerationPublisher
 from repro.kg.fsck import check_bundle
 from repro.kg.generator import SyntheticKGConfig, generate_kg, hold_out_facts
-from repro.kg.persistence import save_snapshot
-from repro.kg.triple import entity_fact
+from repro.kg.persistence import load_snapshot, save_snapshot
+from repro.kg.triple import ObjectKind, entity_fact
 from repro.odke.gaps import ExtractionTarget
 from repro.odke.live import GrowthDriver
 from repro.odke.pipeline import ODKEConfig, ODKEPipeline
@@ -42,8 +46,12 @@ from repro.serving.gateway import AsyncGateway, GatewayHTTPServer
 from repro.serving.protocol import decode_response, encode_request, encode_response
 from repro.serving.requests import (
     AnnotateRequest,
+    FactRankRequest,
+    KnnRequest,
     NeighborhoodRequest,
     RelatedRequest,
+    SimilarityRequest,
+    VerifyRequest,
     WalkRequest,
 )
 from repro.serving.service import ServingService
@@ -121,7 +129,7 @@ def build_world():
 
 
 def probe_requests(store):
-    """Adjacency/annotation probes (the bundle carries no embedding layer)."""
+    """Adjacency/annotation probes, checked against a full rebuild."""
     entities = sorted(store.entity_ids())[:6]
     names = [store.entity(e).name for e in entities[:3]]
     return [
@@ -130,6 +138,44 @@ def probe_requests(store):
         RelatedRequest(entities=tuple(entities[:2]), k=5),
         AnnotateRequest(texts=(f"{names[0]} met {names[1]} and {names[2]}.",)),
     ]
+
+
+def embedding_probes(store):
+    """Embedding-family probes over entity-valued facts of the grown store,
+    checked against a replay of the chain."""
+    facts = sorted(
+        (fact for fact in store.scan() if fact.obj_kind is ObjectKind.ENTITY),
+        key=lambda fact: fact.key,
+    )[:4]
+    subjects = tuple(sorted({fact.subject for fact in facts}))
+    return [
+        FactRankRequest(entities=subjects[:2], predicate=facts[0].predicate),
+        VerifyRequest(candidates=tuple(fact.key for fact in facts)),
+        SimilarityRequest(pairs=tuple((fact.subject, fact.obj) for fact in facts[:2])),
+        KnnRequest(entities=subjects[:2], k=5),
+    ]
+
+
+def compare(bundle: Path, requests, answers, against: str) -> list[str]:
+    """Serve ``requests`` from a fresh inline service over ``bundle`` and
+    compare each with the gateway's answer (``None``: the probe failed)."""
+    failures = []
+    with ServingService(bundle, mode="inline") as fresh:
+        for request, chained in zip(requests, answers):
+            if chained is None:
+                continue
+            # Push the fresh answer through the same wire round-trip the
+            # gateway applied (annotation links drop server-side candidate
+            # lists at the boundary) so both sides compare in identical form.
+            response = decode_response(encode_response(fresh.serve(request)))
+            name = type(request).__name__
+            if not response.ok:
+                failures.append(f"{against} probe {name} failed: {response.error}")
+            elif (response.store_version, canon(response.payload)) != chained:
+                failures.append(f"{name}: delta-chain answer != {against} answer")
+            else:
+                print(f"  ok  {name:<22} byte-identical to {against}")
+    return failures
 
 
 def _jsonable(obj):
@@ -234,8 +280,11 @@ async def smoke(bundle: Path, fresh_bundle: Path) -> list[str]:
     if not failures:
         print(f"  ok  store_version advanced {versions[0]} -> {versions[-1]}, zero drops")
 
-    # Final answers must be byte-identical to a from-scratch full rebuild.
-    probes = probe_requests(deployed)
+    # Final answers: graph families against a from-scratch full rebuild,
+    # embedding families against a replay of the chain.
+    graph_probes = probe_requests(deployed)
+    embedded_probes = embedding_probes(deployed)
+    probes = graph_probes + embedded_probes
     gateway_answers = []
     for request in probes:
         status, body = await http_post(host, port, "/v1/query", encode_request(request))
@@ -250,23 +299,15 @@ async def smoke(bundle: Path, fresh_bundle: Path) -> list[str]:
     gateway.close()
     service.close()
 
-    save_snapshot(deployed, fresh_bundle, embeddings=False)
-    with ServingService(fresh_bundle, mode="inline") as fresh:
-        for request, chained in zip(probes, gateway_answers):
-            if chained is None:
-                continue
-            # Push the rebuild's answer through the same wire round-trip
-            # the gateway applied (annotation links drop server-side
-            # candidate lists at the boundary) so both sides compare in
-            # identical form.
-            response = decode_response(encode_response(fresh.serve(request)))
-            name = type(request).__name__
-            if not response.ok:
-                failures.append(f"rebuild probe {name} failed: {response.error}")
-            elif (response.store_version, canon(response.payload)) != chained:
-                failures.append(f"{name}: delta-chain answer != full-rebuild answer")
-            else:
-                print(f"  ok  {name:<22} byte-identical to full rebuild")
+    save_snapshot(deployed, fresh_bundle, layers=("adjacency", "context", "alias"))
+    graph_answers = gateway_answers[: len(graph_probes)]
+    embedded_answers = gateway_answers[len(graph_probes) :]
+    failures += compare(fresh_bundle, graph_probes, graph_answers, "full rebuild")
+    if load_snapshot(bundle).embeddings is None:
+        failures.append("the chain tip carries no embeddings layer: workers would retrain")
+    failures += compare(bundle, embedded_probes, embedded_answers, "chain replay")
+    publisher.compact()
+    failures += compare(bundle, embedded_probes, embedded_answers, "compacted chain")
     return failures
 
 
@@ -283,7 +324,8 @@ def main() -> int:
         return 1
     print(
         f"\ngrowth smoke: {GENERATIONS} generations streamed with zero dropped "
-        "requests; final answers byte-identical to a full rebuild"
+        "requests; final graph answers byte-identical to a full rebuild, "
+        "embedding answers to the chain's replay and its compaction"
     )
     return 0
 

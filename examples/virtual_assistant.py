@@ -96,7 +96,7 @@ def contact(record_id: str, name: str, linked_entity: str, seq: int = 1):
 
 async def run(bundle: Path, tenants_dir: Path) -> None:
     kg = generate_kg(SyntheticKGConfig(seed=7, scale=0.2))
-    save_snapshot(kg.store, bundle, embeddings=False)
+    save_snapshot(kg.store, bundle, layers=("adjacency", "context", "alias"))
     service = ServingService(
         bundle, mode="inline", tenants_dir=tenants_dir
     )

@@ -107,7 +107,10 @@ class AdaGrad:
 
     ``accumulator`` may be supplied externally — the out-of-core trainer
     persists per-bucket accumulators to disk alongside the embeddings so
-    optimiser state survives buffer eviction.
+    optimiser state survives buffer eviction.  ``trainable`` is an optional
+    boolean row mask: gradients of the other rows are dropped, so those
+    rows stay frozen (the row-sparse update a published embedding delta
+    makes).
     """
 
     def __init__(
@@ -116,12 +119,14 @@ class AdaGrad:
         learning_rate: float,
         eps: float = 1e-8,
         accumulator: np.ndarray | None = None,
+        trainable: np.ndarray | None = None,
     ) -> None:
         self.accumulator = (
             np.zeros(shape, dtype=np.float64) if accumulator is None else accumulator
         )
         self.learning_rate = learning_rate
         self.eps = eps
+        self.trainable = trainable
 
     def apply(self, params: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
         """Scatter-add ``grads`` into ``params`` rows with AdaGrad scaling.
@@ -129,6 +134,11 @@ class AdaGrad:
         Duplicate rows within a batch are accumulated before the update, so
         the step is equivalent to a dense gradient step on the touched rows.
         """
+        if self.trainable is not None:
+            keep = self.trainable[rows]
+            rows, grads = rows[keep], grads[keep]
+            if not len(rows):
+                return
         unique_rows, inverse = np.unique(rows, return_inverse=True)
         dense = np.zeros((len(unique_rows), params.shape[1]), dtype=np.float64)
         np.add.at(dense, inverse, grads)

@@ -205,8 +205,11 @@ class GenerationPublisher:
 
     ``layers`` names the physical layers every generation carries (each
     needs a ``diff``); the default is the shared graph's adjacency,
-    context and alias layers, while ``()`` publishes the logical records
-    only — what a store that nobody serves from the physical layers needs.
+    context, alias and embeddings layers, while ``()`` publishes the
+    logical records only — what a store that nobody serves from the
+    physical layers needs.  A layer the chain's base does not list (an
+    ``embeddings`` layer of a store with no entity-valued facts) rides no
+    delta until a compaction writes it.
 
     Crash safety: the delta directory is staged under a temp name and
     renamed into place, then ``chain.json`` swaps atomically; in-memory
@@ -286,15 +289,17 @@ class GenerationPublisher:
     def _open_differs(self) -> bool:
         """Position one differ per published layer at the bundle's tip.
 
-        Returns ``False`` when a layer cannot be merged there (stale, or
-        an incompatible marshal sidecar).  A logical-only publisher needs
-        no tip state and loads nothing.
+        Returns ``False`` when a layer the base lists cannot be merged
+        there (stale, or an incompatible marshal sidecar).  A logical-only
+        publisher needs no tip state and loads nothing.
         """
         self._differs: dict[str, Any] = {}
         if not self.layers:
             return True
         snapshot = load_snapshot(self.bundle_dir, verify=self.verify)
         for name in self.layers:
+            if name not in snapshot.manifest["layers"]:
+                continue  # the base wrote nothing for it
             state = getattr(snapshot, name)
             if state is None:
                 return False
@@ -562,11 +567,19 @@ class GenerationPublisher:
 
     def _compact_locked(self) -> GenerationInfo:
         store = self.store
+        if self._differs and store.version != chain_tip_version(self._chain):
+            # A carried layer (embeddings) only learns recorded changes
+            # through its differ, so pending ones are published first.
+            self._publish_locked()
         version = store.version
         started = time.perf_counter()
         base_rel = f"{BASES_DIR}/base-{version:08d}"
         base_dir = self.bundle_dir / base_rel
-        save_snapshot(store, base_dir, layers=self.layers)
+        built: dict[str, Any] = {}
+        for differ in self._differs.values():
+            if hasattr(differ, "built"):
+                built.update(differ.built())
+        save_snapshot(store, base_dir, layers=self.layers, **built)
         _fault_point(SITE_COMPACT)
         chain = self._fresh_chain(base_rel, version)
         chain["next_seq"] = int(self._chain.get("next_seq", 1))

@@ -4,9 +4,11 @@ Loads each bundle the way serving does, but eagerly: ``chain.json``
 linkage, every generation manifest, every listed layer's and delta
 payload's checksums, the fact logs, and the append-only id invariant (a
 delta appending a string its parent already holds fails the adjacency
-fold).  Then checks that every listed layer reached the tip and that
-every row of the folded CSR is sorted by neighbour string.  Exits 0 when
-every bundle is sound, 1 with one line per problem otherwise.
+and embeddings folds).  Then checks that every listed layer reached the
+tip, that every row of the folded CSR is sorted by neighbour string, and
+that the folded embeddings vocabulary holds each name once and every kNN
+posting names one of its rows.  Exits 0 when every bundle is sound, 1
+with one line per problem otherwise.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from repro.common.errors import StoreError
+from repro.common.snapshot_io import LayerPayload, unpack_strings
 from repro.kg.adjacency import CSRAdjacency
 from repro.kg.persistence import LAYERS, load_snapshot
 
@@ -34,6 +39,24 @@ def unsorted_row(csr: CSRAdjacency) -> str | None:
     return None
 
 
+def embeddings_problem(layer: LayerPayload) -> str | None:
+    """The first fault of a (folded) embeddings layer: a vocabulary name
+    held twice, or a kNN posting outside the rows; else ``None``."""
+    arrays = layer.arrays
+    for kind in ("entity", "relation"):
+        names = unpack_strings(arrays[f"{kind}_blob"], arrays[f"{kind}_offsets"])
+        if len(set(names)) != len(names):
+            return f"embeddings vocabulary holds a {kind} twice"
+    indices = np.asarray(arrays["knn_postings_indices"])
+    offsets = np.asarray(arrays["knn_postings_offsets"])
+    rows = len(arrays["knn_rows"])
+    if (indices.size and not 0 <= indices.min() <= indices.max() < rows) or (
+        offsets[-1] != len(indices)
+    ):
+        return f"a kNN posting names no row of {rows}"
+    return None
+
+
 def check_bundle(bundle: str | Path) -> list[str]:
     """Every integrity problem found in ``bundle`` (empty when sound)."""
     try:
@@ -49,6 +72,10 @@ def check_bundle(bundle: str | Path) -> list[str]:
         node = unsorted_row(snapshot.adjacency)
         if node is not None:
             problems.append(f"{bundle}: row of {node!r} is not sorted by neighbour string")
+    if snapshot.embeddings is not None:
+        problem = embeddings_problem(snapshot.embeddings)
+        if problem is not None:
+            problems.append(f"{bundle}: {problem}")
     return problems
 
 

@@ -249,7 +249,10 @@ class BundleLayer:
       :class:`SnapshotStaleError` when stale, :class:`StoreError` when corrupt.
     * ``diff(store, state)`` is a differ at a published state whose
       ``diff(keys, entities)`` returns the next :class:`LayerPayload` and a
-      commit thunk to run once that generation is durable.
+      commit thunk to run once that generation is durable.  A differ
+      whose layer is not a function of the store alone also has
+      ``built()``: the :func:`save_snapshot` keywords that carry its
+      folded state into a compacted base.
     * ``apply(state, payloads)`` merges delta payloads, stamped at the last.
 
     A layer without ``diff``/``apply`` cannot ride a chain with deltas.
@@ -350,17 +353,21 @@ LAYERS: dict[str, BundleLayer] = {
             _load_alias,
             *_owned(_ALIAS, "AliasDiff", "apply_alias"),
         ),
-        # No diff: a chain with deltas drops it (suites retrain on demand).
         BundleLayer(
             EMBEDDINGS_DIR,
             _save_embeddings,
-            *_owned("repro.embeddings.persistence", "load_embedding_layer"),
+            *_owned(
+                "repro.embeddings.persistence",
+                "load_embedding_layer",
+                "EmbeddingDiff",
+                "apply_embeddings",
+            ),
         ),
     )
 }
 
 #: The layers a growing shared graph publishes per generation.
-SHARED_LAYERS = (ADJACENCY_DIR, CONTEXT_DIR, ALIAS_DIR)
+SHARED_LAYERS = (ADJACENCY_DIR, CONTEXT_DIR, ALIAS_DIR, EMBEDDINGS_DIR)
 
 
 @dataclass
@@ -488,7 +495,6 @@ def save_snapshot(
     alias_table: "AliasTable | None" = None,
     embedding_suite: "EmbeddingSuite | None" = None,
     embedding_config: "EmbeddingSuiteConfig | None" = None,
-    embeddings: bool = True,
 ) -> dict[str, Any]:
     """Write a bundle: JSONL logical store + the named physical layers.
 
@@ -498,9 +504,8 @@ def save_snapshot(
     built from the store otherwise, so every layer
     manifest is stamped with the *current* ``store.version``.  The
     ``embeddings/`` layer is skipped for stores with no entity-valued
-    facts (nothing to train) or when ``embeddings=False`` (its consumers
-    then train on demand).  Returns the bundle manifest (also written to
-    ``snapshot.json``), which lists the layers written.
+    facts (nothing to train).  Returns the bundle manifest (also written
+    to ``snapshot.json``), which lists the layers written.
     """
     directory = Path(directory)
     built = {
@@ -519,8 +524,7 @@ def save_snapshot(
         "layers": [
             name
             for name in (LAYERS if layers is None else layers)
-            if (embeddings or name != EMBEDDINGS_DIR)
-            and LAYERS[name].save(store, directory / name, built)
+            if LAYERS[name].save(store, directory / name, built)
         ],
     }
     write_generation(directory, manifest)

@@ -819,16 +819,16 @@ class ServingService:
         Non-cacheable and already-cached requests are skipped.  Failed
         requests are skipped too (warming must never take the service
         down); they stay un-cached and will surface their error to the
-        first real caller.
+        first real caller.  Each request is probed once, through
+        :meth:`probe`, so a warmed miss counts one miss.
         """
         warmed = 0
         for request in requests:
             family = family_of(request)
             if family is None or not family.cacheable(request):
                 continue
-            if self._cache.get(self.store_version, request) is not None:
-                continue
-            if self.serve(request).ok:
+            probe = self.probe(request)
+            if probe.response is None and self.serve(request, probe=probe).ok:
                 warmed += 1
         self.metrics.incr("serve.cache_warmed", warmed)
         return warmed

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import StoreError
+from repro.common.snapshot_io import load_payload
 from repro.embeddings.persistence import (
     adopt_embedding_suite,
     load_embedding_layer,
@@ -170,8 +171,8 @@ class TestAdoptOrRebuild:
         snapshot = load_snapshot(tmp_path)
         assert snapshot.embeddings is None
 
-    def test_embeddings_false_skips_layer(self, kg, tmp_path):
-        manifest = save_snapshot(kg.store, tmp_path, embeddings=False)
+    def test_unlisted_embeddings_skips_layer(self, kg, tmp_path):
+        manifest = save_snapshot(kg.store, tmp_path, layers=("adjacency", "context", "alias"))
         assert EMBEDDINGS_DIR not in manifest["layers"]
 
 
@@ -217,6 +218,31 @@ class TestInt8Layer:
             [(h.key, h.score) for h in hits] for hits in built_knn
         ]
 
+    def test_int8_layer_rides_a_chain(self, int8_config, int8_bundle, tmp_path):
+        """A published generation re-codes exactly its changed rows."""
+        import shutil
+
+        from repro.kg.deltas import GenerationPublisher
+        from repro.ondevice.compression import int8_codes
+
+        directory = tmp_path / "chain"
+        shutil.copytree(int8_bundle, directory)
+        store = generate_kg(SyntheticKGConfig(seed=11, scale=0.1)).store
+        publisher = GenerationPublisher(store, directory)
+        first, second = store.entity_ids()[:2]
+        fact = store.add(entity_fact(first, "predicate:related_to", second))
+        publisher.record(keys=[fact.key])
+        info = publisher.publish()
+        delta = load_payload(info.directory / EMBEDDINGS_DIR, kind="embeddings-delta")
+        rows = np.asarray(delta.arrays["rows"])
+        layer = load_snapshot(directory).embeddings
+        codes, scales = int8_codes(layer.arrays["knn_rows"][rows])
+        np.testing.assert_array_equal(layer.arrays["knn_codes"][rows], codes)
+        np.testing.assert_array_equal(layer.arrays["knn_scales"][rows], scales.ravel())
+        suite = load_snapshot(directory).embedding_suite(int8_config)
+        assert suite.source == ADOPTED
+        assert suite.embedding_service.knn_many([first], k=3)[0]
+
 
 class TestSaveEmbeddingsValidation:
     def test_requires_ivf_backed_suite(self, kg, config, built, tmp_path):
@@ -237,6 +263,79 @@ class TestSaveEmbeddingsValidation:
         save_snapshot(store, tmp_path)
         predicate = next(iter(store.predicates()))
         store.add(entity_fact("entity:new_subject", predicate, "entity:new_object"))
-        save_snapshot(store, tmp_path, embeddings=False)  # new version, no layer
+        save_snapshot(store, tmp_path, layers=())  # new version, no layer
         snapshot = load_snapshot(tmp_path)
         assert snapshot.embeddings is None
+
+
+class TestChainDrift:
+    """Ten published generations at scale 0.5 must not wear the adopted
+    suite down: IVF recall@10 against exact search, and the verifier's
+    accuracy on held-out facts, stay above floors taken from the base."""
+
+    RECALL_SLACK = 0.05
+    ACCURACY_SLACK = 0.03
+
+    @staticmethod
+    def _quality(suite, held_out, negatives):
+        dataset, model = suite.trained.dataset, suite.trained.model
+        threshold = suite.verifier.calibration.threshold
+        positives = model.score_triples(np.array([dataset.encode(*key) for key in held_out]))
+        corrupted = model.score_triples(np.array([dataset.encode(*key) for key in negatives]))
+        accuracy = (np.sum(positives >= threshold) + np.sum(corrupted < threshold)) / (
+            len(positives) + len(corrupted)
+        )
+        keys, matrix = suite.trained.all_entity_vectors()
+        exact = ExactIndex()
+        exact.add(keys, matrix)
+        queries = matrix[np.random.default_rng(1).choice(len(matrix), 100, replace=False)]
+        return recall_at_k(suite.embedding_service.index, exact, queries, k=10), accuracy
+
+    def test_ten_generations_hold_the_base_floors(self, tmp_path):
+        from repro.common import ids
+        from repro.kg.deltas import GenerationPublisher
+        from repro.kg.store import EntityRecord
+        from repro.kg.triple import ObjectKind
+
+        store = generate_kg(SyntheticKGConfig(seed=3, scale=0.5)).store
+        facts = sorted(
+            (fact for fact in store.scan() if fact.obj_kind is ObjectKind.ENTITY),
+            key=lambda fact: fact.key,
+        )
+        rng = np.random.default_rng(5)
+        held = [facts[i] for i in sorted(rng.choice(len(facts), size=600, replace=False))]
+        for fact in held:
+            store.remove(*fact.key)
+        growth, test = held[:200], held[200:]
+        publisher = GenerationPublisher(store, tmp_path / "bundle", compact_every=0)
+
+        base = load_snapshot(tmp_path / "bundle").embedding_suite()
+        vocabulary = base.trained.dataset.entities
+        held_out = [
+            f.key
+            for f in test
+            if base.trained.has_entity(f.subject) and base.trained.has_entity(f.obj)
+        ]
+        negatives = [
+            (s, p, vocabulary[int(rng.integers(len(vocabulary)))]) for s, p, _o in held_out
+        ]
+        base_recall, base_accuracy = self._quality(base, held_out, negatives)
+
+        for generation in range(10):
+            chunk = growth[generation * 20 : (generation + 1) * 20]
+            for fact in chunk:
+                store.add(fact)
+            keys = [fact.key for fact in chunk]
+            if generation == 3:
+                new = EntityRecord(entity=ids.entity_id("drift_newcomer"), name="Drift Newcomer")
+                store.upsert_entity(new)
+                grown = store.add(entity_fact(new.entity, chunk[0].predicate, chunk[0].obj))
+                keys.append(grown.key)
+            publisher.record(keys=keys)
+            assert publisher.publish() is not None
+
+        tip = load_snapshot(tmp_path / "bundle").embedding_suite()
+        assert tip.source == ADOPTED
+        recall, accuracy = self._quality(tip, held_out, negatives)
+        assert recall >= base_recall - self.RECALL_SLACK, (recall, base_recall)
+        assert accuracy >= base_accuracy - self.ACCURACY_SLACK, (accuracy, base_accuracy)

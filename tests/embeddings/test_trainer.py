@@ -47,6 +47,16 @@ class TestAdaGrad:
         opt_single.apply(params_single, np.array([0]), np.array([[2.0]]))
         assert np.allclose(params_dup, params_single)
 
+    def test_trainable_mask_freezes_other_rows(self):
+        params = np.ones((3, 2))
+        opt = AdaGrad((3, 2), learning_rate=0.5, trainable=np.array([False, True, False]))
+        opt.apply(params, np.array([0, 1, 2, 1]), np.ones((4, 2)))
+        assert np.all(params[[0, 2]] == 1.0)
+        assert np.all(params[1] < 1.0)
+        assert np.all(opt.accumulator[[0, 2]] == 0.0)
+        opt.apply(params, np.array([2]), np.ones((1, 2)))  # nothing trainable
+        assert np.all(params[2] == 1.0)
+
     def test_external_accumulator_shared(self):
         acc = np.zeros((2, 2))
         opt = AdaGrad((2, 2), learning_rate=0.1, accumulator=acc)

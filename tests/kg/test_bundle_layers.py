@@ -3,7 +3,9 @@
 Per layer: a save/load round trip equals a fresh build; a stale
 ``store_version`` loads as ``None`` and the layer's consumer rebuilds; a
 flipped byte, a truncated file and a listed-but-missing directory raise
-``StoreError``; an unlisted directory is ignored.
+``StoreError``; an unlisted directory is ignored; a differ's payload,
+folded by ``apply``, is stamped at the store's version and reflects the
+change.
 """
 
 import json
@@ -124,8 +126,73 @@ CONSUMERS = {
 }
 
 
+NEW_ENTITY = "entity:contract/newcomer"
+
+
+def _adjacency_folds(store, base, folded, payload, anchor):
+    node = folded.dictionary.get(anchor)
+    neighbours = {folded.dictionary.string_of(int(i)) for i in folded.neighbors_of(node)}
+    assert neighbours == store.neighbors(anchor)
+    assert NEW_ENTITY in folded.dictionary
+
+
+def _context_folds(store, base, folded, payload, anchor):
+    matrix, entities, _version, _extra = folded
+    np.testing.assert_array_equal(
+        matrix[entities.index(anchor)], EntityContextIndex(store).vector(anchor)
+    )
+
+
+def _alias_folds(store, base, folded, payload, anchor):
+    assert folded[0] == AliasTable(store).state()
+
+
+def _embeddings_folds(store, base, folded, payload, anchor):
+    from repro.common.snapshot_io import unpack_strings
+
+    arrays, before = folded.arrays, base.arrays
+    entities = unpack_strings(arrays["entity_blob"], arrays["entity_offsets"])
+    assert entities == [
+        *unpack_strings(before["entity_blob"], before["entity_offsets"]),
+        NEW_ENTITY,
+    ]
+    rows = np.asarray(payload.arrays["rows"])
+    assert {entities[row] for row in rows} == {anchor, NEW_ENTITY}
+    frozen = np.setdiff1d(np.arange(len(before["entity_emb"])), rows)
+    np.testing.assert_array_equal(arrays["entity_emb"][frozen], before["entity_emb"][frozen])
+    assert not np.array_equal(arrays["entity_emb"][rows[0]], before["entity_emb"][rows[0]])
+    relations = len(before["relation_emb"])  # the new predicate appends one row
+    np.testing.assert_array_equal(arrays["relation_emb"][:relations], before["relation_emb"])
+    assert folded.extra == base.extra  # recipe and calibration stay frozen
+    assert len(entities) - 1 in set(arrays["knn_postings_indices"].tolist())
+
+
+FOLDS = {
+    "adjacency": _adjacency_folds,
+    "context": _context_folds,
+    "alias": _alias_folds,
+    "embeddings": _embeddings_folds,
+}
+
+
 def test_every_registered_layer_is_covered():
-    assert set(ROUND_TRIPS) == set(LAYERS) == set(CONSUMERS)
+    assert set(ROUND_TRIPS) == set(LAYERS) == set(CONSUMERS) == set(FOLDS)
+
+
+@pytest.mark.parametrize("name", list(LAYERS))
+def test_diff_then_apply_reflects_the_change(saved, name):
+    from repro.kg.triple import entity_fact
+
+    store = generate_kg(SyntheticKGConfig(seed=5, scale=0.05)).store  # a mutable copy
+    base = getattr(load_snapshot(saved), name)
+    differ = LAYERS[name].diff(store, base)
+    anchor = sorted(load_snapshot(saved).embedding_suite().trained.dataset.entities)[0]
+    fact = store.add(entity_fact(anchor, "predicate:related_to", NEW_ENTITY))
+    payload, _commit = differ.diff([fact.key], [])
+    assert payload.store_version == store.version
+    assert LAYERS[name].apply(base, []) is base
+    folded = LAYERS[name].apply(base, [payload])
+    FOLDS[name](store, base, folded, payload, anchor)
 
 
 def _largest_file(layer_dir):

@@ -20,9 +20,11 @@ from repro.kg.deltas import (
     read_chain,
 )
 from repro.kg.persistence import load_snapshot, save_snapshot
-from repro.kg.store import EntityRecord
+from repro.embeddings.suite import ADOPTED
+from repro.kg.store import EntityRecord, TripleStore
 from repro.kg.triple import LiteralType, entity_fact, literal_fact
 from repro.serving.faults import FaultPlan, FaultSpec, InjectedCrash, armed
+from repro.serving.service import ServingService
 
 RELATED = ids.predicate_id("related_to")
 NOTE = ids.predicate_id("note")
@@ -169,7 +171,7 @@ class TestPublishParity:
     def test_adopts_pre_chain_bundle(self, tmp_path):
         kg = generate_kg(SyntheticKGConfig(seed=3, scale=0.05))
         bundle = tmp_path / "plain"
-        save_snapshot(kg.store, bundle, embeddings=False)
+        save_snapshot(kg.store, bundle, layers=("adjacency", "context", "alias"))
         assert not (bundle / CHAIN_NAME).exists()
         publisher = GenerationPublisher(kg.store, bundle)
         assert (bundle / CHAIN_NAME).exists()
@@ -311,3 +313,108 @@ class TestCrashSafety:
         info = publisher.publish()
         assert info is not None and info.store_version == store.version
         _assert_full_parity(store, bundle)
+
+
+def _grow_embeddings(store, publisher, generation: int) -> None:
+    """One of three generations: new edges, then a new entity, then the
+    removal of every entity-valued fact of one entity."""
+    entity_ids = sorted(store.entity_ids())
+    if generation == 1:
+        new = EntityRecord(entity=ids.entity_id("grown_e1"), name="Grown One")
+        store.upsert_entity(new)
+        facts = [entity_fact(new.entity, RELATED, entity_ids[0], confidence=0.9)]
+        entities = [new.entity]
+    elif generation == 2:
+        victim = entity_ids[-1]
+        keys = [f.key for f in store.scan(subject=victim)] + [f.key for f in store.scan(obj=victim)]
+        for key in keys:
+            store.remove(*key)
+        publisher.record(keys=keys)
+        assert publisher.publish() is not None
+        return
+    else:
+        facts = [entity_fact(entity_ids[i], RELATED, entity_ids[i + 7]) for i in range(5)]
+        entities = []
+    for fact in facts:
+        store.add(fact)
+    publisher.record(keys=[fact.key for fact in facts], entities=entities)
+    assert publisher.publish() is not None
+
+
+def _grown_chain(directory):
+    kg = generate_kg(SyntheticKGConfig(seed=11, scale=0.05))
+    publisher = GenerationPublisher(kg.store, directory, compact_every=0)
+    for generation in range(3):
+        _grow_embeddings(kg.store, publisher, generation)
+    return kg.store, publisher
+
+
+class TestEmbeddingsOnChains:
+    """A chain's embedding answers equal a replay of its base plus its
+    deltas, and compaction keeps them."""
+
+    def test_chain_equals_replay_and_survives_compaction(self, tmp_path):
+        store, publisher = _grown_chain(tmp_path / "bundle")
+        _replay_store, _ = _grown_chain(tmp_path / "replay")
+        folded = load_snapshot(tmp_path / "bundle").embeddings
+        replayed = load_snapshot(tmp_path / "replay").embeddings
+        assert folded is not None and folded.store_version == store.version
+        assert set(folded.arrays) == set(replayed.arrays)
+        for name, array in folded.arrays.items():
+            np.testing.assert_array_equal(array, replayed.arrays[name], err_msg=name)
+
+        # The new entity got a row and sits in the kNN postings; the
+        # removed one kept its row but left them.
+        with ServingService(tmp_path / "bundle", mode="inline") as service:
+            suite = service._pool.local_state.embedding_suite()
+            assert suite.source == ADOPTED
+            dataset = suite.trained.dataset
+            grown = ids.entity_id("grown_e1")
+            victim = sorted(store.entity_ids())[-1]
+            assert dataset.entities[-1] == grown
+            assert victim in dataset.entity_index
+            postings = set(np.asarray(folded.arrays["knn_postings_indices"]).tolist())
+            assert dataset.entity_index[grown] in postings
+            assert dataset.entity_index[victim] not in postings
+            hits = suite.embedding_service.knn_many([grown], k=len(dataset.entities))[0]
+            assert victim not in {hit.key for hit in hits}
+
+        kept = {name: np.array(array) for name, array in folded.arrays.items()}
+        publisher.compact()
+        compacted = load_snapshot(tmp_path / "bundle")
+        assert compacted.manifest.get("chain", {}).get("deltas", 0) == 0
+        for name, array in compacted.embeddings.arrays.items():
+            np.testing.assert_array_equal(array, kept[name], err_msg=name)
+        assert compacted.embedding_suite().source == ADOPTED
+
+    def test_compaction_publishes_pending_changes_first(self, tmp_path):
+        store, publisher = _grown_chain(tmp_path / "bundle")
+        entity_ids = sorted(store.entity_ids())
+        fact = store.add(entity_fact(entity_ids[1], RELATED, entity_ids[9]))
+        publisher.record(keys=[fact.key])
+        publisher.compact()
+        _replay, replay = _grown_chain(tmp_path / "replay")
+        _replay.add(entity_fact(entity_ids[1], RELATED, entity_ids[9]))
+        replay.record(keys=[fact.key])
+        replay.publish()
+        compacted = load_snapshot(tmp_path / "bundle").embeddings
+        replayed = load_snapshot(tmp_path / "replay").embeddings
+        for name, array in compacted.arrays.items():
+            np.testing.assert_array_equal(array, replayed.arrays[name], err_msg=name)
+
+    def test_store_without_entity_facts_publishes(self, tmp_path):
+        """No entity-valued fact: no embeddings layer, and the chain still
+        opens, publishes and compacts without it."""
+        store = TripleStore(name="literal-only")
+        record = EntityRecord(entity=ids.entity_id("lonely"), name="Lonely")
+        store.upsert_entity(record)
+        store.add(literal_fact(record.entity, NOTE, "first", LiteralType.STRING))
+        publisher = GenerationPublisher(store, tmp_path / "bundle")
+        fact = store.add(literal_fact(record.entity, NOTE, "second", LiteralType.STRING))
+        publisher.record(keys=[fact.key])
+        assert publisher.publish() is not None
+        snapshot = load_snapshot(tmp_path / "bundle")
+        assert "embeddings" not in snapshot.manifest["layers"]
+        assert snapshot.adjacency is not None
+        assert publisher.compact().compacted
+        assert publisher.chain_length == 0

@@ -110,3 +110,44 @@ def test_reused_dictionary_string_fails(bundle):
     )
     problems = check_bundle(bundle)
     assert any("append-only" in problem for problem in problems), problems
+
+
+def _rewrite(layer, kind, edit):
+    """Load a layer's arrays, ``edit`` them and re-stamp the checksums, so
+    only a semantic check can catch the change."""
+    from repro.common.snapshot_io import load_payload, write_arrays
+
+    payload = load_payload(layer, kind=kind, mmap=False)
+    arrays = {name: np.array(array) for name, array in payload.arrays.items()}
+    edit(arrays)
+    write_arrays(
+        layer, arrays, kind=kind, store_version=payload.store_version, extra=payload.extra
+    )
+
+
+def test_readded_embedding_entity_fails(bundle):
+    """An embeddings delta appending an entity its parent already holds."""
+    from repro.common.snapshot_io import pack_strings, unpack_strings
+
+    def readd(arrays):
+        appended = unpack_strings(arrays["entity_blob"], arrays["entity_offsets"])
+        first = json.loads((bundle / "entities.jsonl").read_text().splitlines()[0])["entity"]
+        assert appended == ["entity:fsck/newcomer"]
+        arrays["entity_blob"], arrays["entity_offsets"] = pack_strings([first, *appended])
+
+    _rewrite(bundle / "deltas" / "delta-000002" / "embeddings", "embeddings-delta", readd)
+    problems = check_bundle(bundle)
+    assert any("append-only" in problem for problem in problems), problems
+
+
+@pytest.mark.parametrize("chained", [True, False])
+def test_out_of_range_posting_fails(bundle, capsys, chained):
+    """Caught by the chain fold, and by fsck's own check on a plain bundle."""
+    def stray(arrays):
+        arrays["knn_postings_indices"][-1] = len(arrays["knn_rows"]) + 3
+
+    if not chained:
+        (bundle / CHAIN_NAME).unlink()
+    _rewrite(bundle / "embeddings", "embeddings", stray)
+    assert main([str(bundle)]) != 0
+    assert "kNN posting" in capsys.readouterr().err

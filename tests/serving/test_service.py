@@ -336,6 +336,23 @@ class TestCacheWarming:
             # A second warm pass finds everything cached already.
             assert svc.warm(requests) == 0
 
+    def test_warm_probes_each_request_once(self, bundle_dir, seed_entities):
+        with ServingService(bundle_dir, mode="inline") as svc:
+            requests = [WalkRequest(entities=(entity,), seed=5) for entity in seed_entities[:2]]
+            before = svc.stats()
+            assert svc.warm(requests) == 2
+            after = svc.stats()
+
+            def moved(key):
+                return after.get(key, 0.0) - before.get(key, 0.0)
+
+            assert moved("counter.cache.misses.walk") == 2
+            assert moved("counter.serve.requests") == 2
+            assert svc.warm(requests) == 0
+            assert svc.stats().get("counter.cache.hits.walk", 0.0) - after.get(
+                "counter.cache.hits.walk", 0.0
+            ) == 2
+
     def test_warm_skips_non_cacheable(self, bundle_dir, sample_texts):
         with ServingService(bundle_dir) as svc:
             warmed = svc.warm([AnnotateRequest(texts=tuple(sample_texts[:2]))])
