@@ -14,12 +14,61 @@ import numpy as np
 from repro.common.rng import substream
 
 
+# Packed key layout: head << 39 | relation << 24 | tail, a non-negative
+# int64 for entity ids below 2**24 and relation ids below 2**15.
+_ENTITY_BITS = 24
+_RELATION_BITS = 15
+
+
+def _pack(triples: np.ndarray) -> np.ndarray:
+    """One int64 key per ``(h, r, t)`` row, in row order."""
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    heads, relations, tails = triples[:, 0], triples[:, 1], triples[:, 2]
+    if len(triples) and (
+        triples.min() < 0
+        or max(heads.max(), tails.max()) >> _ENTITY_BITS
+        or relations.max() >> _RELATION_BITS
+    ):
+        raise ValueError(
+            f"triple ids out of range: entities must be below 2**{_ENTITY_BITS}, "
+            f"relations below 2**{_RELATION_BITS}"
+        )
+    return (heads << (_ENTITY_BITS + _RELATION_BITS)) | (relations << _ENTITY_BITS) | tails
+
+
+class KnownTriples:
+    """A set of true ``(h, r, t)`` index triples, as sorted packed keys.
+
+    Membership of a whole batch is one ``np.searchsorted`` instead of a
+    Python loop over tuples.
+    """
+
+    def __init__(self, triples=()) -> None:
+        if not isinstance(triples, np.ndarray):
+            triples = list(triples)
+        self.keys = np.unique(_pack(triples))
+
+    def contains(self, triples: np.ndarray) -> np.ndarray:
+        """A boolean mask: which rows of ``triples`` are known."""
+        keys = _pack(triples)
+        if not len(self.keys):
+            return np.zeros(len(keys), dtype=bool)
+        slots = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return self.keys[slots] == keys
+
+    def add(self, triples: np.ndarray) -> None:
+        """Insert the rows of ``triples``, keeping the keys sorted."""
+        self.keys = np.union1d(self.keys, _pack(triples))
+
+
 class NegativeSampler:
     """Uniform head/tail corruption with optional filtering.
 
     Filtering retries up to ``max_retries`` times per slot and then keeps
     whatever it has — with a sparse graph collisions are rare, so the bound
-    exists only to guarantee termination.
+    exists only to guarantee termination.  ``known`` is a
+    :class:`KnownTriples`, or any collection of ``(h, r, t)`` rows (a set
+    of tuples, an ``(m, 3)`` array) to build one from.
     """
 
     def __init__(
@@ -27,7 +76,7 @@ class NegativeSampler:
         num_entities: int,
         negatives_per_positive: int = 4,
         filtered: bool = True,
-        known: set[tuple[int, int, int]] | None = None,
+        known: KnownTriples | set[tuple[int, int, int]] | np.ndarray | None = None,
         seed: int = 0,
         max_retries: int = 8,
     ) -> None:
@@ -38,7 +87,9 @@ class NegativeSampler:
         self.num_entities = num_entities
         self.negatives_per_positive = negatives_per_positive
         self.filtered = filtered and known is not None
-        self.known = known or set()
+        if not isinstance(known, KnownTriples):
+            known = KnownTriples(() if known is None else known)
+        self.known = known
         self.max_retries = max_retries
         self._rng = substream(seed, "negative-sampler")
 
@@ -62,19 +113,16 @@ class NegativeSampler:
         return negatives
 
     def _refilter(self, negatives: np.ndarray, corrupt_tail: np.ndarray) -> None:
-        """Resample rows that collide with known true triples, in place."""
-        for attempt in range(self.max_retries):
-            collisions = [
-                i
-                for i in range(len(negatives))
-                if (int(negatives[i, 0]), int(negatives[i, 1]), int(negatives[i, 2]))
-                in self.known
-            ]
-            if not collisions:
+        """Resample rows that collide with known true triples, in place.
+
+        Each attempt draws one replacement per colliding row, in row order,
+        so the stream matches a row-by-row scan.
+        """
+        for _ in range(self.max_retries):
+            collisions = np.flatnonzero(self.known.contains(negatives))
+            if not len(collisions):
                 return
             fresh = self._rng.integers(0, self.num_entities, size=len(collisions))
-            for j, row in enumerate(collisions):
-                if corrupt_tail[row]:
-                    negatives[row, 2] = fresh[j]
-                else:
-                    negatives[row, 0] = fresh[j]
+            tails = corrupt_tail[collisions]
+            negatives[collisions[tails], 2] = fresh[tails]
+            negatives[collisions[~tails], 0] = fresh[~tails]

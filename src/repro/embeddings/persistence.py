@@ -58,7 +58,7 @@ from repro.embeddings.dataset import TripleDataset
 from repro.embeddings.evaluation import ClassificationReport
 from repro.embeddings.inference import BatchInference
 from repro.embeddings.models import ModelConfig, adopt_model
-from repro.embeddings.negative_sampling import NegativeSampler
+from repro.embeddings.negative_sampling import KnownTriples, NegativeSampler
 from repro.embeddings.suite import ADOPTED, EmbeddingSuite, EmbeddingSuiteConfig
 from repro.embeddings.trainer import (
     AdaGrad,
@@ -331,7 +331,7 @@ class EmbeddingDiff:
         self.store = store
         self.config = EmbeddingSuiteConfig(**tip.extra["recipe"])
         self._adopt(tip)
-        self.known = set(map(tuple, np.asarray(tip.arrays["train_triples"]).tolist()))
+        self.known = KnownTriples(np.asarray(tip.arrays["train_triples"]))
 
     def _adopt(self, tip: LayerPayload) -> None:
         self.tip = tip
@@ -401,14 +401,14 @@ class EmbeddingDiff:
         live = np.isin(rows, trained) | (cells[rows] < 0)
         unit = normalize_rows(entity_emb[rows]).astype(np.float32)
         nearest = np.argmax(unit @ np.asarray(tip["knn_centroids"]).T, axis=1)
-        appended = [t for t in map(tuple, triples.tolist()) if t not in self.known]
+        appended = triples[~self.known.contains(triples)]
         delta = {
             "rows": rows,
             "entity_emb": entity_emb[rows],
             "knn_rows": unit,
             "knn_cells": np.where(live, nearest, -1).astype(np.int64),
             "relation_emb": relation_emb[len(self.relation_index) :],
-            "train_triples": np.array(appended, dtype=np.int64).reshape(-1, 3),
+            "train_triples": appended,
         }
         delta["entity_blob"], delta["entity_offsets"] = pack_strings(new_entities)
         delta["relation_blob"], delta["relation_offsets"] = pack_strings(new_relations)
@@ -421,7 +421,7 @@ class EmbeddingDiff:
 
         def commit() -> None:
             self._adopt(apply_embeddings(self.tip, [payload]))
-            self.known.update(appended)
+            self.known.add(appended)
 
         return payload, commit
 

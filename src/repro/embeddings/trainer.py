@@ -163,7 +163,7 @@ class Trainer:
             num_entities=dataset.num_entities,
             negatives_per_positive=self.config.negatives_per_positive,
             filtered=self.config.filtered_negatives,
-            known=dataset.known_set() if self.config.filtered_negatives else None,
+            known=dataset.triples if self.config.filtered_negatives else None,
             seed=self.config.seed,
         )
         self._entity_opt = AdaGrad(self.model.entity_emb.shape, self.config.learning_rate)

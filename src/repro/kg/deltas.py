@@ -45,6 +45,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -91,10 +92,13 @@ SITE_COMPACT = "publisher.compact"
 
 
 def _fault_point(site: str) -> None:
-    # Lazy import: kg must not depend on the serving package at import time.
-    from repro.serving.faults import fault_point
-
-    fault_point(site)
+    # A plan can only be armed through repro.serving.faults, so a process
+    # that never imported it has none; importing it here would run all of
+    # serving/__init__ (~130 ms) on the first publish.  kg must not depend
+    # on the serving package at import time either.
+    faults = sys.modules.get("repro.serving.faults")
+    if faults is not None:
+        faults.fault_point(site)
 
 
 # -- chain manifest -----------------------------------------------------------

@@ -42,6 +42,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.common import tracing
+from repro.common.blas import set_blas_threads
 from repro.common.metrics import MetricsRegistry
 from repro.serving import faults
 from repro.serving.resilience import (
@@ -304,6 +305,12 @@ def _process_initializer(
         # a different (still deterministic) injection schedule, so one
         # scheduled crash can't wedge every respawn forever.
         faults.arm(plan.reseeded(incarnation))
+    # The fleet is one process per core, so a second BLAS thread here has
+    # no core of its own and only spin-waits between the related build's
+    # LAPACK calls.  Set before any BLAS call, while this fork is still
+    # single-threaded (the setter is process-global).  Inline and thread
+    # modes share the gateway's process and leave its count alone.
+    set_blas_threads(1)
     _PROCESS_STATE = WorkerState(bundle_dir, config)
 
 

@@ -1,6 +1,10 @@
 """Delta-chain bundles: publish/merge parity, edge cases, crash safety."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +317,32 @@ class TestCrashSafety:
         info = publisher.publish()
         assert info is not None and info.store_version == store.version
         _assert_full_parity(store, bundle)
+
+    def test_publish_does_not_import_serving(self, tmp_path):
+        """No plan can be armed without importing repro.serving.faults, so a
+        publishing process that never did must not pay for importing the
+        serving package at its fault sites."""
+        script = (
+            "import sys\n"
+            "from repro.kg import SyntheticKGConfig, generate_kg\n"
+            "from repro.kg.deltas import GenerationPublisher\n"
+            "from repro.kg.triple import entity_fact\n"
+            "store = generate_kg(SyntheticKGConfig(seed=11, scale=0.05)).store\n"
+            f"publisher = GenerationPublisher(store, {str(tmp_path / 'bundle')!r})\n"
+            "a, b = sorted(store.entity_ids())[:2]\n"
+            f"fact = entity_fact(a, {RELATED!r}, b, confidence=0.9)\n"
+            "store.add(fact)\n"
+            "publisher.record(keys=[fact.key])\n"
+            "assert publisher.publish() is not None\n"
+            "assert 'repro.serving' not in sys.modules, sorted(\n"
+            "    m for m in sys.modules if m.startswith('repro.serving'))\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=False, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 def _grow_embeddings(store, publisher, generation: int) -> None:
