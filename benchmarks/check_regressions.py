@@ -5,23 +5,17 @@
 committed row per stage is the performance baseline this repo promises.
 This script compares a fresh run's rows against that baseline and exits
 non-zero when any previously benchmarked stage slowed down by more than
-``--threshold`` (default 2x).
+``--threshold`` (default 2x):
 
-Usage:
+    BENCH_RESULTS=/tmp/fresh.jsonl python -m pytest benchmarks
+    python benchmarks/check_regressions.py --fresh /tmp/fresh.jsonl
 
-* ``python benchmarks/check_regressions.py``
-  Self-check the committed baseline (parses every row, verifies each
-  timed stage has a usable metric, compares the baseline to itself —
-  always exits 0 on a healthy file).  This is the CI invocation: it
-  guards the file's integrity without needing a full-scale bench run.
-
-* ``python benchmarks/check_regressions.py --fresh /tmp/fresh.jsonl``
-  Compare a fresh run (``BENCH_RESULTS=/tmp/fresh.jsonl python -m pytest
-  benchmarks``) against the committed baseline.  Stages missing from the
-  baseline are new and pass by definition; a baseline stage *missing from
-  the fresh run* fails the check — a silently deleted benchmark is a
-  coverage regression, not a pass (``--allow-missing`` overrides when a
-  stage was intentionally retired).
+Stages missing from the baseline are new and pass by definition.  A
+baseline stage *missing from the fresh run*, or timed there by a
+different metric, fails the check: a silently deleted or renamed
+benchmark is a coverage regression, not a pass (``--allow-missing``
+overrides when a stage was intentionally retired).  Rows carrying an
+``overhead_budget`` must honour it in both logs.
 
 When a speedup legitimately shifts a baseline (a faster implementation
 lands), re-run the benchmarks at scale=1.0 so fresh rows are appended to
@@ -33,27 +27,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 DEFAULT_BASELINE = Path(__file__).parent / "results.jsonl"
 
 # Fields that discriminate stages within one experiment, in precedence
-# order (a row may carry several; all present ones join the key).  The
-# serving rows (F-serving) discriminate on fleet shape: workers / mode /
-# batched — a 4-worker throughput row must never be compared against the
-# single-process seed row.
+# order (a row may carry several; all present ones join the key).
 STAGE_FIELDS = (
     "op",
     "index",
     "tier",
     "config",
     "backend",
-    "model",
     "change_fraction",
     "workers",
     "mode",
-    "batched",
 )
 
 # Timing metrics, with their direction.  The first one present in a row
@@ -67,17 +57,13 @@ LOWER_IS_BETTER = (
     "cold_cache_s_per_50_texts",
     "recovery_ms",
 )
-HIGHER_IS_BETTER = ("docs_per_s", "scored_per_s", "triples_per_s", "qps", "queries_per_s")
+HIGHER_IS_BETTER = ("docs_per_s", "scored_per_s", "queries_per_s")
 
 
 def budget_violations(rows: list[dict]) -> list[str]:
-    """Rows carrying an ``overhead_budget`` promise an *absolute* bound.
-
-    Unlike the relative baseline comparison, these bounds re-apply to
-    every run of this script — committed baseline and fresh runs alike.
-    A row whose ``overhead_vs_*`` field exceeds its own budget fails the
-    check (the F-obs armed row gates tracing overhead ≤5% this way).
-    """
+    """Rows carrying an ``overhead_budget`` promise an *absolute* bound:
+    each of the row's ``overhead_vs_*`` fields must stay within it (the
+    F-obs sampled-tracing row gates tracing overhead ≤5% this way)."""
     violations: list[str] = []
     for row in rows:
         budget = row.get("overhead_budget")
@@ -156,8 +142,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--fresh",
         type=Path,
-        default=None,
-        help="fresh run's results log; omitted = self-check the baseline",
+        required=True,
+        help="fresh run's results log",
     )
     parser.add_argument(
         "--threshold",
@@ -173,77 +159,56 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if not args.baseline.exists():
-        print(f"baseline not found: {args.baseline}", file=sys.stderr)
-        return 1
+    for path in (args.baseline, args.fresh):
+        if not path.exists():
+            print(f"results log not found: {path}", file=sys.stderr)
+            return 1
     baseline_rows = load_rows(args.baseline)
-    budget_failures = budget_violations(baseline_rows)
-    if args.fresh is not None:
-        budget_failures += budget_violations(load_rows(args.fresh))
+    fresh_rows = load_rows(args.fresh)
+    budget_failures = budget_violations(baseline_rows) + budget_violations(fresh_rows)
     baseline = latest_metrics(baseline_rows)
     if not baseline:
         print(f"no timed stages found in {args.baseline}", file=sys.stderr)
         return 1
-    fresh = baseline if args.fresh is None else latest_metrics(load_rows(args.fresh))
+    fresh = latest_metrics(fresh_rows)
 
     regressions: list[str] = []
-    compared = 0
-    for key, (name, fresh_value, lower_better) in sorted(fresh.items()):
-        base = baseline.get(key)
-        if base is None:
-            continue  # new stage: no baseline yet
-        base_name, base_value, _ = base
-        if base_name != name or base_value <= 0 or fresh_value <= 0:
+    missing: list[str] = []
+    for key, (base_name, base_value, lower_better) in sorted(baseline.items()):
+        label = " / ".join(key)
+        name, fresh_value, _ = fresh.get(key, (None, 0.0, True))
+        if name != base_name:
+            missing.append(label)
+            marker = "missing" if args.allow_missing else "MISSING"
+            found = "no fresh row" if name is None else f"fresh row times {name}"
+            print(f"{marker:>10}  {label:<60} {base_name}: {found}")
             continue
-        compared += 1
-        slowdown = (
-            fresh_value / base_value if lower_better else base_value / fresh_value
-        )
+        if min(base_value, fresh_value) <= 0:
+            slowdown = math.inf  # a non-positive timing is no measurement
+        else:
+            slowdown = fresh_value / base_value if lower_better else base_value / fresh_value
         marker = "REGRESSION" if slowdown > args.threshold else "ok"
         print(
-            f"{marker:>10}  {' / '.join(key):<60} {name}: "
+            f"{marker:>10}  {label:<60} {name}: "
             f"{base_value:g} -> {fresh_value:g}  ({slowdown:.2f}x)"
         )
         if slowdown > args.threshold:
-            regressions.append(" / ".join(key))
+            regressions.append(label)
 
-    missing = (
-        sorted(key for key in baseline if key not in fresh)
-        if args.fresh is not None
-        else []
+    compared = len(baseline) - len(missing)
+    print(f"\n{compared} stage(s) compared against {args.baseline} (fresh: {args.fresh})")
+    failures = (
+        ("baseline stage(s) disappeared from the fresh run "
+         "(pass --allow-missing if intentionally retired)", [] if args.allow_missing else missing),
+        (f"stage(s) slower than {args.threshold}x baseline", regressions),
+        ("row(s) exceed their overhead budget", budget_failures),
     )
-    for key in missing:
-        marker = "missing" if args.allow_missing else "MISSING"
-        print(f"{marker:>10}  {' / '.join(key):<60} (no fresh row)")
-
-    print(
-        f"\n{compared} stage(s) compared against {args.baseline}"
-        + ("" if args.fresh is None else f" (fresh: {args.fresh})")
-    )
-    if missing and not args.allow_missing:
-        print(
-            f"{len(missing)} baseline stage(s) disappeared from the fresh run "
-            "(pass --allow-missing if intentionally retired):",
-            file=sys.stderr,
-        )
-        for key in missing:
-            print(f"  - {' / '.join(key)}", file=sys.stderr)
-        return 1
-    if regressions:
-        print(
-            f"{len(regressions)} stage(s) slower than {args.threshold}x baseline:",
-            file=sys.stderr,
-        )
-        for key in regressions:
-            print(f"  - {key}", file=sys.stderr)
-        return 1
-    if budget_failures:
-        print(
-            f"{len(budget_failures)} row(s) exceed their overhead budget:",
-            file=sys.stderr,
-        )
-        for failure in budget_failures:
-            print(f"  - {failure}", file=sys.stderr)
+    for title, items in failures:
+        if items:
+            print(f"{len(items)} {title}:", file=sys.stderr)
+            for item in items:
+                print(f"  - {item}", file=sys.stderr)
+    if any(items for _title, items in failures):
         return 1
     print("no regressions beyond threshold; all overhead budgets honoured")
     return 0

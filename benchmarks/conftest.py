@@ -1,9 +1,10 @@
 """Shared benchmark fixtures: one full-scale world, trained once per session.
 
-Benchmarks mirror the experiment index in DESIGN.md §4.  Quality numbers are
-attached to each benchmark's ``extra_info`` (visible in pytest-benchmark
-output) and also appended to ``benchmarks/results.jsonl`` so EXPERIMENTS.md
-can quote them.
+Each bench reproduces one paper figure (F1–F7) or pins one subsystem (F-*).
+Quality numbers are attached to each benchmark's ``extra_info`` (visible in
+pytest-benchmark output) and also appended to ``benchmarks/results.jsonl``,
+whose newest row per stage is the baseline ``check_regressions.py`` compares
+a fresh run against and README quotes.
 """
 
 from __future__ import annotations

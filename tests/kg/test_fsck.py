@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -38,7 +39,7 @@ def test_sound_bundle_passes(bundle, capsys):
 
 
 def test_module_entry_point(bundle):
-    env = {"PYTHONPATH": str(SRC)}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     ok = subprocess.run(
         [sys.executable, "-m", "repro.kg.fsck", str(bundle)],
         env=env, capture_output=True, text=True, check=False,

@@ -126,6 +126,28 @@ class TestServeAsync:
         assert [r.payload for r in responses] == expected
         assert all(r.ok for r in responses)
 
+    def test_streamed_single_text_annotations_match_annotate_many(self, service, sample_texts):
+        texts = sample_texts[:6]
+        expected = [
+            [(link.mention.start, link.mention.end, link.entity) for link in links]
+            for links in service.annotate_many(texts)
+        ]
+
+        async def go():
+            gateway = AsyncGateway(service, max_concurrency=2, max_pending=8)
+            try:
+                requests = [AnnotateRequest(texts=(text,)) for text in texts]
+                return [r async for r in gateway.serve_stream(requests)]
+            finally:
+                gateway.close()
+
+        responses = run(go())
+        assert all(r.ok for r in responses)
+        assert [
+            [(link.mention.start, link.mention.end, link.entity) for link in r.payload[0]]
+            for r in responses
+        ] == expected
+
     def test_stream_pipelines_past_a_slow_head(self, service, seed_entities, monkeypatch):
         """A slow first request must not idle the rest of the window:
         completions behind the head keep refilling the pipeline."""

@@ -128,6 +128,25 @@ class TestAnnotationServing:
                 (link.mention.start, link.mention.end, link.entity) for link in singles
             ]
 
+    def test_process_fleet_matches_per_document_pipeline(self, bundle_dir, sample_texts):
+        """Micro-batched chunks across a process fleet give the spans and
+        entities of one pipeline annotating each document alone."""
+        from repro.kg.persistence import load_snapshot
+
+        def signature(links):
+            return [
+                (link.mention.start, link.mention.end, link.mention.surface, link.entity)
+                for link in links
+            ]
+
+        pipeline = load_snapshot(bundle_dir).annotation_pipeline(tier="full")
+        expected = [signature(pipeline.annotate(text)) for text in sample_texts]
+        with ServingService(
+            bundle_dir, mode="process", num_workers=2, batch_max_docs=4
+        ) as svc:
+            served = svc.annotate_many(sample_texts)
+        assert [signature(links) for links in served] == expected
+
     def test_annotate_many_empty(self, service):
         assert service.annotate_many([]) == []
 
