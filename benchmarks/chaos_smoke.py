@@ -12,6 +12,9 @@ type still has to come back ``ok`` with a payload, byte-compatible with
 a healthy control run, and ``/healthz`` must keep answering 200
 throughout.  Exits non-zero on any violation — including the degenerate
 one where the plan injected nothing, which would make the smoke vacuous.
+A two-worker process pool then runs under a crash-only plan (the
+resilience counters must move), and one of its workers is SIGKILLed
+outside chaos: exactly one respawn, and the survivor keeps its pid.
 
 Run directly (CI does): ``PYTHONPATH=src python benchmarks/chaos_smoke.py``
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import signal
 import sys
 import tempfile
 import time
@@ -147,7 +151,7 @@ def observability_counters_phase(bundle: Path) -> list[str]:
         with WorkerPool(
             bundle,
             mode="process",
-            num_workers=1,
+            num_workers=2,
             metrics=metrics,
             breaker=breaker,
             retry_policy=RETRY_POLICY,
@@ -185,6 +189,32 @@ def observability_counters_phase(bundle: Path) -> list[str]:
     return failures
 
 
+def worker_kill_phase(bundle: Path) -> list[str]:
+    """SIGKILL one of two process workers: one respawn per crash, not one
+    per fleet, and the survivor keeps its pid."""
+    failures: list[str] = []
+    metrics = MetricsRegistry("chaos-kill")
+    with WorkerPool(bundle, mode="process", num_workers=2, metrics=metrics) as pool:
+        entities = sorted(pool.local_state.snapshot.store.entity_ids())[:4]
+        request = WalkRequest(entities=tuple(entities), seed=0)
+        expected = pool.run(request)
+        victim, survivor = (worker.process for worker in pool._executor._workers)
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10)
+        answered = pool.run(request)
+        pids = [worker.process.pid for worker in pool._executor._workers]
+    respawns = metrics.counters.get("pool.respawns", 0)
+    if answered != expected:
+        failures.append("worker kill: the answer after the kill differs")
+    if respawns != 1:
+        failures.append(f"worker kill: expected exactly 1 respawn, got {respawns}")
+    if survivor.pid not in pids or victim.pid in pids:
+        failures.append(f"worker kill: fleet {pids} should keep survivor {survivor.pid}")
+    if not failures:
+        print(f"  ok  worker kill              respawns=1 survivor={survivor.pid} kept")
+    return failures
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="chaos-smoke-") as tmp:
         bundle = Path(tmp) / "bundle"
@@ -212,6 +242,7 @@ def main() -> int:
         if PLAN.injections() == 0:
             failures.append("fault plan injected nothing — smoke is vacuous")
         failures.extend(observability_counters_phase(bundle))
+        failures.extend(worker_kill_phase(bundle))
     if failures:
         print("\nFAILURES:", file=sys.stderr)
         for failure in failures:

@@ -3,7 +3,7 @@
 The subsystem that fronts the platform: a :class:`ServingService` facade
 with one uniform ``serve(request) -> Response`` dispatch over a
 :class:`ShardRouter` (int32 id-space partitioning into one part per
-worker, with deterministic merges), a :class:`WorkerPool` of bundle replicas (inline / thread /
+worker, with deterministic merges), a :class:`WorkerPool` of bundle replicas (inline or
 subprocess executors over mmap-shared snapshot pages), a
 :class:`MicroBatcher` (cross-document annotation batching) and a
 versioned :class:`QueryCache` (LRU over ``(store_version, request)``).

@@ -11,8 +11,8 @@ threaded through the worker, pool, scatter/gather and gateway.
 Fault kinds (:data:`FAULT_KINDS`):
 
 * ``crash`` — the worker dies.  In a subprocess worker this is a real
-  ``os._exit`` (the pool sees ``BrokenProcessPool``, exactly like a
-  segfault or an OOM kill); in inline/thread workers it raises
+  ``os._exit`` (the parent reads EOF on that worker's pipe, exactly as
+  after a segfault or an OOM kill); in inline workers it raises
   :class:`InjectedCrash` (same supervision path, no process to kill).
 * ``slow`` — the site stalls for ``delay_s`` (a degraded replica).
 * ``io_error`` — the site raises :class:`InjectedIOError`, a transient,
@@ -22,11 +22,11 @@ Fault kinds (:data:`FAULT_KINDS`):
 
 Determinism: every decision is a pure function of ``(seed, salt, site,
 call_number)`` through :func:`~repro.common.rng.stable_hash` — re-running
-a plan replays the same injection schedule.  Respawned process workers
-re-arm the plan with a fresh ``salt`` (their *incarnation* number), so a
+a plan replays the same injection schedule.  Every process worker
+re-arms the plan with its own ``salt`` (its *spawn* number), so a
 request that crashed its worker does not deterministically crash every
 replacement worker forever; the schedule stays reproducible because
-incarnation numbers themselves are deterministic (1, 2, 3, …).
+spawn numbers themselves are deterministic (1, 2, 3, …).
 
 Zero overhead when disarmed: :func:`fault_point` is one global ``None``
 check — no plan, no lock, no hashing.
@@ -101,8 +101,8 @@ class FaultSpec:
 class FaultPlan:
     """A seeded, thread-safe set of injection rules.
 
-    Plans are plain data (picklable), so a :class:`WorkerPool` ships the
-    armed plan to its subprocess workers through the pool initializer.
+    Plans are plain data (picklable), so a :class:`WorkerPool` hands the
+    armed plan to each subprocess worker it forks.
     Call counters and injection counts are per-instance — a reseeded or
     unpickled copy starts fresh.
     """
@@ -128,10 +128,9 @@ class FaultPlan:
     def reseeded(self, salt: int) -> "FaultPlan":
         """A fresh-countered copy with ``salt`` mixed into every decision.
 
-        Process respawn re-arms the plan under the new worker's
-        incarnation number: the replacement replica draws a *different*
-        (but still deterministic) schedule, so a scheduled crash cannot
-        permanently wedge the fleet.
+        Each process worker re-arms the plan under its spawn number: a
+        replacement replica draws a *different* (but still deterministic)
+        schedule, so a scheduled crash cannot permanently wedge the fleet.
         """
         return replace(self, salt=salt)
 

@@ -88,6 +88,7 @@ from repro.serving.requests import (
     family_of,
 )
 from repro.serving.service import Probe, ServingService
+from repro.serving.worker import WORKER_MODES
 
 DEFAULT_MAX_CONCURRENCY = 8
 DEFAULT_MAX_PENDING = 64
@@ -643,7 +644,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("bundle_dir", help="snapshot bundle (save_snapshot output)")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8080)
-    parser.add_argument("--mode", default="inline", choices=("inline", "thread", "process"))
+    parser.add_argument("--mode", default="inline", choices=WORKER_MODES)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--max-concurrency", type=int, default=DEFAULT_MAX_CONCURRENCY)
     parser.add_argument("--max-pending", type=int, default=DEFAULT_MAX_PENDING)

@@ -4,8 +4,9 @@ The serving layer's requests are pure reads over an immutable snapshot
 generation, so retrying is *always safe* — idempotence comes free, and
 the only question is budget.  Two primitives encode it:
 
-* :class:`RetryPolicy` — bounded exponential backoff with seeded jitter,
-  applied only to *retryable* error classes (:func:`is_retryable`): a
+* :class:`RetryPolicy` — the budget and backoff (exponential, seeded
+  jitter) of ``WorkerPool.resolve``, the serving stack's one retry loop,
+  which retries only *retryable* error classes (:func:`is_retryable`): a
   transient ``IOError`` or a crashed worker is worth a resubmit, a
   deterministic ``ValueError`` would fail identically forever.
 * :class:`CircuitBreaker` — the classic closed → open → half-open state
@@ -25,9 +26,8 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, TypeVar
+from typing import TYPE_CHECKING
 
 from repro.common import tracing
 from repro.common.rng import stable_hash
@@ -35,8 +35,6 @@ from repro.serving.faults import InjectedCrash
 
 if TYPE_CHECKING:
     from repro.common.metrics import MetricsRegistry
-
-T = TypeVar("T")
 
 _JITTER_SPACE = 2**20
 
@@ -47,8 +45,8 @@ class TransientServingError(RuntimeError):
 
 
 class WorkerCrashError(TransientServingError):
-    """A worker died mid-request (broken pool / injected crash), detected
-    by supervision; the request was resubmitted or is resubmittable."""
+    """A worker died mid-request (EOF on its pipe), detected by its
+    executor; the request was resubmitted or is resubmittable."""
 
 
 class ShardResultError(TransientServingError):
@@ -68,16 +66,14 @@ class CircuitOpenError(TransientServingError):
 def is_retryable(exc: BaseException) -> bool:
     """Whether ``exc`` belongs to a transient, worth-retrying class.
 
-    Retryable: serving-layer transients, broken executors (the pool lost
-    its workers — supervision respawns them), injected crashes, and the
-    ``OSError`` family (I/O flakes, timeouts, dropped connections).
+    Retryable: serving-layer transients (a crashed worker among them —
+    supervision respawns it), injected crashes, and the ``OSError``
+    family (I/O flakes, timeouts, broken pipes, dropped connections).
     Everything else — ``ValueError``, ``TypeError``, ``KeyError``, … — is
     deterministic: the same request replays the same failure, so retrying
     only multiplies load.
     """
-    return isinstance(
-        exc, (TransientServingError, BrokenExecutor, InjectedCrash, OSError)
-    )
+    return isinstance(exc, (TransientServingError, InjectedCrash, OSError))
 
 
 def error_fields(exc: BaseException) -> tuple[bool, str]:
@@ -87,7 +83,8 @@ def error_fields(exc: BaseException) -> tuple[bool, str]:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded exponential backoff with seeded jitter.
+    """Bounded exponential backoff with seeded jitter, the budget that
+    ``WorkerPool.resolve`` retries under.
 
     ``max_attempts`` counts the first try: 4 means one attempt plus up to
     three retries.  Backoff for retry *n* (1-based) is
@@ -121,34 +118,6 @@ class RetryPolicy:
             f"retry:{self.seed}:{key}:{retry_number}", _JITTER_SPACE
         ) / _JITTER_SPACE
         return base * (1.0 - self.jitter * draw)
-
-    def call(
-        self,
-        fn: Callable[[int], T],
-        *,
-        key: str = "",
-        classify: Callable[[BaseException], bool] = is_retryable,
-        on_retry: Callable[[int, BaseException], None] | None = None,
-        sleep: Callable[[float], Any] = time.sleep,
-    ) -> tuple[T, int]:
-        """Run ``fn(attempt)`` under this policy; returns ``(result, attempts)``.
-
-        Non-retryable failures (per ``classify``) and exhausted budgets
-        re-raise the last exception.  ``on_retry(attempt, exc)`` fires
-        before each backoff — the hook supervision uses to respawn pools
-        and count retries.
-        """
-        attempt = 1
-        while True:
-            try:
-                return fn(attempt), attempt
-            except Exception as exc:
-                if attempt >= self.max_attempts or not classify(exc):
-                    raise
-                if on_retry is not None:
-                    on_retry(attempt, exc)
-                sleep(self.backoff_s(attempt, key))
-                attempt += 1
 
 
 # -- circuit breaker -----------------------------------------------------------
@@ -279,9 +248,9 @@ class CircuitBreaker:
     def reset(self) -> None:
         """Close with a cleared window (supervision replaced the backend).
 
-        A crashed process pool fails every in-flight future at once — one
+        A crashed worker fails every future it had in flight at once — one
         fault, N recorded failures.  Once the supervisor has swapped in a
-        fresh fleet that evidence is stale, and leaving it in the window
+        fresh worker that evidence is stale, and leaving it in the window
         would open the breaker against healthy replicas.
         """
         with self._lock:

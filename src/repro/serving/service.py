@@ -870,7 +870,7 @@ class ServingService:
             "mode": pool.mode,
             "workers": pool.num_workers,
             "live_workers": live,
-            "respawns": int(pool.stats().get("pool.executor_respawns", 0.0)),
+            "respawns": int(pool.stats().get("counter.pool.respawns", 0.0)),
             "breakers": {"pool": breaker},
         }
 

@@ -7,18 +7,15 @@ pages) and lazily stands up the helpers each request family needs — the
 graph engine with the adopted CSR, per-tier annotation pipelines, and the
 traversal related-entities backend built over the adopted snapshot.
 
-Three executors share one ``submit(request) -> Future`` surface:
+Two executors share one ``submit(request) -> Future`` surface:
 
 * **inline** — the same-process fallback: one shared state, executed
   synchronously on the caller's thread.  Tests and small deployments need
-  no subprocesses, and every other executor must be byte-identical to it.
-* **thread** — N threads over one shared state.  Concurrency-correct
-  (the columnar layers are immutable and lazy materialisation is
-  lock-guarded) but GIL-bound; useful for I/O-ish workloads and for
-  hammering the thread-safety contract in tests.
-* **process** — a ``ProcessPoolExecutor`` whose initializer loads the
-  bundle in each child.  This is the throughput configuration: annotation
-  is pure Python/NumPy compute, so only processes scale it across cores.
+  no subprocesses, and the process fleet must be byte-identical to it.
+* **process** — N children forked at construction, each loading the
+  bundle and pinned to its own duplex pipe.  This is the throughput
+  configuration: annotation is pure Python/NumPy compute, so only
+  processes scale it across cores.
 
 Serving walk semantics are **per-entity**: each entity's walks replay an
 independent substream derived from ``(seed, entity)`` via
@@ -31,14 +28,17 @@ through all entities, which no partitioning could reproduce.)
 
 from __future__ import annotations
 
-import contextvars
+import contextlib
+import itertools
+import multiprocessing
 import os
 import signal
 import stat
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
 from repro.common import tracing
@@ -49,12 +49,13 @@ from repro.serving.resilience import (
     CircuitBreaker,
     RetryPolicy,
     ShardResultError,
+    WorkerCrashError,
     is_retryable,
 )
 from repro.serving.requests import TENANT_WRITE, Request, family_of
 from repro.serving.requests import entity_walk_seed as entity_walk_seed  # re-export
 
-WORKER_MODES = ("inline", "thread", "process")
+WORKER_MODES = ("inline", "process")
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ class WorkerConfig:
     # k-NN) adopt the bundle's persisted ``embeddings/`` layer when its
     # recipe matches these fields, and train from the fact log otherwise.
     # Training is fully seeded and build_dataset orders its vocabulary
-    # deterministically, so every replica — thread or subprocess — derives
+    # deterministically, so every replica — inline or subprocess — derives
     # byte-identical vectors from the same bundle either way.
     embedding_model: str = "distmult"
     embedding_dim: int = 32
@@ -125,8 +126,8 @@ class WorkerState:
         self.engine = self.snapshot.engine()
         self.store_version = int(self.snapshot.manifest["store_version"])
         self._helpers: dict[object, object] = {}
-        # Lazy helper construction must be once-only when worker threads
-        # share this state (thread mode).
+        # Lazy helper construction must be once-only when threads share
+        # this state (the gateway's executor threads over an inline pool).
         self._build_lock = threading.RLock()
 
     @property
@@ -255,83 +256,48 @@ class InlineExecutor:
         pass
 
 
-class ThreadExecutor:
-    """N threads sharing one state (immutable snapshot, lock-guarded lazies)."""
-
-    def __init__(self, state: WorkerState, num_workers: int) -> None:
-        self.state = state
-        self.num_workers = num_workers
-        self._pool = ThreadPoolExecutor(
-            max_workers=num_workers, thread_name_prefix="kg-serve"
-        )
-
-    def submit(self, request: Request) -> Future:
-        if tracing.active() is not None:
-            # Executor threads do not inherit the caller's contextvars;
-            # carry the current span across so worker spans nest right.
-            context = contextvars.copy_context()
-            return self._pool.submit(context.run, self.state.execute, request)
-        return self._pool.submit(self.state.execute, request)
-
-    def respawn(self) -> bool:
-        """Thread pools survive task exceptions; no replacement needed."""
-        return False
-
-    def live_workers(self) -> int:
-        return self.num_workers
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
 _PROCESS_STATE: WorkerState | None = None
 
 
 def _process_initializer(
-    bundle_dir: str,
-    config: WorkerConfig,
-    plan: "faults.FaultPlan | None" = None,
-    incarnation: int = 1,
+    bundle_dir: str, config: WorkerConfig, plan: "faults.FaultPlan | None" = None
 ) -> None:
     global _PROCESS_STATE
-    _close_inherited_sockets()
     # The gateway routes SIGTERM into its own shutdown; a worker just dies.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    # Crashes in a subprocess worker must be real process deaths (the pool
-    # then reports BrokenProcessPool, exactly like a segfault would).
+    # Crashes in a subprocess worker must be real process deaths (the
+    # parent then reads EOF on its pipe, exactly like after a segfault).
     faults.mark_worker_process()
     if plan is not None:
-        # Re-arm under this incarnation's salt: a replacement replica draws
-        # a different (still deterministic) injection schedule, so one
-        # scheduled crash can't wedge every respawn forever.
-        faults.arm(plan.reseeded(incarnation))
+        faults.arm(plan)
     # The fleet is one process per core, so a second BLAS thread here has
     # no core of its own and only spin-waits between the related build's
     # LAPACK calls.  Set before any BLAS call, while this fork is still
-    # single-threaded (the setter is process-global).  Inline and thread
-    # modes share the gateway's process and leave its count alone.
+    # single-threaded (the setter is process-global).  Inline mode shares
+    # the gateway's process and leaves its count alone.
     set_blas_threads(1)
     _PROCESS_STATE = WorkerState(bundle_dir, config)
 
 
-def _close_inherited_sockets() -> None:
-    """Drop this forked worker's copies of the parent's sockets.
+def _close_inherited_sockets(keep: int) -> None:
+    """Drop this forked worker's copies of the parent's sockets, but ``keep``.
 
-    The pool forks lazily, from whichever thread submits first (at boot,
-    after a generation swap, on respawn) — in a gateway, while client
-    connections are open.  A child holding a copy keeps that connection
-    alive after the gateway closes it, so the client never sees EOF.  The
-    pool's own channels are pipes, never sockets.  Each socket descriptor
-    is pointed at ``/dev/null`` rather than closed: its number stays
-    taken, so a copied socket object finalised in this child later
-    cannot close a descriptor the worker opened since.
+    Workers fork at boot, after a generation swap and on respawn — in a
+    gateway, while client connections are open.  A child holding a copy
+    keeps that connection alive after the gateway closes it, so the client
+    never sees EOF.  A duplex pipe is a socketpair, so the worker's own end
+    (``keep``) is spared; its siblings' ends and the parent's are not, and
+    the parent's EOF detection depends on that.  Each socket descriptor is
+    pointed at ``/dev/null`` rather than closed: its number stays taken,
+    so a copied socket object finalised in this child later cannot close
+    a descriptor the worker opened since.
     """
     devnull = os.open(os.devnull, os.O_RDWR)
     try:
         for name in os.listdir("/dev/fd"):
             fd = int(name)
             try:
-                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                if fd != keep and stat.S_ISSOCK(os.fstat(fd).st_mode):
                     os.dup2(devnull, fd)
             except OSError:
                 pass  # the listing's own descriptor, closed since
@@ -339,171 +305,189 @@ def _close_inherited_sockets() -> None:
         os.close(devnull)
 
 
-_COLLECTOR: tracing.Tracer | None = None
+def _worker_main(conn, bundle_dir: str, config: WorkerConfig, plan) -> None:
+    """A process worker: answer ``(request_id, request, trace_ctx)`` in order.
 
-
-class _TracedResult:
-    """A worker result riding home with the spans recorded computing it."""
-
-    __slots__ = ("result", "spans")
-
-    def __init__(self, result: list, spans: list[dict]) -> None:
-        self.result = result
-        self.spans = spans
-
-    def __getstate__(self):
-        return (self.result, self.spans)
-
-    def __setstate__(self, state) -> None:
-        self.result, self.spans = state
-
-
-def _process_execute(request: Request, trace_ctx: "tracing.TraceContext | None" = None) -> list:
-    assert _PROCESS_STATE is not None, "worker process used before initialization"
-    if trace_ctx is None:
-        return _PROCESS_STATE.execute(request)
-    # The parent shipped its trace position: record this worker's spans
-    # into a local collector and return them alongside the result so the
-    # parent tracer can stitch them into the live trace.
-    global _COLLECTOR
-    collector = _COLLECTOR
-    if collector is None:
-        collector = _COLLECTOR = tracing.arm(tracing.Tracer(ring_capacity=0))
-    try:
-        with tracing.seeded(trace_ctx):
-            result = _PROCESS_STATE.execute(request)
-    except BaseException:
-        # A failed attempt's spans have no future to ride home on; drop
-        # them so they cannot leak into the next request's bundle.
-        collector.drain()
-        raise
-    return _TracedResult(result, collector.drain())
-
-
-def _unwrap_traced(inner: Future) -> Future:
-    """An outer future resolving to the bare result, adopting ridden spans.
-
-    Adoption happens *before* the outer future resolves, so by the time a
-    caller observes the result the worker's spans are already in the
-    parent trace — the request's root span cannot finish first.
+    Each reply is ``(request_id, ok, result_or_exc, spans)``.  The worker
+    returns on the ``None`` sentinel and on EOF, so it never outlives its
+    parent, and it returns rather than exits so that exit handlers run.
     """
-    outer: Future = Future()
+    _close_inherited_sockets(keep=conn.fileno())
+    # Looked up as a module global on purpose: a wrapper installed over
+    # the module attribute before the fork runs in the child too.
+    _process_initializer(bundle_dir, config, plan)
+    state = _PROCESS_STATE
+    collector: tracing.Tracer | None = None
+    with contextlib.suppress(EOFError, OSError):  # the parent is gone
+        for request_id, request, trace_ctx in iter(conn.recv, None):
+            ok, spans = True, None
+            try:
+                if trace_ctx is not None and collector is None:
+                    # The parent shipped its trace position: this worker's
+                    # spans go to a local collector and home with the reply.
+                    collector = tracing.arm(tracing.Tracer(ring_capacity=0))
+                try:
+                    with tracing.seeded(trace_ctx):
+                        value = state.execute(request)
+                finally:
+                    spans = collector.drain() if trace_ctx is not None else None
+            except Exception as exc:
+                # A failed attempt's spans are dropped with it.
+                ok, value, spans = False, exc, None
+            try:
+                reply = ForkingPickler.dumps((request_id, ok, value, spans))
+            except Exception as exc:  # the result or the exception does not pickle
+                failure = RuntimeError(repr(value if not ok else exc))
+                reply = ForkingPickler.dumps((request_id, False, failure, None))
+            conn.send_bytes(reply)
 
-    def _done(finished: Future) -> None:
-        try:
-            value = finished.result()
-        except BaseException as exc:
-            outer.set_exception(exc)
-            return
-        if isinstance(value, _TracedResult):
-            tracer = tracing.active()
-            if tracer is not None and value.spans:
-                tracer.adopt(value.spans)
-            value = value.result
-        outer.set_result(value)
 
-    inner.add_done_callback(_done)
-    return outer
+class _Worker:
+    """One forked child, its open requests and the parent's end of its pipe (closed: dead)."""
+
+    def __init__(self, process, conn) -> None:
+        self.process = process
+        self.conn = conn
+        self.pending: dict[int, Future] = {}
 
 
 class ProcessExecutor:
-    """N subprocesses, each mapping the same bundle (shared page cache).
+    """N forked children, each mapping the same bundle (shared page cache).
 
-    The executor is *respawnable*: when a child dies (a real crash, an
-    OOM kill, or an injected ``os._exit``) the stdlib pool marks itself
-    broken and refuses further work — so supervision swaps in a fresh
-    pool built from the same pinned ``WorkerConfig`` over the same
-    immutable bundle.  Replacement replicas are byte-identical to the
-    ones they replace, which is what keeps retried answers identical to
-    never-failed ones.
+    Each child is pinned to its own duplex pipe, and one parent thread per
+    child reads its replies and resolves futures by request id.  A child's
+    death (a real crash, an OOM kill, or an injected ``os._exit``) shows
+    as EOF on its pipe: only that child's pending futures fail, with
+    :class:`WorkerCrashError`, and :meth:`respawn` replaces only that
+    child, from the same pinned ``WorkerConfig`` over the same immutable
+    bundle.  Replacement replicas are byte-identical to the ones they
+    replace, which is what keeps retried answers identical to never-failed
+    ones.
     """
 
     def __init__(
         self, bundle_dir: Path, num_workers: int, config: WorkerConfig
     ) -> None:
-        self.bundle_dir = Path(bundle_dir)
-        self.num_workers = num_workers
+        self.bundle_dir = str(bundle_dir)
         self.config = config
-        self.respawns = 0
-        self._incarnation = 0
+        self._request_ids = itertools.count()
+        self._spawn_numbers = itertools.count(1)
+        self._closed = False
+        # Guards the fleet list and every pipe write and close.
         self._lock = threading.Lock()
-        self._pool = self._spawn()
+        self._workers = [self._spawn() for _ in range(num_workers)]
 
-    def _spawn(self) -> ProcessPoolExecutor:
-        self._incarnation += 1
-        return ProcessPoolExecutor(
-            max_workers=self.num_workers,
-            initializer=_process_initializer,
-            initargs=(
-                str(self.bundle_dir),
-                self.config,
-                faults.active_plan(),
-                self._incarnation,
-            ),
+    def _spawn(self) -> _Worker:
+        plan = faults.active_plan()
+        if plan is not None:
+            # Re-armed under this spawn's number: a replacement replica
+            # draws a different (still deterministic) injection schedule,
+            # so one scheduled crash can't wedge every respawn forever.
+            plan = plan.reseeded(next(self._spawn_numbers))
+        context = multiprocessing.get_context("fork")
+        conn, child_conn = context.Pipe()
+        process = context.Process(
+            target=_worker_main,
+            args=(child_conn, self.bundle_dir, self.config, plan),
+            daemon=True,
         )
+        process.start()
+        child_conn.close()
+        worker = _Worker(process, conn)
+        threading.Thread(
+            target=self._read, args=(worker,), name="kg-worker-reader", daemon=True
+        ).start()
+        return worker
+
+    def _read(self, worker: _Worker) -> None:
+        """Resolve ``worker``'s futures from its replies until its pipe ends."""
+        try:
+            while True:
+                request_id, ok, value, spans = worker.conn.recv()
+                future = worker.pending.pop(request_id)
+                tracer = tracing.active()
+                if spans and tracer is not None:
+                    # Adopted before the future resolves, so the request's
+                    # root span cannot finish first.
+                    tracer.adopt(spans)
+                if ok:
+                    future.set_result(value)
+                else:
+                    future.set_exception(value)
+        except Exception as exc:  # EOF, a broken pipe or a reply that does not unpickle
+            cause = exc
+        with self._lock:
+            worker.conn.close()
+            lost, worker.pending = worker.pending, {}
+        for future in lost.values():
+            future.set_exception(WorkerCrashError(f"worker {worker.process.pid} lost: {cause!r}"))
 
     def submit(self, request: Request) -> Future:
-        trace_ctx = tracing.current_context()
-        try:
-            inner = self._pool.submit(_process_execute, request, trace_ctx)
-        except RuntimeError:
-            # A BrokenProcessPool (or a racing shutdown) rejects at submit
-            # time; heal once and re-dispatch — the caller's retry budget
-            # covers anything beyond that.
-            self.respawn()
-            inner = self._pool.submit(_process_execute, request, trace_ctx)
-        if trace_ctx is None:
-            return inner
-        return _unwrap_traced(inner)
+        """Send ``request`` to the live worker with the fewest requests in flight.
+
+        Ties go to the lowest index, so a scatter's parts, submitted back
+        to back, land one per worker on an idle fleet.  After :meth:`close`
+        a request meets a stopped worker and fails as a crash would.
+        """
+        future: Future = Future()
+        request_id = next(self._request_ids)
+        with self._lock:
+            worker = min(self._workers, key=lambda w: (w.conn.closed, len(w.pending)))
+            worker.pending[request_id] = future
+            try:
+                worker.conn.send((request_id, request, tracing.current_context()))
+            except Exception as exc:  # a dead worker's pipe, or an unpicklable request
+                del worker.pending[request_id]
+                future.set_exception(exc)
+        return future
 
     def respawn(self) -> bool:
-        """Replace a broken pool with a fresh fleet; ``True`` if we did.
+        """Replace every dead worker; ``True`` if any was replaced.
 
-        Lock-guarded and checked: concurrent failures from one dead child
-        must heal the pool once, not stampede N replacements.
+        Each dead child is joined first, so the CPU it spent stays in this
+        process's reaped-children time.
         """
         with self._lock:
-            if not getattr(self._pool, "_broken", False):
+            if self._closed:
                 return False
-            dead = self._pool
-            self._pool = self._spawn()
-            self.respawns += 1
-        dead.shutdown(wait=False, cancel_futures=True)
-        return True
+            dead = [index for index, worker in enumerate(self._workers) if worker.conn.closed]
+            for index in dead:
+                self._workers[index].process.join()
+                self._workers[index] = self._spawn()
+        return bool(dead)
 
     def live_workers(self) -> int:
-        """Children currently alive (0 while a broken pool awaits respawn)."""
-        with self._lock:
-            if getattr(self._pool, "_broken", False):
-                return 0
-            processes = getattr(self._pool, "_processes", None)
-        if not processes:
-            # Stdlib spawns children lazily on first submit; an idle fresh
-            # pool still counts as its full configured width.
-            return self.num_workers
-        return sum(1 for proc in processes.values() if proc.is_alive())
+        """Children currently alive."""
+        return sum(1 for worker in self._workers if worker.process.is_alive())
 
     def close(self) -> None:
-        self._pool.shutdown(wait=True)
+        """Stop every worker once it has answered what it was already sent."""
+        with self._lock:
+            self._closed = True
+            for worker in self._workers:
+                with contextlib.suppress(OSError):  # a dead worker answers nothing
+                    worker.conn.send(None)
+        for worker in self._workers:
+            worker.process.join()
 
 
 class WorkerPool:
     """A fleet of bundle replicas behind one ``submit``/``run`` surface.
 
-    ``mode`` picks the executor (``inline``/``thread``/``process``); all
-    three answer identically, so deployments move between them by flag.
-    The pool always keeps a parent-side :class:`WorkerState` — inline and
-    thread modes execute on it, process mode uses it for the router's
-    dictionary and the bundle's ``store_version`` (children map the same
-    pages, so the extra load is page-cache cheap).
+    ``mode`` picks the executor (``inline``/``process``); both answer
+    identically, so deployments move between them by flag.  The pool
+    always keeps a parent-side :class:`WorkerState` — inline mode executes
+    on it, process mode uses it for the router's dictionary and the
+    bundle's ``store_version`` (children map the same pages, so the extra
+    load is page-cache cheap).
 
     Request counts and a bounded latency histogram are tracked in
     ``metrics`` (``pool.requests``, ``pool.requests.<Type>``,
     ``pool.latency``); :meth:`stats` flattens them for the facade.
 
     Supervision: :meth:`resolve` waits on a future under ``retry_policy``
-    — a retryable failure (worker crash, broken pool, transient I/O, a
-    truncated result) heals the executor (:meth:`ProcessExecutor.respawn`)
+    — a retryable failure (worker crash, transient I/O, a truncated
+    result) heals the executor (:meth:`ProcessExecutor.respawn`)
     and re-dispatches until the budget runs out, while the pool-level
     :class:`CircuitBreaker` trips after sustained failure so callers stop
     hammering a dead fleet.
@@ -542,8 +526,6 @@ class WorkerPool:
         self.local_state = WorkerState(self.bundle_dir, self.config)
         if mode == "inline":
             self._executor = InlineExecutor(self.local_state)
-        elif mode == "thread":
-            self._executor = ThreadExecutor(self.local_state, num_workers)
         else:
             # The parent-side load above already ran the checksum pass (per
             # config.verify); children re-map the very same verified bundle,
@@ -563,6 +545,8 @@ class WorkerPool:
         """Dispatch one request; the future resolves to its result list."""
         if self._closed:
             raise RuntimeError("worker pool is closed")
+        # A worker that died idle is replaced before the fleet takes more.
+        self._supervise()
         faults.fault_point(
             faults.SITE_POOL_SUBMIT,
             request_type=getattr(type(request), "wire_type", ""),
@@ -627,12 +611,12 @@ class WorkerPool:
         return self.resolve(request, self.submit(request))
 
     def _supervise(self) -> None:
-        """Heal the executor after a failure (respawn dead process fleets).
+        """Heal the executor (replace dead process workers).
 
-        A successful respawn also resets the pool breaker: a broken pool
-        fails every in-flight future at once (one fault, N recorded
+        A successful respawn also resets the pool breaker: a dead worker
+        fails every future it had in flight at once (one fault, N recorded
         failures), and that burst must not open the breaker against the
-        fresh fleet that just replaced it.
+        fresh worker that just replaced it.
         """
         if self._executor.respawn():
             self.metrics.incr("pool.respawns")
@@ -666,9 +650,6 @@ class WorkerPool:
         out["pool.workers"] = float(self.num_workers)
         out["pool.store_version"] = float(self.store_version)
         out["pool.live_workers"] = float(self.live_workers())
-        out["pool.executor_respawns"] = float(
-            getattr(self._executor, "respawns", 0)
-        )
         breaker = self.breaker.snapshot()
         out["pool.breaker.state"] = breaker["state"]
         out["pool.breaker.transitions"] = float(breaker["transitions"])

@@ -24,8 +24,7 @@ from repro.services.related_entities import TraversalRelatedEntities
 def _in_fork(work):
     """``work()`` run in a forked child; its return value, sent back over a pipe."""
     context = multiprocessing.get_context("fork")
-    # A one-way pipe, not a socketpair: the worker initializer points every
-    # inherited socket at /dev/null.
+    # One way: the child only sends its result back.
     receive, send = context.Pipe(duplex=False)
 
     def child() -> None:

@@ -102,8 +102,8 @@ class TestProcessReplicas:
         assert payloads == reference_payloads
         assert repeats == reference_payloads
 
-    def test_thread_replicas_share_one_layer(self, corrupt_bundle, symbols, reference_payloads):
-        with ServingService(corrupt_bundle, mode="thread", num_workers=2) as svc:
+    def test_inline_replicas_share_one_layer(self, corrupt_bundle, symbols, reference_payloads):
+        with ServingService(corrupt_bundle, mode="inline", num_workers=2) as svc:
             payloads = [svc.serve(r).payload for r in _embedding_requests(symbols)]
         assert payloads == reference_payloads
 
@@ -112,7 +112,7 @@ class TestKnnServing:
     def test_knn_request_is_shard_invariant(self, bundle_dir, symbols):
         entities, _triples = symbols
         results = []
-        for mode, num_workers in (("thread", 1), ("thread", 3), ("process", 2)):
+        for mode, num_workers in (("inline", 1), ("inline", 3), ("process", 2)):
             with ServingService(bundle_dir, mode=mode, num_workers=num_workers) as svc:
                 results.append(svc.serve(KnnRequest(entities=entities, k=5)).payload)
         assert results[0] == results[1] == results[2]

@@ -825,11 +825,10 @@ class TestProcessModeLifecycle:
             server = GatewayHTTPServer(gateway)
             host, port = await server.start()
             try:
-                # The first request forks the fleet, mid-connection.
                 booted = await read_to_eof(
                     host, port, NeighborhoodRequest(entities=tuple(seed_entities[:2]))
                 )
-                # A swap builds a new fleet, which forks on its first request.
+                # A swap forks a new fleet while the server's sockets are open.
                 service.adopt_generation(bundle_dir)
                 swapped = await read_to_eof(
                     host, port, NeighborhoodRequest(entities=tuple(seed_entities[2:4]))

@@ -3,7 +3,7 @@
 The acceptance pins for the tracing tentpole:
 
 * one *complete* trace per request — gateway root, service stages,
-  per-shard spans, worker spans — in thread AND process mode (the
+  per-shard spans, worker spans — in inline AND process mode (the
   cross-process stitching path);
 * stage spans reconcile exactly with the envelope ``timings`` keys;
 * tracing never changes payloads, and an untraced envelope is

@@ -163,37 +163,6 @@ class TestRetryPolicy:
             assert delay == policy.backoff_s(n, key="k")
         assert policy.backoff_s(1, key="a") != policy.backoff_s(1, key="b")
 
-    def test_call_retries_transients_until_success(self):
-        failures = [InjectedIOError("flake"), InjectedIOError("flake")]
-
-        def flaky(attempt: int) -> str:
-            if failures:
-                raise failures.pop()
-            return "ok"
-
-        result, attempts = RetryPolicy(max_attempts=4).call(
-            flaky, key="req", sleep=lambda _s: None
-        )
-        assert (result, attempts) == ("ok", 3)
-
-    def test_call_raises_non_retryable_immediately(self):
-        calls = []
-
-        def broken(attempt: int):
-            calls.append(attempt)
-            raise ValueError("deterministic")
-
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=5).call(broken, sleep=lambda _s: None)
-        assert calls == [1]
-
-    def test_call_exhausts_budget(self):
-        def always(attempt: int):
-            raise TransientServingError("down")
-
-        with pytest.raises(TransientServingError):
-            RetryPolicy(max_attempts=3).call(always, sleep=lambda _s: None)
-
     def test_retryable_classification(self):
         assert is_retryable(InjectedCrash("x"))
         assert is_retryable(InjectedIOError("x"))
@@ -277,7 +246,7 @@ class TestCircuitBreaker:
 
 class TestDegradation:
     def test_one_dead_shard_degrades_instead_of_failing(self, bundle_dir, seed_entities, monkeypatch):
-        with ServingService(bundle_dir, mode="thread", num_workers=3) as service:
+        with ServingService(bundle_dir, mode="inline", num_workers=3) as service:
             request = NeighborhoodRequest(entities=tuple(seed_entities[:8]), hops=1)
             healthy = service.serve(request)
             assert healthy.ok
@@ -315,7 +284,7 @@ class TestDegradation:
             assert service.stats()["counter.serve.degraded"] >= 1.0
 
     def test_degraded_envelope_roundtrips_the_wire(self, bundle_dir, seed_entities, monkeypatch):
-        with ServingService(bundle_dir, mode="thread", num_workers=3) as service:
+        with ServingService(bundle_dir, mode="inline", num_workers=3) as service:
             request = RelatedRequest(entities=tuple(seed_entities[:6]), k=4)
             parts = service._router.scatter_request(request)
             dead = set(parts[0][1].entities)
@@ -631,7 +600,7 @@ class TestChaosInvariant:
             got = decode_response(encode_response(response))
             want = decode_response(expected)
             assert got.payload == want.payload, type(request).__name__
-        assert stats["pool.executor_respawns"] >= 1.0
+        assert stats["counter.pool.respawns"] >= 1.0
         assert stats["counter.pool.retries"] >= 1.0
 
     def test_real_worker_kill_is_survived(self, bundle_dir, seed_entities):
@@ -644,11 +613,11 @@ class TestChaosInvariant:
             request = NeighborhoodRequest(entities=tuple(seed_entities[:4]), hops=1)
             before = service.serve(request)
             assert before.ok
-            processes = service._pool._executor._pool._processes
-            for pid in list(processes):
-                os.kill(pid, signal.SIGKILL)
+            processes = [worker.process for worker in service._pool._executor._workers]
+            for process in processes:
+                os.kill(process.pid, signal.SIGKILL)
             deadline = time.monotonic() + 10.0
-            while any(p.is_alive() for p in processes.values()):
+            while any(p.is_alive() for p in processes):
                 if time.monotonic() > deadline:  # pragma: no cover
                     pytest.fail("killed child did not exit")
                 time.sleep(0.02)
@@ -656,28 +625,25 @@ class TestChaosInvariant:
             after = service.serve(request)
             assert after.ok
             assert after.payload == before.payload
-            assert service.stats()["pool.executor_respawns"] >= 1.0
+            assert service.stats()["counter.pool.respawns"] >= 1.0
 
-    def test_inline_and_thread_modes_survive_crashes_identically(
-        self, bundle_dir, healthy_payloads
-    ):
+    def test_inline_mode_survives_crashes_identically(self, bundle_dir, healthy_payloads):
         workload, healthy = healthy_payloads
-        for mode in ("inline", "thread"):
-            plan = FaultPlan(
-                (FaultSpec(SITE_WORKER_EXECUTE, "crash", rate=0.2, max_injections=6),),
-                seed=23,
+        plan = FaultPlan(
+            (FaultSpec(SITE_WORKER_EXECUTE, "crash", rate=0.2, max_injections=6),),
+            seed=23,
+        )
+        with armed(plan):
+            with ServingService(
+                bundle_dir,
+                mode="inline",
+                num_workers=2,
+                cache_capacity=1,
+            ) as service:
+                responses = [service.serve(request) for request in workload]
+        assert all(response.ok for response in responses)
+        for response, expected in zip(responses, healthy):
+            assert (
+                decode_response(encode_response(response)).payload
+                == decode_response(expected).payload
             )
-            with armed(plan):
-                with ServingService(
-                    bundle_dir,
-                    mode=mode,
-                    num_workers=2,
-                    cache_capacity=1,
-                ) as service:
-                    responses = [service.serve(request) for request in workload]
-            assert all(response.ok for response in responses), mode
-            for response, expected in zip(responses, healthy):
-                assert (
-                    decode_response(encode_response(response)).payload
-                    == decode_response(expected).payload
-                ), mode

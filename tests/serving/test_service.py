@@ -26,7 +26,7 @@ from repro.serving.worker import entity_walk_seed
 # Every worker mode and count must give byte-identical payloads: walk
 # seeds and every helper build (the related-entities vectors included)
 # are deterministic per bundle, in and across processes.
-WORKER_LAYOUTS = (("inline", 1), ("thread", 1), ("thread", 3), ("process", 2))
+WORKER_LAYOUTS = (("inline", 1), ("inline", 3), ("process", 2))
 
 
 def payloads_per_layout(bundle_dir, request) -> list:

@@ -363,7 +363,7 @@ class TestServiceDispatch:
         shared = tenant_service.serve(NeighborhoodRequest(entities=(PERSON,), hops=1))
         assert shared.ok and shared.payload[0] == []
 
-    @pytest.mark.parametrize("mode", ["inline", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["inline", "process"])
     def test_every_fleet_mode_serves_tenants(
         self, bundle_dir, tmp_path, seed_entities, mode
     ):
