@@ -13,8 +13,11 @@ other tenant links.  The smoke fails unless:
 * **zero** requests fail across onboarding, syncs, reads and both
   generation swaps;
 * no tenant ever observes another tenant's canary link (and the shared
-  graph never grows a personal person node) — checked continuously by
-  the client loops and again by a full sweep at the end;
+  graph never grows a personal person node), and every walk from a
+  tenant's person takes its first step to that tenant's own link (tenant
+  views share the base's row objects, so a row leaked between tenants
+  shows here) — checked continuously by the client loops and again by a
+  full sweep at the end;
 * ``store_version`` on ``/healthz`` only ever advances, and tenant
   answers survive the swaps (append-only shared ids keep overlays valid);
 * the shared bundle and every tenant bundle pass :mod:`repro.kg.fsck`
@@ -47,6 +50,7 @@ from repro.serving.requests import (
     PersonalRecord,
     TenantSyncRequest,
     TenantUpsertRequest,
+    WalkRequest,
 )
 from repro.serving.service import ServingService
 
@@ -167,6 +171,7 @@ async def smoke(bundle: Path, tenants_dir: Path) -> list[str]:
     print(f"  {TENANTS} tenants onboarded, {syncs_ok} device syncs answered")
 
     hood = NeighborhoodRequest(entities=(PERSON,), hops=1)
+    walk = WalkRequest(entities=(PERSON,), walk_length=4, walks_per_entity=4, seed=3)
     foreign = {n: {links[m] for m in links if m != n} for n in range(TENANTS)}
     reads_ok = [0]
     versions: list[int] = []
@@ -183,6 +188,13 @@ async def smoke(bundle: Path, tenants_dir: Path) -> list[str]:
         leaked = nodes & foreign[n]
         if leaked:
             failures.append(f"{tenant_id(n)} sees foreign canaries: {sorted(leaked)}")
+        status, response = await query(host, port, walk, tenant=tenant_id(n))
+        if status != 200 or not response.ok:
+            failures.append(f"walk {tenant_id(n)} failed: {response.error}")
+            return
+        first_steps = {tuple(w[:2]) for w in response.payload[0]}
+        if first_steps != {(PERSON, links[n])}:
+            failures.append(f"{tenant_id(n)} walks stepped to {sorted(first_steps)}")
         reads_ok[0] += 1
 
     async def client_loop(offset: int) -> None:
@@ -241,7 +253,10 @@ async def smoke(bundle: Path, tenants_dir: Path) -> list[str]:
     for n in range(TENANTS):
         await check_tenant(n)
     if not failures:
-        print(f"  ok  {TENANTS}-tenant canary sweep clean after {SWAPS} swaps")
+        print(
+            f"  ok  {TENANTS}-tenant canary sweep (neighbourhoods and walks) "
+            f"clean after {SWAPS} swaps"
+        )
 
     await server.stop()
     gateway.close()

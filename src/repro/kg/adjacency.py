@@ -60,17 +60,15 @@ class CSRAdjacency:
     entity_edge_degrees: np.ndarray  # int64, shape (num_nodes,)
     predicate_counts: dict[str, int]
     built_version: int
-    # Python-list mirrors of the arrays, materialised lazily for the walk
-    # loop where list indexing beats numpy scalar indexing ~3x.  First
+    # Python-list mirrors of the rows, materialised lazily for the walk and
+    # neighbourhood loops, where list indexing beats numpy scalar indexing
+    # ~3x.  One id mirror per snapshot: walks read ``rows[v]``, ``len(row)``
+    # and ``row[draw]`` from the same lists neighbourhoods expand, and a
+    # tenant overlay view shares every row its tenant did not touch.  First
     # materialisation is guarded by ``_derive_lock``: snapshots are shared
-    # read-only across serving worker threads, and an unguarded build
-    # could expose a half-assigned cache (e.g. ``_indptr_list`` set while
-    # ``_indices_list`` is still ``None``).  Reads stay lock-free — each
+    # read-only across serving worker threads.  Reads stay lock-free — each
     # cache is published with a single reference assignment only after it
     # is fully built.
-    _indptr_list: list[int] | None = field(default=None, repr=False)
-    _indices_list: list[int] | None = field(default=None, repr=False)
-    _degrees_list: list[int] | None = field(default=None, repr=False)
     _neighbor_strings: list[list[str]] | None = field(default=None, repr=False)
     _neighbor_ids: list[list[int]] | None = field(default=None, repr=False)
     _second_hop_rows: dict[str, list[list[str]]] | None = field(default=None, repr=False)
@@ -106,24 +104,6 @@ class CSRAdjacency:
             return 0
         return int(self.indptr[node_id + 1] - self.indptr[node_id])
 
-    def lists(self) -> tuple[list[int], list[int], list[int], list[str]]:
-        """(indptr, indices, degrees, strings) as plain lists for tight loops."""
-        if self._indptr_list is None:
-            with self._derive_lock:
-                if self._indptr_list is None:
-                    # indptr is published last: it is the presence flag the
-                    # lock-free fast path above checks.
-                    self._indices_list = self.indices.tolist()
-                    self._degrees_list = np.diff(self.indptr).tolist()
-                    self._indptr_list = self.indptr.tolist()
-        assert self._indices_list is not None and self._degrees_list is not None
-        return (
-            self._indptr_list,
-            self._indices_list,
-            self._degrees_list,
-            self.dictionary._strings_view(),
-        )
-
     def neighbor_string_rows(self) -> list[list[str]]:
         """Per-node decoded neighbor lists (row order), built once per snapshot.
 
@@ -146,10 +126,10 @@ class CSRAdjacency:
         if self._neighbor_ids is None:
             with self._derive_lock:
                 if self._neighbor_ids is None:
-                    indptr, indices, _, _ = self.lists()
+                    indices = self.indices.tolist()
+                    bounds = self.indptr.tolist()
                     self._neighbor_ids = [
-                        indices[indptr[node] : indptr[node + 1]]
-                        for node in range(self.num_nodes)
+                        indices[start:stop] for start, stop in zip(bounds, bounds[1:])
                     ]
         return self._neighbor_ids
 

@@ -9,7 +9,7 @@ graph engine to pre-compute graph traversals").
 
 Traversals run over a dictionary-encoded CSR snapshot of the store
 (:mod:`repro.kg.adjacency`), rebuilt lazily when ``TripleStore.version``
-moves.  A walk step is an O(1) row slice plus one bounded RNG draw; results
+moves.  A walk step is an O(1) row lookup plus one bounded RNG draw; results
 are byte-identical to the historical set-based traversals (rows are
 pre-sorted by neighbor string, and draws replay ``Generator.integers``
 exactly via :mod:`repro.common.fastrand`).
@@ -17,7 +17,7 @@ exactly via :mod:`repro.common.fastrand`).
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import chain
@@ -138,30 +138,6 @@ class GraphEngine:
         visited.discard(node_id)
         strings = snapshot.dictionary._strings_view()
         return {strings[i] for i in visited}
-
-    def shortest_path_length(self, source: str, target: str, cutoff: int = 6) -> int | None:
-        """Unweighted shortest-path length, or ``None`` beyond ``cutoff``."""
-        if source == target:
-            return 0
-        snapshot = self.snapshot()
-        source_id = snapshot.dictionary.get(source)
-        target_id = snapshot.dictionary.get(target)
-        if source_id is None or target_id is None:
-            return None
-        indptr, indices, _, _ = snapshot.lists()
-        queue: deque[tuple[int, int]] = deque([(source_id, 0)])
-        seen = {source_id}
-        while queue:
-            node, depth = queue.popleft()
-            if depth >= cutoff:
-                continue
-            for neighbor in indices[indptr[node] : indptr[node + 1]]:
-                if neighbor == target_id:
-                    return depth + 1
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    queue.append((neighbor, depth + 1))
-        return None
 
     def random_walks_ids(
         self,
@@ -307,7 +283,7 @@ def _walks_lemire(
     more than the step itself.  ``test_walks_byte_identical_to_reference``
     pins this copy against the real ``Generator.integers``.
     """
-    indptr, indices, degrees, _ = snapshot.lists()
+    rows = snapshot.neighbor_id_rows()
     id_of = snapshot.dictionary.get
     walks: list[list[int]] = []
     half: list[int] = []
@@ -323,12 +299,13 @@ def _walks_lemire(
             walk = [current]
             append = walk.append
             for _ in range(steps):
-                degree = degrees[current]
+                row = rows[current]
+                degree = len(row)
                 if degree == 0:
                     break
                 if degree == 1:
                     # integers(1) consumes no bits and returns 0.
-                    current = indices[indptr[current]]
+                    current = row[0]
                 else:
                     if position >= limit:
                         half = refill_halves(rng)
@@ -347,7 +324,7 @@ def _walks_lemire(
                             m = half[position] * degree
                             position += 1
                             leftover = m & MASK32
-                    current = indices[indptr[current] + (m >> 32)]
+                    current = row[m >> 32]
                 append(current)
             walks.append(walk)
     return walks
@@ -369,7 +346,7 @@ def _walks_generator(
     detail this fallback refuses to assume, and the historical code drew
     unconditionally.
     """
-    indptr, indices, degrees, _ = snapshot.lists()
+    rows = snapshot.neighbor_id_rows()
     id_of = snapshot.dictionary.get
     integers = rng.integers
     walks: list[list[int]] = []
@@ -383,10 +360,11 @@ def _walks_generator(
             walk = [current]
             append = walk.append
             for _ in range(steps):
-                degree = degrees[current]
+                row = rows[current]
+                degree = len(row)
                 if degree == 0:
                     break
-                current = indices[indptr[current] + int(integers(degree))]
+                current = row[int(integers(degree))]
                 append(current)
             walks.append(walk)
     return walks

@@ -193,8 +193,8 @@ class ServingService:
             metrics=self.metrics,
         )
         # Multi-tenant overlays: opt-in via tenants_dir.  The registry
-        # shares this service's metrics registry; each tenant read splices
-        # its overlay onto the CSR of the generation it captured.
+        # shares this service's metrics registry; each tenant read views
+        # its overlay through the CSR of the generation it captured.
         self._tenants: TenantRegistry | None = (
             TenantRegistry(
                 tenants_dir,
@@ -383,7 +383,7 @@ class ServingService:
     def _capture(self, probe: Probe) -> None:
         """Pin ``probe`` to the current generation: the envelope's
         store_version, the pool and router computing shared work and the
-        CSR a tenant overlay is spliced onto all belong to it."""
+        CSR a tenant overlay is read through all belong to it."""
         probe.epoch = self._swap_epoch
         probe.pool, probe.router = self._pool, self._router
         assert probe.pool is not None and probe.router is not None
@@ -596,7 +596,7 @@ class ServingService:
         """Compute one request's payload under its family's dispatch policy."""
         if tenant is not None:
             # Tenant work runs here, never on the shared fleet: a read on
-            # the overlay spliced onto the captured generation's CSR, a
+            # the overlay viewed through the captured generation's CSR, a
             # write through the registry's durable write op.
             registry = self._tenants
             with _stage(timings, "compute_ms", "serve.tenant", tenant=tenant):

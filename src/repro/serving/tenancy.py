@@ -18,9 +18,10 @@ Layering (all derived state follows the adopt-or-rebuild contract):
   :class:`~repro.ondevice.incremental.IncrementalPipeline` (sorted
   inputs → byte-identical people/entities on every rebuild, the property
   cross-device sync already relies on);
-* **served**: the fused store collapsed over the shared base CSR; walks
-  and neighborhoods over the merged view answer byte-identically to a
-  single-tenant build of the same overlay.
+* **served**: the fused store read through the shared base CSR by
+  reference (an :class:`~repro.kg.overlay.OverlayView`: only the tenant's
+  own rows and strings are new); walks and neighborhoods over it answer
+  byte-identically to a from-scratch build of shared plus personal facts.
 
 Isolation guarantees: a tenant engine reads exactly its own fused store
 plus the (immutable) shared base; nothing tenant-scoped ever enters the
@@ -157,8 +158,8 @@ class TenantState:
         else:
             self.directory.mkdir(parents=True, exist_ok=True)
             self.store = TripleStore(name=f"tenant-{tenant_id}")
-        # Logical-only chain: the served CSR is collapsed from the fused
-        # store at read time, so no generation writes a physical layer.
+        # Logical-only chain: the served rows are read from the fused store
+        # at read time, so no generation writes a physical layer.
         self.publisher = GenerationPublisher(
             self.store,
             self.directory,
@@ -339,17 +340,6 @@ class TenantState:
         """A :class:`GraphEngine` over shared base + this tenant's overlay."""
         return self.overlay(base).engine()
 
-    def memory_bytes(self) -> int:
-        """Rough resident footprint: overlay splice arrays + record JSON."""
-        total = sum(
-            len(json.dumps(record.to_dict())) for record in self.records.values()
-        )
-        if self._overlay is not None:
-            snapshot = self._overlay[1].snapshot
-            total += int(snapshot.indptr.nbytes + snapshot.indices.nbytes)
-            total += int(snapshot.entity_edge_degrees.nbytes)
-        return total
-
     def close(self) -> None:
         """Flush background work so eviction never races a compaction."""
         self.publisher.join_compaction()
@@ -418,8 +408,8 @@ class TenantRegistry:
         """Adopt a new shared-generation CSR (zero-downtime swap hook).
 
         Resident overlays are not eagerly rebuilt: each tenant's next read
-        re-collapses lazily against the new base.  Append-only ids keep
-        the splice valid across generations — pinned by test.
+        rebuilds its view lazily against the new base.  Append-only ids
+        keep the personal ids valid across generations — pinned by test.
         """
         with self._lock:
             self._base = base

@@ -67,14 +67,6 @@ class TestTraversals:
         with pytest.raises(ValueError):
             engine.neighborhood("entity:a", -1)
 
-    def test_shortest_path(self, engine):
-        assert engine.shortest_path_length("entity:a", "entity:a") == 0
-        assert engine.shortest_path_length("entity:a", "entity:b") == 1
-        assert engine.shortest_path_length("entity:a", "entity:c") == 2
-
-    def test_shortest_path_cutoff(self, engine):
-        assert engine.shortest_path_length("entity:a", "entity:c", cutoff=1) is None
-
     def test_random_walks_deterministic(self, engine):
         walks_a = engine.random_walks(["entity:a"], walk_length=4, walks_per_entity=2, seed=5)
         walks_b = engine.random_walks(["entity:a"], walk_length=4, walks_per_entity=2, seed=5)

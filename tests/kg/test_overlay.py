@@ -1,4 +1,4 @@
-"""Tenant overlays: splice parity, determinism, append-only id pinning."""
+"""Tenant overlays: view parity, base sharing, determinism, append-only ids."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ from repro.common.errors import StoreError
 from repro.kg import SyntheticKGConfig, generate_kg
 from repro.kg.adjacency import build_csr
 from repro.kg.deltas import GenerationPublisher
-from repro.kg.overlay import TenantOverlay, collapse_overlay, overlay_payload
+from repro.kg.graph_engine import GraphEngine
+from repro.kg.overlay import OverlayView, TenantOverlay, overlay_payload
 from repro.kg.persistence import load_snapshot
 from repro.kg.store import EntityRecord, TripleStore
 from repro.kg.triple import LiteralType, entity_fact, literal_fact
@@ -47,63 +48,90 @@ def _personal_store(shared_store, *, people=2, links=2) -> TripleStore:
     return store
 
 
-def _neighbor_sets(csr) -> dict[str, set[str]]:
-    strings = csr.dictionary
+def _union_store(shared_store, personal) -> TripleStore:
+    """A from-scratch store of shared plus personal facts."""
+    union = TripleStore(name="union")
+    union.copy_entities_from(shared_store)
+    union.copy_entities_from(personal)
+    for fact in (*shared_store.scan(), *personal.scan()):
+        union.add(fact)
+    return union
+
+
+def _neighbor_sets(snapshot) -> dict[str, set[str]]:
+    """node string -> decoded neighbor set, for a CSR or an overlay view."""
+    strings = snapshot.dictionary._strings_view()
     return {
-        strings.string_of(node): {
-            strings.string_of(int(i)) for i in csr.neighbors_of(node)
-        }
-        for node in range(csr.num_nodes)
+        strings[node]: {strings[i] for i in row}
+        for node, row in enumerate(snapshot.neighbor_id_rows())
     }
 
 
 class TestOverlayParity:
     def test_matches_from_scratch_union_build(self, shared):
-        """The collapsed overlay equals a full build of shared+personal."""
+        """The overlay view equals a full build of shared+personal."""
         shared_store, base = shared
         personal = _personal_store(shared_store)
 
-        union = TripleStore(name="union")
-        union.copy_entities_from(shared_store)
-        union.copy_entities_from(personal)
-        for fact in shared_store.scan():
-            union.add(fact)
-        for fact in personal.scan():
-            union.add(fact)
-        full = build_csr(union)
+        full = build_csr(_union_store(shared_store, personal))
 
-        merged = collapse_overlay(base, personal)
-        assert merged.num_edges == full.num_edges
+        view = OverlayView(base, personal)
+        rows = view.neighbor_id_rows()
+        assert len(rows) == base.num_nodes + len(view.dictionary.extra) == full.num_nodes
+        assert sum(map(len, rows)) == full.num_edges
         full_rows = _neighbor_sets(full)
-        merged_rows = _neighbor_sets(merged)
-        assert set(full_rows) == set(merged_rows)
-        for node, row in full_rows.items():
-            assert merged_rows[node] == row, node
-            assert merged.degree(node) == full.degree(node), node
-        assert merged.predicate_counts == full.predicate_counts
+        view_rows = _neighbor_sets(view)
+        assert full_rows == view_rows
+        # Rows keep the CSR order walks index into: sorted by string.
+        strings = view.dictionary._strings_view()
+        for node, row in enumerate(rows):
+            decoded = [strings[i] for i in row]
+            assert decoded == sorted(decoded), strings[node]
+            assert view.dictionary.get(strings[node]) == node
+        payload = overlay_payload(base, personal)
+        assert payload.predicate_counts == full.predicate_counts
 
     def test_two_builds_are_byte_identical(self, shared):
         shared_store, base = shared
         personal = _personal_store(shared_store)
-        first = collapse_overlay(base, personal)
-        second = collapse_overlay(base, personal)
-        np.testing.assert_array_equal(first.indptr, second.indptr)
-        np.testing.assert_array_equal(first.indices, second.indices)
-        np.testing.assert_array_equal(
-            first.entity_edge_degrees, second.entity_edge_degrees
-        )
-        assert list(first.dictionary.strings()) == list(second.dictionary.strings())
+        first = OverlayView(base, personal)
+        second = OverlayView(base, personal)
+        assert first.neighbor_id_rows() == second.neighbor_id_rows()
+        assert first.dictionary.extra == second.dictionary.extra
+        assert first.built_version == second.built_version == personal.version
 
     def test_base_is_shared_not_copied(self, shared):
-        """Collapsing must never mutate the (multiplexed) base CSR."""
+        """The view references the base's rows and strings; it copies no
+        base-sized map, and no personal row leaks into the shared rows."""
         shared_store, base = shared
-        before_nodes = base.num_nodes
+        base_rows = base.neighbor_id_rows()
+        before = [list(row) for row in base_rows]
         before_indices = base.indices.copy()
         personal = _personal_store(shared_store)
-        merged = collapse_overlay(base, personal)
-        assert base.num_nodes == before_nodes
+        view = OverlayView(base, personal)
+        touched = {node for node, _row, _degree in overlay_payload(base, personal).rows}
+        rows = view.neighbor_id_rows()
+        assert rows is not base_rows
+        for node in range(base.num_nodes):
+            if node not in touched:
+                assert rows[node] is base_rows[node], node
+        assert any(node < base.num_nodes for node in touched)
+        dictionary = view.dictionary
+        assert dictionary.base is base.dictionary
+        for name in dictionary.__slots__:
+            value = getattr(dictionary, name)
+            if isinstance(value, dict):
+                assert len(value) < base.num_nodes, name
+
+        views = [
+            OverlayView(base, _personal_store(shared_store, people=1 + n % 3, links=1 + n % 4))
+            for n in range(50)
+        ]
+        assert len({id(v.neighbor_id_rows()) for v in views}) == 50
+        assert base.neighbor_id_rows() is base_rows
+        assert base_rows == before
+        assert base.num_nodes == len(before)
         np.testing.assert_array_equal(base.indices, before_indices)
-        assert merged is not base
 
     def test_personal_nodes_take_ids_past_base(self, shared):
         shared_store, base = shared
@@ -112,15 +140,16 @@ class TestOverlayParity:
         assert payload.store_version == personal.version
         assert payload.parent_version == base.built_version
         # Every string the base lacks appends past base.num_nodes, in
-        # sorted order — the deterministic id assignment the splice and
+        # sorted order — the deterministic id assignment the view and
         # the append-only pin both rely on.
         assert payload.new_strings == sorted(payload.new_strings)
-        merged = collapse_overlay(base, personal)
+        view = OverlayView(base, personal)
         for offset, string in enumerate(payload.new_strings):
-            assert merged.dictionary.get(string) == base.num_nodes + offset
+            assert view.dictionary.get(string) == base.num_nodes + offset
+            assert view.dictionary[base.num_nodes + offset] == string
         for p in range(2):
             person = ids.entity_id(f"person/anna-{p}")
-            assert merged.dictionary.get(person) >= base.num_nodes
+            assert view.dictionary.get(person) >= base.num_nodes
             assert base.dictionary.get(person) is None
 
 
@@ -146,6 +175,26 @@ class TestTenantOverlay:
                 base.dictionary.string_of(int(i)) for i in base.neighbors_of(node)
             }
         assert shared_only & two
+
+    def test_walks_and_neighborhoods_match_union_build(self, shared):
+        """Walks and neighbourhoods over the view equal those of a
+        from-scratch engine over shared plus personal facts."""
+        shared_store, base = shared
+        personal = _personal_store(shared_store, people=3, links=3)
+        overlay = TenantOverlay(base, personal).engine()
+        union = GraphEngine(_union_store(shared_store, personal))
+        people = [ids.entity_id(f"person/anna-{p}") for p in range(3)]
+        linked = sorted({o for p in people for o in personal.objects(p, INTERESTED)})
+        entities = people + linked + sorted(shared_store.entity_ids())[:20]
+        for seed in (0, 7):
+            assert overlay.random_walks(
+                entities, walk_length=8, walks_per_entity=4, seed=seed
+            ) == union.random_walks(entities, walk_length=8, walks_per_entity=4, seed=seed)
+        for entity in entities:
+            for hops in (1, 2):
+                assert overlay.neighborhood(entity, hops) == union.neighborhood(
+                    entity, hops
+                ), entity
 
     def test_engine_is_cached(self, shared):
         shared_store, base = shared
@@ -220,7 +269,7 @@ class TestAppendOnlyAcrossGenerations:
         base_v1 = load_snapshot(tmp_path / "bundle").adjacency
         personal = _personal_store(kg.store, people=1, links=1)
         person = ids.entity_id("person/anna-0")
-        id_v1 = collapse_overlay(base_v1, personal).dictionary.get(person)
+        id_v1 = OverlayView(base_v1, personal).dictionary.get(person)
 
         newcomer = ids.entity_id("grown/other")
         kg.store.upsert_entity(EntityRecord(entity=newcomer, name="Other"))
@@ -232,12 +281,9 @@ class TestAppendOnlyAcrossGenerations:
         publisher.publish()
         base_v2 = load_snapshot(tmp_path / "bundle").adjacency
 
-        merged_v2 = collapse_overlay(base_v2, personal)
-        id_v2 = merged_v2.dictionary.get(person)
+        view_v2 = OverlayView(base_v2, personal)
+        id_v2 = view_v2.dictionary.get(person)
         assert id_v2 >= base_v2.num_nodes > id_v1
         linked = personal.objects(person, INTERESTED)[0]
-        row = {
-            merged_v2.dictionary.string_of(int(i))
-            for i in merged_v2.neighbors_of(id_v2)
-        }
+        row = {view_v2.dictionary[i] for i in view_v2.neighbor_id_rows()[id_v2]}
         assert linked in row

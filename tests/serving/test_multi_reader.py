@@ -125,14 +125,14 @@ class TestThreadReaders:
         def reader() -> None:
             try:
                 barrier.wait()
-                indptr, indices, degrees, strings = adjacency.lists()
+                id_rows = adjacency.neighbor_id_rows()
                 second_hop = adjacency.second_hop_string_rows()
                 outputs.append(
                     (
-                        len(indptr),
-                        len(indices),
-                        sum(degrees),
-                        len(strings),
+                        id(id_rows),
+                        len(id_rows),
+                        sum(map(len, id_rows)),
+                        id(second_hop),
                         len(second_hop),
                     )
                 )
@@ -146,7 +146,8 @@ class TestThreadReaders:
             thread.join()
         assert not errors
         assert len(set(outputs)) == 1
-        assert outputs[0][1] == adjacency.num_edges
+        assert outputs[0][1] == adjacency.num_nodes
+        assert outputs[0][2] == adjacency.num_edges
 
 
 class TestProcessReaders:
