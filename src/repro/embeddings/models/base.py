@@ -98,7 +98,7 @@ class KGEmbeddingModel:
 
     def score(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Plausibility scores of index triples (higher = more plausible)."""
-        raise NotImplementedError
+        return self.score_rows(self.entity_emb[h], self.relation_emb[r], self.entity_emb[t])
 
     def grads(
         self, h: np.ndarray, r: np.ndarray, t: np.ndarray, dscore: np.ndarray
@@ -108,6 +108,17 @@ class KGEmbeddingModel:
         Returns arrays of shape ``(batch, storage_dim)`` aligned with the
         input index arrays.
         """
+        eh, et = self.entity_emb[h], self.entity_emb[t]
+        return self.grad_rows(eh, self.relation_emb[r], et, dscore)
+
+    def score_rows(self, eh: np.ndarray, wr: np.ndarray, et: np.ndarray) -> np.ndarray:
+        """:meth:`score` of gathered rows: the trainer gathers a step's rows once."""
+        raise NotImplementedError
+
+    def grad_rows(
+        self, eh: np.ndarray, wr: np.ndarray, et: np.ndarray, dscore: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`grads` of already gathered rows."""
         raise NotImplementedError
 
     # -- convenience -----------------------------------------------------------

@@ -23,25 +23,20 @@ class ComplEx(KGEmbeddingModel):
     def storage_dim(self) -> int:
         return 2 * self.config.dim
 
-    def _split(self, matrix: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        block = matrix[rows]
-        d = self.config.dim
-        return block[:, :d], block[:, d:]
-
-    def score(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-        hr, hi = self._split(self.entity_emb, h)
-        rr, ri = self._split(self.relation_emb, r)
-        tr, ti = self._split(self.entity_emb, t)
+    def score_rows(self, eh: np.ndarray, wr: np.ndarray, et: np.ndarray) -> np.ndarray:
+        hr, hi = np.hsplit(eh, 2)
+        rr, ri = np.hsplit(wr, 2)
+        tr, ti = np.hsplit(et, 2)
         return np.sum(
             hr * rr * tr + hi * rr * ti + hr * ri * ti - hi * ri * tr, axis=1
         )
 
-    def grads(
-        self, h: np.ndarray, r: np.ndarray, t: np.ndarray, dscore: np.ndarray
+    def grad_rows(
+        self, eh: np.ndarray, wr: np.ndarray, et: np.ndarray, dscore: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        hr, hi = self._split(self.entity_emb, h)
-        rr, ri = self._split(self.relation_emb, r)
-        tr, ti = self._split(self.entity_emb, t)
+        hr, hi = np.hsplit(eh, 2)
+        rr, ri = np.hsplit(wr, 2)
+        tr, ti = np.hsplit(et, 2)
         scale = dscore[:, None]
         grad_hr = (rr * tr + ri * ti) * scale
         grad_hi = (rr * ti - ri * tr) * scale

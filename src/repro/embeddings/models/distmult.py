@@ -16,14 +16,13 @@ class DistMult(KGEmbeddingModel):
 
     name = "distmult"
 
-    def score(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return np.sum(self.entity_emb[h] * self.relation_emb[r] * self.entity_emb[t], axis=1)
+    def score_rows(self, eh: np.ndarray, wr: np.ndarray, et: np.ndarray) -> np.ndarray:
+        return np.sum(eh * wr * et, axis=1)
 
-    def grads(
-        self, h: np.ndarray, r: np.ndarray, t: np.ndarray, dscore: np.ndarray
+    def grad_rows(
+        self, eh: np.ndarray, wr: np.ndarray, et: np.ndarray, dscore: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        eh = self.entity_emb[h]
-        wr = self.relation_emb[r]
-        et = self.entity_emb[t]
-        scale = dscore[:, None]
-        return wr * et * scale, eh * et * scale, eh * wr * scale
+        grads = wr * et, eh * et, eh * wr
+        for grad in grads:
+            grad *= dscore[:, None]
+        return grads

@@ -27,34 +27,26 @@ class RotatE(KGEmbeddingModel):
     def storage_dim(self) -> int:
         return 2 * self.config.dim
 
-    def _entity(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        block = self.entity_emb[rows]
-        d = self.config.dim
-        return block[:, :d], block[:, d:]
-
-    def _phase(self, rows: np.ndarray) -> np.ndarray:
-        return self.relation_emb[rows][:, : self.config.dim]
-
     def _delta(
-        self, h: np.ndarray, r: np.ndarray, t: np.ndarray
+        self, eh: np.ndarray, wr: np.ndarray, et: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Rotation residual (real, imag) plus the intermediates grads need."""
-        hr, hi = self._entity(h)
-        tr, ti = self._entity(t)
-        theta = self._phase(r)
+        hr, hi = np.hsplit(eh, 2)
+        tr, ti = np.hsplit(et, 2)
+        theta = wr[:, : self.config.dim]
         cos, sin = np.cos(theta), np.sin(theta)
         rot_r = hr * cos - hi * sin
         rot_i = hr * sin + hi * cos
         return rot_r - tr, rot_i - ti, cos, sin, hr, hi
 
-    def score(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-        delta_r, delta_i, *_ = self._delta(h, r, t)
+    def score_rows(self, eh: np.ndarray, wr: np.ndarray, et: np.ndarray) -> np.ndarray:
+        delta_r, delta_i, *_ = self._delta(eh, wr, et)
         return -np.sqrt(np.sum(delta_r**2 + delta_i**2, axis=1))
 
-    def grads(
-        self, h: np.ndarray, r: np.ndarray, t: np.ndarray, dscore: np.ndarray
+    def grad_rows(
+        self, eh: np.ndarray, wr: np.ndarray, et: np.ndarray, dscore: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        delta_r, delta_i, cos, sin, hr, hi = self._delta(h, r, t)
+        delta_r, delta_i, cos, sin, hr, hi = self._delta(eh, wr, et)
         norm = np.sqrt(np.sum(delta_r**2 + delta_i**2, axis=1, keepdims=True))
         scale = -dscore[:, None] / (norm + _EPS)  # d(-||δ||)/dδ chained
         g_delta_r = scale * delta_r

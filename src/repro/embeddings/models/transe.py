@@ -19,14 +19,13 @@ class TransE(KGEmbeddingModel):
 
     name = "transe"
 
-    def score(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-        delta = self.entity_emb[h] + self.relation_emb[r] - self.entity_emb[t]
-        return -np.linalg.norm(delta, axis=1)
+    def score_rows(self, eh: np.ndarray, wr: np.ndarray, et: np.ndarray) -> np.ndarray:
+        return -np.linalg.norm(eh + wr - et, axis=1)
 
-    def grads(
-        self, h: np.ndarray, r: np.ndarray, t: np.ndarray, dscore: np.ndarray
+    def grad_rows(
+        self, eh: np.ndarray, wr: np.ndarray, et: np.ndarray, dscore: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        delta = self.entity_emb[h] + self.relation_emb[r] - self.entity_emb[t]
+        delta = eh + wr - et
         norms = np.linalg.norm(delta, axis=1, keepdims=True)
         unit = delta / (norms + _EPS)
         # d(-||delta||)/d(delta) = -unit; chain with upstream dscore.

@@ -51,10 +51,12 @@ class KnownTriples:
     def contains(self, triples: np.ndarray) -> np.ndarray:
         """A boolean mask: which rows of ``triples`` are known."""
         keys = _pack(triples)
-        if not len(self.keys):
-            return np.zeros(len(keys), dtype=bool)
-        slots = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return self.keys[slots] == keys
+        found = np.zeros(len(keys), dtype=bool)
+        if len(self.keys):  # sorted probes: searchsorted gains more than the sort costs
+            order = np.argsort(keys)
+            slots = np.minimum(np.searchsorted(self.keys, keys[order]), len(self.keys) - 1)
+            found[order] = self.keys[slots] == keys[order]
+        return found
 
     def add(self, triples: np.ndarray) -> None:
         """Insert the rows of ``triples``, keeping the keys sorted."""
@@ -100,13 +102,12 @@ class NegativeSampler:
         the output corrupts positive ``i // k``.
         """
         k = self.negatives_per_positive
-        repeated = np.repeat(positives, k, axis=0)
-        n = len(repeated)
+        negatives = np.repeat(positives, k, axis=0)
+        n = len(negatives)
         corrupt_tail = self._rng.random(n) < 0.5
         replacements = self._rng.integers(0, self.num_entities, size=n)
-        negatives = repeated.copy()
-        negatives[corrupt_tail, 2] = replacements[corrupt_tail]
-        negatives[~corrupt_tail, 0] = replacements[~corrupt_tail]
+        negatives[:, 2] = np.where(corrupt_tail, replacements, negatives[:, 2])
+        negatives[:, 0] = np.where(corrupt_tail, negatives[:, 0], replacements)
 
         if self.filtered:
             self._refilter(negatives, corrupt_tail)
@@ -116,13 +117,16 @@ class NegativeSampler:
         """Resample rows that collide with known true triples, in place.
 
         Each attempt draws one replacement per colliding row, in row order,
-        so the stream matches a row-by-row scan.
+        so the stream matches a row-by-row scan.  A retry re-checks only
+        the rows it resampled: the others did not change, so they cannot
+        collide now.
         """
+        collisions = np.flatnonzero(self.known.contains(negatives))
         for _ in range(self.max_retries):
-            collisions = np.flatnonzero(self.known.contains(negatives))
             if not len(collisions):
                 return
             fresh = self._rng.integers(0, self.num_entities, size=len(collisions))
             tails = corrupt_tail[collisions]
             negatives[collisions[tails], 2] = fresh[tails]
             negatives[collisions[~tails], 0] = fresh[~tails]
+            collisions = collisions[self.known.contains(negatives[collisions])]

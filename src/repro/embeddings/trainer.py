@@ -127,24 +127,53 @@ class AdaGrad:
         self.learning_rate = learning_rate
         self.eps = eps
         self.trainable = trainable
+        self._buffers: dict[str, np.ndarray] = {}
+        self._bins = np.empty((0, 0), dtype=np.intp)
+
+    def buffer(self, name: str, rows: int, dim: int, dtype=np.float64) -> np.ndarray:
+        """A ``(rows, dim)`` work array reused across steps (with headroom, as
+        touched-row counts creep up), so a step's large temporaries are not
+        mapped afresh each time.  Two optimisers never share a buffer."""
+        size = rows * dim
+        array = self._buffers.get(name)
+        if array is None or array.size < size or array.dtype != dtype:
+            array = self._buffers[name] = np.empty(size + size // 2, dtype=dtype)
+        return array[:size].reshape(rows, dim)
 
     def apply(self, params: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
         """Scatter-add ``grads`` into ``params`` rows with AdaGrad scaling.
 
         Duplicate rows within a batch are accumulated before the update, so
         the step is equivalent to a dense gradient step on the touched rows.
+        The scatter is one flat ``bincount`` over ``row * dim + column``
+        keys: like ``np.add.at`` it adds each row's gradients in input
+        order starting from 0.0, so the sums are bitwise the same.  Touched
+        rows come out sorted, as from ``np.unique``, without a sort.
         """
         if self.trainable is not None:
             keep = self.trainable[rows]
             rows, grads = rows[keep], grads[keep]
             if not len(rows):
                 return
-        unique_rows, inverse = np.unique(rows, return_inverse=True)
-        dense = np.zeros((len(unique_rows), params.shape[1]), dtype=np.float64)
-        np.add.at(dense, inverse, grads)
-        self.accumulator[unique_rows] += dense**2
-        scale = self.learning_rate / (np.sqrt(self.accumulator[unique_rows]) + self.eps)
-        params[unique_rows] -= scale * dense
+        touched = np.bincount(rows, minlength=len(params)) > 0
+        unique_rows = np.flatnonzero(touched)
+        count, dim = len(unique_rows), params.shape[1]
+        if len(self._bins) < count or self._bins.shape[1] != dim:
+            # Row u holds bins u * dim + column: gathering it by row is
+            # faster than building the keys by broadcast arithmetic.
+            self._bins = np.arange(min(len(params), count + count // 2) * dim).reshape(-1, dim)
+        keys = _gather(self._bins, np.cumsum(touched)[rows] - 1, self, "keys")
+        dense = np.bincount(keys.ravel(), grads.ravel(), count * dim).reshape(count, dim)
+        accumulated = _gather(self.accumulator, unique_rows, self, "acc")
+        accumulated += np.square(dense, out=self.buffer("scale", count, dim))
+        self.accumulator[unique_rows] = accumulated
+        scale = np.sqrt(accumulated, out=self.buffer("scale", count, dim))
+        scale += self.eps
+        np.divide(self.learning_rate, scale, out=scale)
+        scale *= dense
+        updated = _gather(params, unique_rows, self, "rows")
+        updated -= scale
+        params[unique_rows] = updated
 
 
 class Trainer:
@@ -223,34 +252,45 @@ def contrastive_step(
     """
     if len(positives) == 0:
         return 0.0
-    negatives = sampler.corrupt(positives)
-
-    pos_scores = model.score(positives[:, 0], positives[:, 1], positives[:, 2])
-    neg_scores = model.score(negatives[:, 0], negatives[:, 1], negatives[:, 2])
+    b = len(positives)
+    # One pass over positives and negatives, each row gathered once: rows
+    # are independent, so every row's value is what a pass of its own gives.
+    batch = np.concatenate([positives, sampler.corrupt(positives)])
+    heads, relations, tails = batch[:, 0], batch[:, 1], batch[:, 2]
+    eh = _gather(model.entity_emb, heads, entity_opt, "heads")
+    wr = _gather(model.relation_emb, relations, relation_opt, "relations")
+    et = _gather(model.entity_emb, tails, entity_opt, "tails")
+    scores = model.score_rows(eh, wr, et)
 
     # dL/ds for softplus losses; negatives averaged per positive.
-    d_pos = -_sigmoid(-pos_scores)
-    d_neg = _sigmoid(neg_scores) / sampler.negatives_per_positive
-
-    gh_p, gr_p, gt_p = model.grads(positives[:, 0], positives[:, 1], positives[:, 2], d_pos)
-    gh_n, gr_n, gt_n = model.grads(negatives[:, 0], negatives[:, 1], negatives[:, 2], d_neg)
-
-    entity_rows = np.concatenate(
-        [positives[:, 0], positives[:, 2], negatives[:, 0], negatives[:, 2]]
-    )
-    entity_grads = np.concatenate([gh_p, gt_p, gh_n, gt_n])
-    relation_rows = np.concatenate([positives[:, 1], negatives[:, 1]])
-    relation_grads = np.concatenate([gr_p, gr_n])
+    k = sampler.negatives_per_positive
+    dscore = np.concatenate([-_sigmoid(-scores[:b]), _sigmoid(scores[b:]) / k])
+    grad_h, grad_r, grad_t = model.grad_rows(eh, wr, et, dscore)
 
     if l2_penalty:
-        entity_grads = entity_grads + l2_penalty * model.entity_emb[entity_rows]
-        relation_grads = relation_grads + l2_penalty * model.relation_emb[relation_rows]
+        # In place on the gathered rows; relations first: TransE's grad_r is grad_h.
+        wr *= l2_penalty
+        grad_r = np.add(grad_r, wr, out=wr)
+        for grad, rows in ((grad_h, eh), (grad_t, et)):
+            rows *= l2_penalty
+            grad += rows
+    # [pos h, pos t, neg h, neg t]: the scatter sums in row order, so this
+    # order fixes the result to the last bit.
+    entity_rows = np.concatenate([heads[:b], tails[:b], heads[b:], tails[b:]])
+    out = entity_opt.buffer("grads", len(entity_rows), eh.shape[1])
+    entity_grads = np.concatenate([grad_h[:b], grad_t[:b], grad_h[b:], grad_t[b:]], out=out)
 
     entity_opt.apply(model.entity_emb, entity_rows, entity_grads)
-    relation_opt.apply(model.relation_emb, relation_rows, relation_grads)
+    relation_opt.apply(model.relation_emb, relations, grad_r)
 
-    loss = _softplus(-pos_scores).mean() + _softplus(neg_scores).mean()
+    loss = _softplus(-scores[:b]).mean() + _softplus(scores[b:]).mean()
     return float(loss)
+
+
+def _gather(params: np.ndarray, rows: np.ndarray, owner: AdaGrad, name: str) -> np.ndarray:
+    """``params[rows]``, written into ``owner``'s work array ``name``."""
+    out = owner.buffer(name, len(rows), params.shape[1], params.dtype)
+    return np.take(params, rows, axis=0, out=out, mode="clip")
 
 
 def train_embeddings(

@@ -228,6 +228,8 @@ class ServingService:
         )
         if previous is not None:
             previous.close()
+        if self._tenants is not None:
+            self._tenants.drop_overlays()
         # Structural invalidation: entries from other generations are
         # unreachable by key, and adopt_version frees their memory now.
         dropped = self._cache.adopt_version(pool.store_version)

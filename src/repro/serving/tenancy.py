@@ -340,6 +340,11 @@ class TenantState:
         """A :class:`GraphEngine` over shared base + this tenant's overlay."""
         return self.overlay(base).engine()
 
+    def drop_overlay(self) -> None:
+        """Forget the cached overlay, and with it the base it views."""
+        with self._lock:
+            self._overlay = None
+
     def close(self) -> None:
         """Flush background work so eviction never races a compaction."""
         self.publisher.join_compaction()
@@ -413,6 +418,19 @@ class TenantRegistry:
         """
         with self._lock:
             self._base = base
+        self.drop_overlays()
+
+    def drop_overlays(self) -> None:
+        """Forget every resident tenant's cached overlay after a shared swap.
+
+        An idle tenant would otherwise keep the previous generation's CSR,
+        dictionary and row mirror alive until its next read or eviction.
+        That read rebuilds the overlay as it would anyway.
+        """
+        with self._lock:
+            states = [slot.state for slot in self._resident.values() if slot.state is not None]
+        for state in states:
+            state.drop_overlay()
 
     def base(self) -> CSRAdjacency:
         base = self._base

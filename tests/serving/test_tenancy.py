@@ -8,7 +8,9 @@ cold re-attach, and per-(tenant, tenant_version) cache keys.
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.common import ids
 from repro.kg import SyntheticKGConfig, generate_kg
 from repro.kg.adjacency import build_csr
 from repro.kg.deltas import GenerationPublisher
+from repro.kg.overlay import TenantOverlay
 from repro.kg.store import EntityRecord
 from repro.kg.triple import entity_fact
 from repro.serving.requests import (
@@ -545,6 +548,50 @@ class TestConcurrentSwapSweep:
             assert service.store_version == kg.store.version
         finally:
             service.close()
+
+
+class TestSwapReleasesTheOldBase:
+    def test_idle_tenants_do_not_pin_the_previous_generation(self, tmp_path):
+        """After a shared swap no resident tenant's cached overlay keeps
+        the old generation's CSR alive, though none of them reads again;
+        their next reads answer as a fresh overlay over the new base."""
+        kg = generate_kg(SyntheticKGConfig(seed=43, scale=0.05))
+        entities = sorted(kg.store.entity_ids())
+        bundle = tmp_path / "bundle"
+        publisher = GenerationPublisher(kg.store, bundle)
+        with ServingService(
+            bundle, mode="inline", tenants_dir=tmp_path / "tenants"
+        ) as service:
+            tenants = [f"idle-{n}" for n in range(3)]
+            read = NeighborhoodRequest(entities=(PERSON,), hops=2)
+            for n, tenant in enumerate(tenants):
+                service.serve(
+                    TenantUpsertRequest(records=(canary_record(n, entities[n]),)),
+                    tenant=tenant,
+                )
+                assert service.serve(read, tenant=tenant).ok
+            assert service._tenants.resident_count() == 3
+            old_base = weakref.ref(service._pool.local_state.engine.snapshot())
+
+            grown = ids.entity_id("grown/idle-witness")
+            kg.store.upsert_entity(EntityRecord(entity=grown, name="Witness"))
+            fact = entity_fact(grown, ids.predicate_id("knows"), entities[0], sources=("g",))
+            kg.store.add(fact)
+            publisher.record(keys=[fact.key], entities=[grown])
+            publisher.publish()
+            publisher.join_compaction()
+            service.adopt_generation(bundle)
+            gc.collect()
+            assert old_base() is None
+
+            base = service._pool.local_state.engine.snapshot()
+            for tenant in tenants:
+                response = service.serve(read, tenant=tenant)
+                store, _people = service._tenants.get(tenant).fused()
+                fresh = TenantOverlay(base, store).engine()
+                assert response.ok
+                assert response.payload == service._tenants.execute_on(fresh, read)
+            assert grown in service.serve(read, tenant="idle-0").payload[0]
 
 
 class TestTenantPipeline:
