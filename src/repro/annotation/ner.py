@@ -2,8 +2,7 @@
 
 The annotation pipeline attaches an entity-type label to each link (§3.1:
 pages are annotated "including the corresponding entity types").  The
-typer maps the linked entity's ontology types onto coarse NER classes and
-falls back to contextual cues when the entity is unknown.
+typer maps the linked entity's ontology types onto coarse NER classes.
 """
 
 from __future__ import annotations
@@ -32,16 +31,9 @@ _TYPE_TO_LABEL = [
     ("type:tv_show", WORK),
 ]
 
-_CONTEXT_CUES = {
-    PERSON: {"mr", "mrs", "dr", "professor", "player", "actor", "singer"},
-    ORGANIZATION: {"team", "club", "university", "label", "company"},
-    PLACE: {"city", "town", "country", "visit", "located"},
-    WORK: {"film", "movie", "album", "show", "watch", "released"},
-}
-
 
 class EntityTyper:
-    """Resolve coarse NER labels from KG types (with context fallback)."""
+    """Resolve coarse NER labels from KG types."""
 
     def __init__(self, store: TripleStore) -> None:
         self.store = store
@@ -55,15 +47,3 @@ class EntityTyper:
             if type_id in types:
                 return label
         return OTHER
-
-    @staticmethod
-    def label_from_context(context_tokens: list[str]) -> str:
-        """Best-guess label from nearby tokens (used for NIL mentions)."""
-        token_set = {token.lower() for token in context_tokens}
-        best_label = OTHER
-        best_hits = 0
-        for label, cues in _CONTEXT_CUES.items():
-            hits = len(token_set & cues)
-            if hits > best_hits:
-                best_label, best_hits = label, hits
-        return best_label

@@ -20,8 +20,7 @@ The pipeline scores through :meth:`ContextualReranker.rerank_batch`: every
 (mention, candidate) pair of a document is scored at once — context
 similarity is one ``queries @ context_rows.T`` matmul against the columnar
 context index, coherence one matmul against the embedding-service vectors,
-and the linear combination is vectorised.  :meth:`rerank` remains the
-one-mention entry point with identical semantics.
+and the linear combination is vectorised.
 """
 
 from __future__ import annotations
@@ -69,41 +68,6 @@ class ContextualReranker:
         if self.config.use_context and context_index is None:
             raise ValueError("use_context requires a context index")
 
-    def rerank(
-        self,
-        candidates: list[Candidate],
-        query_vector: np.ndarray | None = None,
-        document_entities: list[str] | None = None,
-    ) -> list[Candidate]:
-        """Score and sort candidates (best first); scores are attached.
-
-        ``query_vector`` is the hashed context of the mention's window;
-        ``document_entities`` are first-pass entities of the same document
-        for the coherence feature.
-        """
-        cfg = self.config
-        for candidate in candidates:
-            if cfg.use_context and query_vector is not None:
-                candidate.context_similarity = self.context_index.similarity(
-                    query_vector, candidate.entity
-                )
-            if (
-                cfg.use_coherence
-                and self.embedding_service is not None
-                and document_entities
-            ):
-                candidate.coherence = self._coherence(
-                    candidate.entity, document_entities
-                )
-            candidate.score = (
-                cfg.weight_prior * candidate.prior
-                + cfg.weight_name * candidate.name_similarity
-                + cfg.weight_context * candidate.context_similarity
-                + cfg.weight_coherence * candidate.coherence
-            )
-        candidates.sort(key=lambda c: (-c.score, c.entity))
-        return candidates
-
     def rerank_batch(
         self,
         candidate_lists: list[list[Candidate]],
@@ -114,15 +78,15 @@ class ContextualReranker:
 
         ``candidate_lists[i]`` holds the candidates of mention *i* and
         ``query_matrix`` (one row per mention) its hashed context windows;
-        each list is score-sorted in place, exactly as per-mention
-        :meth:`rerank` calls would.  Context similarity is one
+        each list is score-sorted in place, exactly as the seed's
+        per-mention scoring did.  Context similarity is one
         ``queries @ context_rows.T`` matmul over the document's unique
         candidate entities, coherence one matmul against the embedding
         service (see :meth:`_coherence_means`); the linear combination
         stays in plain floats, so it is the same IEEE arithmetic the
-        scalar path performs.  Feature terms that are inactive for this
-        configuration keep whatever values the candidates already carry,
-        mirroring the scalar path.
+        seed's scalar path performed.  Feature terms that are inactive for
+        this configuration keep whatever values the candidates already
+        carry, as the scalar path did.
         """
         cfg = self.config
         use_context = cfg.use_context and query_matrix is not None
@@ -181,8 +145,8 @@ class ContextualReranker:
         One matmul between the (unit-normalised) embedding-service vectors
         of the unique candidate entities and of the unique document
         entities; the per-candidate mean then excludes self matches and
-        respects document-entity multiplicity, as the scalar
-        :meth:`_coherence` does.  Entities unknown to the service are
+        respects document-entity multiplicity, as the seed's per-candidate
+        mean did.  Entities unknown to the service are
         absent from the returned map (their coherence is 0.0).
         """
         service = self.embedding_service
@@ -216,19 +180,6 @@ class ContextualReranker:
                 float(np.mean(similarities[row, columns])) if columns else 0.0
             )
         return means
-
-    def _coherence(self, entity: str, document_entities: list[str]) -> float:
-        """Mean graph-embedding similarity to the document's other entities."""
-        service = self.embedding_service
-        assert service is not None
-        if not service.has_entity(entity):
-            return 0.0
-        similarities = [
-            service.similarity(entity, other)
-            for other in document_entities
-            if other != entity and service.has_entity(other)
-        ]
-        return float(np.mean(similarities)) if similarities else 0.0
 
     def accepts(self, best: Candidate) -> bool:
         """NIL gate: link only when the best score clears the threshold."""

@@ -30,13 +30,11 @@ class AnnotationStore:
     """Doc→links and entity→docs projections of the annotated web.
 
     Mutate through :meth:`put` only — it maintains the entity→docs
-    projection and the O(1) link counter; writing ``documents`` directly
-    desyncs both.
+    projection; writing ``documents`` directly desyncs it.
     """
 
     documents: dict[str, AnnotatedDocument] = field(default_factory=dict)
     _entity_docs: dict[str, set[str]] = field(default_factory=lambda: defaultdict(set))
-    _num_links: int = 0
 
     def put(self, annotated: AnnotatedDocument) -> None:
         """Insert or replace a document's annotations."""
@@ -44,24 +42,13 @@ class AnnotationStore:
         if previous is not None:
             for entity in previous.entities:
                 self._entity_docs[entity].discard(annotated.doc_id)
-            self._num_links -= len(previous.links)
         self.documents[annotated.doc_id] = annotated
         for entity in annotated.entities:
             self._entity_docs[entity].add(annotated.doc_id)
-        self._num_links += len(annotated.links)
 
     def docs_mentioning(self, entity: str) -> set[str]:
         """Documents whose annotations include ``entity``."""
         return set(self._entity_docs.get(entity, ()))
-
-    def links_of(self, doc_id: str) -> AnnotatedDocument | None:
-        """Annotations of one document, or None."""
-        return self.documents.get(doc_id)
-
-    @property
-    def num_links(self) -> int:
-        """Total entity links across all documents (O(1), kept by ``put``)."""
-        return self._num_links
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -144,7 +131,3 @@ class WebAnnotator:
             links_produced=links,
             elapsed_s=elapsed,
         )
-
-    def reset_state(self) -> None:
-        """Forget incremental state (next run is a full pass)."""
-        self._state.clear()

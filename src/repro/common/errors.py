@@ -13,10 +13,6 @@ class ReproError(Exception):
     """Base class for all errors raised by this library."""
 
 
-class ConfigError(ReproError):
-    """Raised when a configuration object fails validation."""
-
-
 class IdentifierError(ReproError):
     """Raised when an entity/predicate identifier is malformed or unknown."""
 
@@ -48,10 +44,6 @@ class IndexError_(ReproError):
     :class:`IndexError`, which callers may legitimately need to catch
     separately.
     """
-
-
-class AnnotationError(ReproError):
-    """Raised by the semantic annotation pipeline."""
 
 
 class ExtractionError(ReproError):

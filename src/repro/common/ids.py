@@ -63,11 +63,6 @@ def split_id(identifier: str) -> tuple[str, str]:
     return namespace, local
 
 
-def namespace_of(identifier: str) -> str:
-    """Return the namespace of ``identifier``."""
-    return split_id(identifier)[0]
-
-
 def local_of(identifier: str) -> str:
     """Return the local part of ``identifier``."""
     return split_id(identifier)[1]
@@ -86,11 +81,6 @@ def is_predicate(identifier: str) -> bool:
 def is_type(identifier: str) -> bool:
     """True if ``identifier`` is a type id (does not raise)."""
     return identifier.startswith(TYPE_NS + ":")
-
-
-def is_doc(identifier: str) -> bool:
-    """True if ``identifier`` is a document id (does not raise)."""
-    return identifier.startswith(DOC_NS + ":")
 
 
 def entity_id(local: str) -> str:
@@ -116,8 +106,3 @@ def doc_id(local: str) -> str:
 def device_id(local: str) -> str:
     """Shorthand for :func:`make_id` with the device namespace."""
     return make_id(DEVICE_NS, local)
-
-
-def source_id(local: str) -> str:
-    """Shorthand for :func:`make_id` with the source namespace."""
-    return make_id(SOURCE_NS, local)

@@ -43,13 +43,3 @@ def read_jsonl(
                 continue
             record = json.loads(line)
             yield factory(record) if factory is not None else record
-
-
-def append_jsonl(path: str | Path, record: Any) -> None:
-    """Append a single record to ``path`` (creating it if needed)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = record.to_dict() if hasattr(record, "to_dict") else record
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, ensure_ascii=False, sort_keys=True))
-        handle.write("\n")

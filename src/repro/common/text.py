@@ -2,7 +2,7 @@
 
 These are intentionally lightweight (no external NLP dependency): a unicode
 aware tokenizer, normalisation for alias matching, character n-grams for
-fuzzy name similarity and Jaccard/Dice measures used by the reranker and the
+fuzzy name similarity and the Dice measure used by the reranker and the
 on-device entity matcher.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9']+")
 _WS_RE = re.compile(r"\s+")
@@ -92,25 +92,11 @@ def name_similarity(left: str, right: str, n: int = 3) -> float:
     return dice_similarity(char_ngrams(left, n), char_ngrams(right, n))
 
 
-def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
-    """Jaccard similarity of two token collections."""
-    set_a, set_b = set(a), set(b)
-    if not set_a and not set_b:
-        return 0.0
-    return len(set_a & set_b) / len(set_a | set_b)
-
-
 def window(tokens: Sequence[str], center: int, radius: int) -> list[str]:
     """Tokens within ``radius`` positions of ``center`` (center excluded)."""
     lo = max(0, center - radius)
     hi = min(len(tokens), center + radius + 1)
     return [tokens[i] for i in range(lo, hi) if i != center]
-
-
-def sentences(text: str) -> list[str]:
-    """Naive sentence split on ``.!?`` boundaries, whitespace trimmed."""
-    parts = re.split(r"(?<=[.!?])\s+", text.strip())
-    return [part for part in parts if part]
 
 
 def truncate(text: str, max_chars: int) -> str:

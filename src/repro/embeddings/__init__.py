@@ -16,7 +16,6 @@ from repro.embeddings.models import (
     KGEmbeddingModel,
     ModelConfig,
     TransE,
-    available_models,
     create_model,
 )
 from repro.embeddings.negative_sampling import NegativeSampler
@@ -61,7 +60,6 @@ __all__ = [
     "Trainer",
     "TransE",
     "TripleDataset",
-    "available_models",
     "build_dataset",
     "corrupt_uniform",
     "count_swaps",

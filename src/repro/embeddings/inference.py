@@ -62,16 +62,6 @@ class BatchInference:
             for (s, p, o), score in zip(kept, scores)
         ]
 
-    def rank_objects(
-        self, subject: str, predicate: str, candidate_objects: list[str]
-    ) -> list[ScoredTriple]:
-        """Score (subject, predicate, candidate) triples, best first."""
-        scored = self.score_triples(
-            [(subject, predicate, obj) for obj in candidate_objects]
-        )
-        scored.sort(key=lambda item: (-item.score, item.obj))
-        return scored
-
     def relatedness(self, left: str, right: str) -> float:
         """Cosine similarity of two entity embeddings (0.0 for unknowns)."""
         trained = self.trained
@@ -83,11 +73,3 @@ class BatchInference:
         if denom == 0:
             return 0.0
         return float(np.dot(a, b) / denom)
-
-    def embed_entities(self, entities: list[str]) -> tuple[list[str], np.ndarray]:
-        """Embeddings of known entities; returns (kept ids, matrix)."""
-        kept = [e for e in entities if self.trained.has_entity(e)]
-        if not kept:
-            return [], np.zeros((0, self.trained.model.storage_dim))
-        rows = [self.trained.dataset.entity_index[e] for e in kept]
-        return kept, self.trained.model.entity_emb[rows].copy()

@@ -48,11 +48,6 @@ def adopt_model(
     return cls.adopt(entity_emb, relation_emb, config)
 
 
-def available_models() -> list[str]:
-    """Names of all registered model classes."""
-    return sorted(_MODELS)
-
-
 __all__ = [
     "ComplEx",
     "RotatE",
@@ -61,6 +56,5 @@ __all__ = [
     "ModelConfig",
     "TransE",
     "adopt_model",
-    "available_models",
     "create_model",
 ]

@@ -128,18 +128,8 @@ class KGEmbeddingModel:
         triples = np.asarray(triples)
         return self.score(triples[:, 0], triples[:, 1], triples[:, 2])
 
-    def entity_vectors(self, indices: np.ndarray | None = None) -> np.ndarray:
-        """Entity embedding rows (a copy), all rows when ``indices`` is None."""
-        if indices is None:
-            return self.entity_emb.copy()
-        return self.entity_emb[np.asarray(indices)].copy()
-
     def normalize_entities(self) -> None:
         """Project entity embeddings onto the unit ball (TransE-style).
 
         No-op by default; distance-based models override.
         """
-
-    def parameter_count(self) -> int:
-        """Total number of learned parameters."""
-        return self.entity_emb.size + self.relation_emb.size

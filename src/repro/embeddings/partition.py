@@ -34,17 +34,9 @@ class Partitioning:
     # (head_bucket, tail_bucket) -> (n_group, 3) triple array
     groups: dict[tuple[int, int], np.ndarray]
 
-    def bucket_sizes(self) -> list[int]:
-        """Number of entities per bucket."""
-        return [int(np.sum(self.entity_bucket == b)) for b in range(self.num_partitions)]
-
     def entities_in(self, bucket: int) -> np.ndarray:
         """Global entity indices assigned to ``bucket`` (sorted)."""
         return np.flatnonzero(self.entity_bucket == bucket)
-
-    def group_sizes(self) -> dict[tuple[int, int], int]:
-        """Edge count per bucket pair."""
-        return {pair: len(triples) for pair, triples in self.groups.items()}
 
 
 def partition_dataset(

@@ -9,7 +9,7 @@ from repro.kg.generator import (
     generate_kg,
     hold_out_facts,
 )
-from repro.kg.graph_engine import GraphEngine, TriplePattern
+from repro.kg.graph_engine import GraphEngine
 from repro.kg.ontology import Ontology, PredicateSchema
 from repro.kg.persistence import load_store, save_store
 from repro.kg.store import EntityRecord, TripleStore
@@ -37,7 +37,6 @@ __all__ = [
     "PredicateSchema",
     "SyntheticKG",
     "SyntheticKGConfig",
-    "TriplePattern",
     "TripleStore",
     "ViewDefinition",
     "ViewRegistry",

@@ -146,11 +146,6 @@ class StreamIngestor:
         self._resolver = _Resolver(store, ontology)
         self._last_sequence = -1
 
-    @property
-    def last_sequence(self) -> int:
-        """Sequence number of the last applied delta (-1 before any)."""
-        return self._last_sequence
-
     def apply(self, delta: Delta, trust: float = 1.0) -> IngestReport:
         """Apply one delta; sequences must be strictly increasing."""
         if delta.sequence <= self._last_sequence:
@@ -165,15 +160,3 @@ class StreamIngestor:
             self._resolver.apply(delta.fact, trust, report)
         self._last_sequence = delta.sequence
         return report
-
-    def apply_all(self, deltas: Iterable[Delta], trust: float = 1.0) -> IngestReport:
-        """Apply deltas in order, accumulating one report."""
-        total = IngestReport()
-        for delta in deltas:
-            partial = self.apply(delta, trust)
-            total.facts_seen += partial.facts_seen
-            total.facts_applied += partial.facts_applied
-            total.conflicts_resolved += partial.conflicts_resolved
-            total.retractions += partial.retractions
-            total.schema_rejections += partial.schema_rejections
-        return total

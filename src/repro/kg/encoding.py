@@ -62,18 +62,6 @@ class Dictionary:
             return self._strings[node_id]
         raise StoreError(f"id not in dictionary: {node_id!r}")
 
-    def encode_many(self, strings: Iterable[str]) -> list[int]:
-        """Ids of already-interned ``strings`` (raises on unknowns)."""
-        id_of = self._id_of
-        try:
-            return [id_of[string] for string in strings]
-        except KeyError as exc:
-            raise StoreError(f"string not in dictionary: {exc.args[0]!r}") from None
-
-    def decode_many(self, node_ids: Iterable[int]) -> list[str]:
-        """Strings for ``node_ids`` (raises on out-of-range ids)."""
-        return [self.string_of(node_id) for node_id in node_ids]
-
     def strings(self) -> list[str]:
         """All interned strings, id order (a copy)."""
         return list(self._strings)

@@ -1,8 +1,7 @@
-"""Graph Query Engine: pattern queries, traversals and candidate generation.
+"""Graph Query Engine: traversals over a CSR snapshot of the store.
 
 This is the computational layer the paper's embedding pipeline sits on
-(Figure 3): it produces *filtered views* of the KG for training, *candidate
-sets* of entities/triples for batch inference, and *pre-computed graph
+(Figure 3): it serves the neighbourhood reads and the *pre-computed graph
 traversals* (random walks) that power the specialized related-entities
 embeddings (§2: "we use the scalable graph processing capabilities of our
 graph engine to pre-compute graph traversals").
@@ -18,8 +17,6 @@ exactly via :mod:`repro.common.fastrand`).
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -29,19 +26,6 @@ from repro.common.fastrand import MASK32, refill_halves
 from repro.common.rng import substream
 from repro.kg.adjacency import AdjacencyIndex, CSRAdjacency
 from repro.kg.store import TripleStore
-from repro.kg.triple import Fact, ObjectKind
-
-
-@dataclass(frozen=True)
-class TriplePattern:
-    """A (s, p, o) pattern; ``None`` positions are wildcards."""
-
-    subject: str | None = None
-    predicate: str | None = None
-    obj: str | None = None
-
-
-FactFilter = Callable[[Fact], bool]
 
 
 class GraphEngine:
@@ -69,42 +53,6 @@ class GraphEngine:
     def peek_snapshot(self) -> CSRAdjacency | None:
         """The CSR snapshot only if already built and fresh (no rebuild)."""
         return self._adjacency.peek()
-
-    # -- pattern matching -----------------------------------------------------
-
-    def match(self, pattern: TriplePattern) -> Iterator[Fact]:
-        """Facts matching ``pattern``."""
-        return self.store.scan(pattern.subject, pattern.predicate, pattern.obj)
-
-    def match_all(self, patterns: list[TriplePattern]) -> list[Fact]:
-        """Union of facts matching any pattern (deduplicated, stable order)."""
-        seen: dict[tuple[str, str, str], Fact] = {}
-        for pattern in patterns:
-            for fact in self.match(pattern):
-                seen.setdefault(fact.key, fact)
-        return list(seen.values())
-
-    def filter_facts(self, keep: FactFilter) -> Iterator[Fact]:
-        """All facts passing the ``keep`` filter (streaming)."""
-        for fact in self.store.scan():
-            if keep(fact):
-                yield fact
-
-    # -- typed lookups -------------------------------------------------------
-
-    def entities_of_type(self, type_id: str) -> list[str]:
-        """Entities whose descriptor lists ``type_id`` among its types."""
-        return sorted(
-            record.entity
-            for record in self.store.entities()
-            if type_id in record.types
-        )
-
-    def type_of(self, entity: str) -> tuple[str, ...]:
-        """Declared types of ``entity`` (may be empty)."""
-        if not self.store.has_entity(entity):
-            return ()
-        return self.store.entity(entity).types
 
     # -- traversals -------------------------------------------------------------
 
@@ -208,48 +156,7 @@ class GraphEngine:
         counts.pop(entity, None)
         return counts
 
-    # -- candidate generation (Figure 3, inference path) ------------------------
-
-    def candidate_triples(
-        self,
-        subject: str,
-        predicate: str,
-        candidate_objects: list[str] | None = None,
-    ) -> list[tuple[str, str, str]]:
-        """Candidate (s, p, o) triples for scoring a query ``(s, p, ?)``.
-
-        When ``candidate_objects`` is not given, candidates default to every
-        object observed with ``predicate`` anywhere in the graph — the
-        engine-side materialisation step of Figure 3's inference path.
-        """
-        if candidate_objects is None:
-            candidate_objects = sorted(
-                {fact.obj for fact in self.store.scan(predicate=predicate)}
-            )
-        return [(subject, predicate, obj) for obj in candidate_objects]
-
-    def candidate_pairs(
-        self, entities: list[str], max_pairs: int | None = None, seed: int = 0
-    ) -> list[tuple[str, str]]:
-        """Entity pairs for relatedness scoring, optionally sampled."""
-        pairs = [
-            (a, b)
-            for i, a in enumerate(entities)
-            for b in entities[i + 1 :]
-        ]
-        if max_pairs is not None and len(pairs) > max_pairs:
-            rng = substream(seed, "candidate-pairs")
-            chosen = rng.choice(len(pairs), size=max_pairs, replace=False)
-            pairs = [pairs[i] for i in np.sort(chosen)]
-        return pairs
-
     # -- projections ------------------------------------------------------------
-
-    def entity_edges(self) -> Iterator[Fact]:
-        """Only entity-to-entity facts (what embedding models train on)."""
-        for fact in self.store.scan():
-            if fact.obj_kind is ObjectKind.ENTITY:
-                yield fact
 
     def degree_distribution(self) -> dict[str, int]:
         """Total (in+out) degree per entity over entity-valued edges.

@@ -7,8 +7,7 @@ Saga integrates data under a unified ontology.  We model:
 * **predicate schemas** — domain/range constraints, whether the predicate is
   functional (at most one value, e.g. date of birth) or multi-valued (e.g.
   occupation), whether it is *volatile* (value changes over time — net
-  worth, marital status — driving ODKE staleness checks), and whether its
-  range is numeric/identifier-like (driving embedding-view filtering, §2).
+  worth, marital status — driving ODKE staleness checks).
 
 The ontology also records, per type, which predicates are *expected*; KG
 profiling (§4) uses expectations to find coverage gaps.
@@ -57,16 +56,6 @@ class PredicateSchema:
         """True when the predicate's range is a literal datatype."""
         return self.literal_type is not None
 
-    @property
-    def is_numeric(self) -> bool:
-        """True for number-ranged predicates (embedding-filter targets)."""
-        return self.literal_type is LiteralType.NUMBER
-
-    @property
-    def is_identifier(self) -> bool:
-        """True for external-identifier predicates (e.g. library ids)."""
-        return self.literal_type is LiteralType.IDENTIFIER
-
 
 class Ontology:
     """Mutable registry of types and predicate schemas."""
@@ -110,19 +99,6 @@ class Ontology:
             current = self._parents[current]
         return chain
 
-    def is_subtype(self, type_id: str, ancestor: str) -> bool:
-        """True when ``type_id`` equals or descends from ``ancestor``."""
-        return type_id == ancestor or ancestor in self.ancestors(type_id)
-
-    def descendants(self, type_id: str) -> list[str]:
-        """All registered types that are (transitively) under ``type_id``."""
-        self._require_type(type_id)
-        return [
-            candidate
-            for candidate in self._parents
-            if candidate != type_id and self.is_subtype(candidate, type_id)
-        ]
-
     # -- predicates ---------------------------------------------------------
 
     def add_predicate(self, schema: PredicateSchema) -> None:
@@ -149,18 +125,6 @@ class Ontology:
         """All registered predicate ids."""
         return list(self._schemas)
 
-    def literal_predicates(self) -> set[str]:
-        """Predicates whose range is a literal datatype."""
-        return {p for p, s in self._schemas.items() if s.is_literal}
-
-    def numeric_predicates(self) -> set[str]:
-        """Predicates whose range is numeric (filter targets, §2)."""
-        return {p for p, s in self._schemas.items() if s.is_numeric}
-
-    def identifier_predicates(self) -> set[str]:
-        """External-identifier predicates (filter targets, §2)."""
-        return {p for p, s in self._schemas.items() if s.is_identifier}
-
     def volatile_predicates(self) -> set[str]:
         """Predicates whose values drift over time (staleness targets, §4)."""
         return {p for p, s in self._schemas.items() if s.volatile}
@@ -178,16 +142,6 @@ class Ontology:
             schema.predicate
             for schema in self._schemas.values()
             if schema.expected and schema.domain in lineage
-        }
-
-    def predicates_for_domain(self, type_id: str) -> set[str]:
-        """All predicates whose domain covers ``type_id`` (via inheritance)."""
-        self._require_type(type_id)
-        lineage = set([type_id, *self.ancestors(type_id)])
-        return {
-            schema.predicate
-            for schema in self._schemas.values()
-            if schema.domain in lineage
         }
 
     # -- internals ----------------------------------------------------------

@@ -147,14 +147,6 @@ class TenantOverlay:
         self.view = OverlayView(base, personal)
         self._engine: GraphEngine | None = None
 
-    @property
-    def base_version(self) -> int:
-        return self.base.built_version
-
-    @property
-    def num_personal_nodes(self) -> int:
-        return len(self.view.dictionary.extra)
-
     def engine(self) -> GraphEngine:
         """A :class:`GraphEngine` serving the overlay view (cached)."""
         if self._engine is None:

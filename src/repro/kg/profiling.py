@@ -53,10 +53,6 @@ class ProfileReport:
     gaps: list[CoverageGap]
     stale: list[StaleFact]
 
-    def coverage_of(self, type_id: str, predicate: str) -> float:
-        """Coverage fraction for one (type, predicate), 0.0 when untracked."""
-        return self.coverage.get((type_id, predicate), 0.0)
-
 
 class KGProfiler:
     """Coverage/freshness profiler over a store + ontology."""
@@ -141,7 +137,3 @@ class KGProfiler:
                         )
                     )
         return found
-
-    def top_gaps(self, limit: int) -> list[CoverageGap]:
-        """The ``limit`` most important coverage gaps."""
-        return self.profile().gaps[:limit]

@@ -83,11 +83,6 @@ class Fact:
         """True when the object is a literal value."""
         return self.obj_kind is ObjectKind.LITERAL
 
-    @property
-    def is_numeric(self) -> bool:
-        """True for number-typed literal facts (embedding-view filter target)."""
-        return self.literal_type is LiteralType.NUMBER
-
     def with_metadata(
         self,
         confidence: float | None = None,

@@ -107,26 +107,6 @@ class Device:
         self.records[source] = sorted(by_id.values(), key=lambda r: r.record_id)
         return changed
 
-    def delete_record(self, source: str, record_id: str, sequence: int | None = None) -> bool:
-        """Tombstone one record; True when a local copy was removed.
-
-        ``sequence`` defaults to the deleted record's own sequence, so a
-        plain delete always wins against replays of the copy it deleted.
-        A delete older than the local record loses (the write stays).
-        """
-        by_id = {r.record_id: r for r in self.records.get(source, [])}
-        existing = by_id.get(record_id)
-        seq = sequence if sequence is not None else (existing.sequence if existing else 0)
-        if existing is not None and seq < existing.sequence:
-            return False
-        tombs = self.tombstones.setdefault(source, {})
-        tombs[record_id] = max(seq, tombs.get(record_id, seq))
-        if existing is None:
-            return False
-        del by_id[record_id]
-        self.records[source] = sorted(by_id.values(), key=lambda r: r.record_id)
-        return True
-
     def apply_tombstones(self, source: str, incoming: dict[str, int]) -> int:
         """Adopt remote tombstones; returns tombstones newly learned/raised.
 

@@ -6,17 +6,16 @@ losing state, allowing deferral of the construction process in favor of
 any other higher priority task."
 
 The pipeline advances in budgeted :meth:`step` calls (units ≈ records
-ingested / pairs scored).  Between any two steps it can be checkpointed to
-JSON and resumed — in the same process or a fresh one — and the final KG
-is byte-identical to an uninterrupted run (tested property).
+ingested / pairs scored).  Between any two steps it can be checkpointed
+(:meth:`checkpoint`, a JSON-ready dict) and resumed — in the same process
+or a fresh one — and the final KG is byte-identical to an uninterrupted
+run (tested property).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Any
 
 from repro.common.errors import PipelineStateError
@@ -209,12 +208,6 @@ class IncrementalPipeline:
             "total_units": self.total_units,
         }
 
-    def save_checkpoint(self, path: str | Path) -> None:
-        """Write the checkpoint JSON to ``path``."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.checkpoint()), encoding="utf-8")
-
     @classmethod
     def from_checkpoint(
         cls,
@@ -245,11 +238,3 @@ class IncrementalPipeline:
         ]
         pipeline.total_units = payload.get("total_units", 0)
         return pipeline
-
-    @classmethod
-    def load_checkpoint(
-        cls, path: str | Path, config: IncrementalPipelineConfig | None = None
-    ) -> "IncrementalPipeline":
-        """Resume from a checkpoint file."""
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_checkpoint(payload, config)

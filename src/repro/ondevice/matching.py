@@ -88,9 +88,3 @@ class EntityMatcher:
             email_equal=email_equal,
             name_score=name_score,
         )
-
-    def match_pairs(
-        self, pairs: list[tuple[SourceRecord, SourceRecord]]
-    ) -> list[MatchDecision]:
-        """Decisions for all candidate pairs."""
-        return [self.score_pair(left, right) for left, right in pairs]

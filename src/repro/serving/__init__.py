@@ -37,7 +37,6 @@ from repro.serving.faults import (
 from repro.serving.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
-    decode_request,
     decode_response,
     encode_request,
     encode_response,
@@ -70,8 +69,6 @@ from repro.serving.router import ShardRouter
 from repro.serving.service import (
     PartialResultError,
     ServingService,
-    requests_from_query_log,
-    save_and_serve,
 )
 from repro.serving.worker import (
     WorkerConfig,

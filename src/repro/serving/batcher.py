@@ -14,10 +14,9 @@ The batcher is synchronous and thread-safe, with two flush triggers:
   next batch), bounding staleness under continuous traffic.
 
 There is no daemon thread: an idle tail is drained by :meth:`flush`,
-which :meth:`annotate_many` and the serving facade call at their sync
-points.  Each queued text gets a :class:`~concurrent.futures.Future`;
-concurrent submitters whose texts land in one batch share a single
-downstream call.
+which the serving facade calls at its sync points.  Each queued text
+gets a :class:`~concurrent.futures.Future`; concurrent submitters whose
+texts land in one batch share a single downstream call.
 """
 
 from __future__ import annotations
@@ -100,17 +99,6 @@ class MicroBatcher:
         with self._lock:
             batch = self._take_locked()
         return self._run_flush(batch)
-
-    def annotate_many(self, texts: Sequence[str]) -> list:
-        """Submit ``texts``, drain the queue, return results in order.
-
-        Full batches flush as they fill; the final partial batch flushes
-        at the end — so ``len(texts)`` documents cost
-        ``ceil(len / max_batch)`` downstream calls.
-        """
-        futures = [self.submit(text) for text in texts]
-        self.flush()
-        return [future.result() for future in futures]
 
     @property
     def pending(self) -> int:

@@ -32,7 +32,7 @@ clients know exactly what they got.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable
+from typing import Any, Hashable
 
 from repro.common import tracing
 from repro.common.kvstore import MemoryKVStore
@@ -140,27 +140,6 @@ class QueryCache:
         if existing is _SENTINEL or existing[0] < version:
             self._stale.put(key, (version, value))
 
-    def warm(self, version: int, entries: Iterable[tuple[Hashable, Any]]) -> int:
-        """Pre-populate the cache with computed ``(request, result)`` pairs.
-
-        The ROADMAP's "cache warming" path: a new generation's cache can
-        be seeded from replayed query-log traffic before the fleet takes
-        live requests.  Requests that declare themselves non-cacheable
-        (``cacheable()`` returning false — e.g. never-repeating annotation
-        batches) are skipped, the same admission policy the serving
-        dispatch applies.  Returns the number of entries admitted.
-        """
-        admitted = 0
-        for request, value in entries:
-            admission = getattr(request, "cacheable", None)
-            if callable(admission) and not admission():
-                continue
-            self.put(version, request, value)
-            admitted += 1
-        if admitted:
-            self.metrics.incr("cache.warmed", admitted)
-        return admitted
-
     def get_stale(self, request: Hashable, tenant=None) -> tuple[int, Any] | None:
         """The newest demoted ``(store_version, result)`` for ``request``.
 
@@ -182,26 +161,6 @@ class QueryCache:
         self.metrics.incr(f"cache.stale_hits.{family}")
         tracing.event("cache.stale_hit", store_version=entry[0])
         return entry
-
-    def family_stats(self) -> dict[str, dict[str, int]]:
-        """Per-request-family hit/miss/stale counts, from the registry.
-
-        Shape: ``{wire_type: {"hits": n, "misses": n, "stale_hits": n}}``
-        — the structured twin of the ``cache_*_by_type`` Prometheus
-        families the service exposes.
-        """
-        # snapshot() copies under the registry lock — iterating the live
-        # counters dict would race a first-of-its-family incr() from a
-        # serving thread (dict grows mid-iteration).
-        counters = self.metrics.snapshot()
-        out: dict[str, dict[str, int]] = {}
-        for kind in ("hits", "misses", "stale_hits", "stale_misses"):
-            prefix = f"counter.cache.{kind}."
-            for key, count in counters.items():
-                if key.startswith(prefix) and len(key) > len(prefix):
-                    family = key[len(prefix) :]
-                    out.setdefault(family, {})[kind] = int(count)
-        return out
 
     def adopt_version(self, version: int) -> int:
         """Drop every entry not built at ``version``; returns count dropped.

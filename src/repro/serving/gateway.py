@@ -39,9 +39,6 @@ knowledge-based service):
 Entry points:
 
 * :meth:`AsyncGateway.serve_async` — one request, one awaitable envelope;
-* :meth:`AsyncGateway.serve_stream` — an async iterator over many
-  requests: all of them throttled through the concurrency cap, envelopes
-  yielded in request order as they complete (streaming batch);
 * :class:`GatewayHTTPServer` — a minimal stdlib ``asyncio`` HTTP/1.1
   server speaking the JSON wire protocol (:mod:`repro.serving.protocol`):
   ``POST /v1/query`` with a request envelope body, plus ``GET /healthz``,
@@ -62,9 +59,7 @@ import functools
 import json
 import signal
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import AsyncIterator, Iterable, Sequence
 
 from repro.common import tracing
 from repro.common.logging import get_logger
@@ -283,16 +278,13 @@ class AsyncGateway:
         self,
         request: Request,
         deadline_s: float | None,
-        tenant: str | None = None,
+        tenant: str | None,
         *,
-        started: float | None = None,
-        probe: Probe | None = None,
+        started: float,
+        probe: Probe | None,
     ) -> Response:
-        """The post-admission path (streaming batches enter here directly:
-        a pull-based caller self-throttles, so queue-full rejection would
-        be backpressure against ourselves)."""
-        if started is None:
-            started = time.perf_counter()
+        """The post-admission path of every request the loop did not
+        answer from the cache: a concurrency slot, then an executor thread."""
         deadline = deadline_s if deadline_s is not None else self.default_deadline_s
         self._pending += 1
         self.metrics.incr("gateway.requests")
@@ -361,56 +353,6 @@ class AsyncGateway:
                 # Cancelled while queued for a slot, or the bridge is
                 # closed: serve() will never see this counted miss.
                 self.service.abandon(probe, request)
-
-    async def serve_stream(
-        self,
-        requests: Iterable[Request] | Sequence[Request],
-        *,
-        deadline_s: float | None = None,
-    ) -> AsyncIterator[Response]:
-        """Stream envelopes for ``requests`` in request order.
-
-        Up to ``max_concurrency`` requests are in flight at once; each
-        completion launches the next, so an arbitrarily long batch flows
-        through bounded resources.  Yielding preserves request order
-        (completion-order internally, delivery-order externally).
-        """
-        # Requests pull lazily from the iterator: a generator of a million
-        # requests occupies O(max_concurrency) memory, not O(batch).
-        iterator = iter(requests)
-        exhausted = False
-        ordered: deque[asyncio.Task] = deque()  # yield order
-        in_flight: set[asyncio.Task] = set()
-
-        def launch() -> None:
-            nonlocal exhausted
-            while not exhausted and len(in_flight) < self.max_concurrency:
-                try:
-                    request = next(iterator)
-                except StopIteration:
-                    exhausted = True
-                    return
-                task = asyncio.ensure_future(self._admitted(request, deadline_s))
-                ordered.append(task)
-                in_flight.add(task)
-
-        launch()
-        while ordered:
-            head = ordered[0]
-            if not head.done():
-                # Wait for ANY in-flight task so a slow head never idles
-                # the rest of the window: completions behind it refill
-                # the pipeline immediately, only the yield is ordered.
-                done, _pending = await asyncio.wait(
-                    in_flight, return_when=asyncio.FIRST_COMPLETED
-                )
-                in_flight.difference_update(done)
-                launch()
-                continue
-            ordered.popleft()
-            in_flight.discard(head)
-            launch()
-            yield head.result()
 
     def close(self) -> None:
         """Stop the bridge threads (the service itself stays up)."""

@@ -110,11 +110,6 @@ def encode_request(
     return json.dumps(envelope, sort_keys=True).encode("utf-8")
 
 
-def decode_request(data: bytes | str) -> Request:
-    """Parse a request envelope; raises :class:`ProtocolError` on bad input."""
-    return decode_request_envelope(data)[0]
-
-
 def decode_request_envelope(
     data: bytes | str,
 ) -> "tuple[Request, tracing.TraceContext | None, str | None]":

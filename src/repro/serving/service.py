@@ -45,12 +45,11 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.annotation.mention import EntityLink
 from repro.common import tracing
 from repro.common.metrics import MetricsRegistry, render_prometheus
-from repro.kg.query_logs import QueryLogEntry
 from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import QueryCache
 from repro.serving.protocol import ProtocolError, error_response
@@ -65,7 +64,6 @@ from repro.serving.requests import (
     TENANT_WRITE,
     AnnotateRequest,
     ErrorInfo,
-    FactRankRequest,
     KnnRequest,
     NeighborhoodRequest,
     RelatedRequest,
@@ -73,7 +71,6 @@ from repro.serving.requests import (
     RequestFamily,
     Response,
     SimilarityRequest,
-    VerifyRequest,
     WalkRequest,
     family_of,
 )
@@ -778,25 +775,6 @@ class ServingService:
             AnnotateRequest(texts=(text,), tier=self.tier)
         ).result()[0]
 
-    def annotate_many(self, texts: Sequence[str]) -> list[list[EntityLink]]:
-        """Entity links for many texts: batched across documents, spread
-        over the worker fleet."""
-        return self.serve(
-            AnnotateRequest(texts=tuple(texts), tier=self.tier)
-        ).result()
-
-    def rank_facts(self, subjects: Sequence[str], predicate: str) -> list[list]:
-        """Importance-ranked values of ``(subject, predicate, ?)`` per subject."""
-        return self.serve(
-            FactRankRequest(entities=tuple(subjects), predicate=predicate)
-        ).result()
-
-    def verify_facts(self, candidates: Sequence[tuple[str, str, str]]) -> list:
-        """Calibrated verdicts for candidate triples (one batched pass)."""
-        return self.serve(
-            VerifyRequest(candidates=tuple(tuple(c) for c in candidates))
-        ).result()
-
     def similarity(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         """Cosine similarity per entity pair (0.0 for unknown entities)."""
         return self.serve(
@@ -812,44 +790,6 @@ class ServingService:
         pool = self._pool
         assert pool is not None
         return pool.run(AnnotateRequest(texts=tuple(texts), tier=self.tier))
-
-    # -- cache warming ---------------------------------------------------------
-
-    def warm(self, requests: Iterable[Request]) -> int:
-        """Pre-compute ``requests`` into the query cache; returns count served.
-
-        Non-cacheable and already-cached requests are skipped.  Failed
-        requests are skipped too (warming must never take the service
-        down); they stay un-cached and will surface their error to the
-        first real caller.  Each request is probed once, through
-        :meth:`probe`, so a warmed miss counts one miss.
-        """
-        warmed = 0
-        for request in requests:
-            family = family_of(request)
-            if family is None or not family.cacheable(request):
-                continue
-            probe = self.probe(request)
-            if probe.response is None and self.serve(request, probe=probe).ok:
-                warmed += 1
-        self.metrics.incr("serve.cache_warmed", warmed)
-        return warmed
-
-    def warm_from_query_log(
-        self, entries: Sequence[QueryLogEntry], *, min_count: int = 2, limit: int = 256
-    ) -> int:
-        """Warm the cache from real traffic traces (ROADMAP "cache warming").
-
-        Aggregates *answered* ``(entity, predicate)`` lookups from a
-        :mod:`repro.kg.query_logs` trace and pre-serves the fact-ranking
-        request each hot pair maps to — the query shape an assistant
-        issues when it re-asks a popular question.  Unanswered pairs are
-        demand for *missing* facts (ODKE's reactive path) and nothing in
-        the store can answer them, so they are not warmed.
-        """
-        return self.warm(
-            requests_from_query_log(entries, min_count=min_count, limit=limit)
-        )
 
     # -- observability ---------------------------------------------------------
 
@@ -921,10 +861,6 @@ class ServingService:
             gauges["serve.tenants_resident"] = float(self._tenants.resident_count())
         return gauges
 
-    def cache_family_stats(self) -> dict[str, dict[str, int]]:
-        """Per-request-family cache hit/miss/stale counts (see QueryCache)."""
-        return self._cache.family_stats()
-
     # Counter-key prefixes whose dynamic suffixes (request type names,
     # breaker edges) become one labeled Prometheus family each, instead of
     # minting a new metric name per suffix.
@@ -974,32 +910,6 @@ class ServingService:
             for candidate in ("closed", "open", "half_open")
         ]
         return body + "\n".join(lines) + "\n"
-
-
-def requests_from_query_log(
-    entries: Sequence[QueryLogEntry], *, min_count: int = 2, limit: int = 256
-) -> list[Request]:
-    """Cacheable requests implied by a query-log trace, hottest first.
-
-    Each answered ``(entity, predicate)`` pair seen at least ``min_count``
-    times becomes one single-subject :class:`FactRankRequest` — the exact
-    key a repeat of that lookup will probe the cache with.
-    """
-    from collections import Counter
-
-    counts: Counter[tuple[str, str]] = Counter(
-        (entry.entity, entry.predicate) for entry in entries if entry.answered
-    )
-    hot = [
-        (pair, count)
-        for pair, count in counts.items()
-        if count >= min_count
-    ]
-    hot.sort(key=lambda item: (-item[1], item[0]))
-    return [
-        FactRankRequest(entities=(entity,), predicate=predicate)
-        for (entity, predicate), _count in hot[:limit]
-    ]
 
 
 def _ms_since(started: float) -> float:
@@ -1058,18 +968,3 @@ def _stage(
         timings[key] = elapsed
         span_obj.set_attribute("stage_ms", elapsed)
         span_obj.finish()
-
-
-def save_and_serve(
-    store, directory: str | Path, **service_kwargs
-) -> ServingService:
-    """Persist ``store`` as a bundle under ``directory`` and serve it.
-
-    Convenience for tests and small deployments: the construction-side
-    :func:`save_snapshot` and the serving-side :class:`ServingService`
-    in one call.
-    """
-    from repro.kg.persistence import save_snapshot
-
-    save_snapshot(store, directory)
-    return ServingService(directory, **service_kwargs)

@@ -388,7 +388,6 @@ class TenantRegistry:
         self,
         tenants_dir: str | Path,
         *,
-        base: CSRAdjacency | None = None,
         max_resident: int = 32,
         compact_every: int = 8,
         verify: bool = True,
@@ -402,23 +401,11 @@ class TenantRegistry:
         self.compact_every = compact_every
         self.verify = verify
         self.metrics = metrics or MetricsRegistry("tenants")
-        self._base = base
         self._lock = threading.RLock()
         self._resident: OrderedDict[str, _Slot] = OrderedDict()
         self.evictions = 0
 
     # -- shared base -------------------------------------------------------
-
-    def rebind_base(self, base: CSRAdjacency) -> None:
-        """Adopt a new shared-generation CSR (zero-downtime swap hook).
-
-        Resident overlays are not eagerly rebuilt: each tenant's next read
-        rebuilds its view lazily against the new base.  Append-only ids
-        keep the personal ids valid across generations — pinned by test.
-        """
-        with self._lock:
-            self._base = base
-        self.drop_overlays()
 
     def drop_overlays(self) -> None:
         """Forget every resident tenant's cached overlay after a shared swap.
@@ -431,12 +418,6 @@ class TenantRegistry:
             states = [slot.state for slot in self._resident.values() if slot.state is not None]
         for state in states:
             state.drop_overlay()
-
-    def base(self) -> CSRAdjacency:
-        base = self._base
-        if base is None:
-            raise TenantError("registry has no shared base bound")
-        return base
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -451,14 +432,6 @@ class TenantRegistry:
             if tenant_id in self._resident:
                 return True
         return (self._tenant_dir(tenant_id) / SNAPSHOT_MANIFEST).exists()
-
-    def list_tenants(self) -> list[str]:
-        """Every persisted tenant id, sorted."""
-        return sorted(
-            path.name
-            for path in self.tenants_dir.iterdir()
-            if (path / SNAPSHOT_MANIFEST).exists()
-        )
 
     def _acquire(self, tenant_id: str, *, create: bool = False) -> TenantState:
         """Pin and return the resident state, attaching it if needed.
@@ -615,21 +588,15 @@ class TenantRegistry:
 
     # -- request serving ---------------------------------------------------
 
-    def execute_read(self, tenant_id: str, request) -> list:
-        """Answer a walk/neighborhood request over the tenant's overlay."""
-        base = self.base()
-        with self.lease(tenant_id) as state:
-            return self.execute_on(state.engine(base), request)
-
     def execute_on(self, engine: GraphEngine, request) -> list:
         """Answer over an already-captured overlay engine.
 
-        The hot serving path: callers that need the tenant version for
-        cache keying capture ``(engine, versions)`` once and dispatch
-        here — one registry round-trip per request, not two.  Runs the
-        very executor the shared workers run for the family (per-entity
-        seed substreams, sorted neighborhoods), so a tenant answer
-        differs from a shared answer only by the overlay's facts.
+        The only tenant read path: the service leases the tenant,
+        captures ``(engine, versions)`` once for cache keying and
+        dispatches here.  Runs the very executor the shared workers run
+        for the family (per-entity seed substreams, sorted
+        neighborhoods), so a tenant answer differs from a shared answer
+        only by the overlay's facts.
         """
         self.metrics.incr("tenants.reads")
         family = family_of(request)

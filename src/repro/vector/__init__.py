@@ -2,7 +2,7 @@
 
 from repro.vector.index import ExactIndex, IVFIndex, SearchHit, VectorIndex, recall_at_k
 from repro.vector.service import EmbeddingService
-from repro.vector.similarity import cosine, dot, euclidean, normalize_rows, pairwise_cosine
+from repro.vector.similarity import cosine, dot, euclidean, normalize_rows
 
 __all__ = [
     "EmbeddingService",
@@ -14,6 +14,5 @@ __all__ = [
     "dot",
     "euclidean",
     "normalize_rows",
-    "pairwise_cosine",
     "recall_at_k",
 ]

@@ -107,11 +107,6 @@ class EmbeddingService:
             for entity, hits in zip(entities, per_entity)
         ]
 
-    def knn_vector(self, query: np.ndarray, k: int = 10) -> list[SearchHit]:
-        """k nearest entities to an arbitrary query vector."""
-        with self.metrics.timed("knn"):
-            return self.index.search(np.asarray(query, dtype=np.float64), k)
-
     def batch_similarity(
         self, pairs: list[tuple[str, str]]
     ) -> list[float]:

@@ -36,8 +36,3 @@ def euclidean(query: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 
 METRICS = {"cosine": cosine, "dot": dot, "euclidean": euclidean}
-
-
-def pairwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full cosine matrix between rows of ``a`` and rows of ``b``."""
-    return normalize_rows(a) @ normalize_rows(b).T

@@ -7,7 +7,6 @@ from repro.web.schema_org import (
     PREDICATE_TO_SCHEMA,
     SCHEMA_TO_PREDICATE,
     build_person_payload,
-    corrupt_payload,
     schema_type_of,
 )
 from repro.web.search import BM25SearchEngine, SearchResult
@@ -26,7 +25,6 @@ __all__ = [
     "WebCorpusGenerator",
     "WebDocument",
     "build_person_payload",
-    "corrupt_payload",
     "evolve",
     "generate_corpus",
     "schema_type_of",

@@ -74,17 +74,3 @@ def build_person_payload(
         schema_property = PREDICATE_TO_SCHEMA[local]
         payload[schema_property] = values[0] if len(values) == 1 else sorted(values)
     return payload
-
-
-def corrupt_payload(
-    payload: dict[str, Any], property_name: str, wrong_value: Any
-) -> dict[str, Any]:
-    """Copy of ``payload`` with one property replaced by a wrong value.
-
-    Used by the corpus generator to plant the Figure 6 scenario: a page
-    about music-artist Michelle Williams carrying the *actress's* birth
-    date.
-    """
-    corrupted = dict(payload)
-    corrupted[property_name] = wrong_value
-    return corrupted

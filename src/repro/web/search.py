@@ -58,27 +58,6 @@ class BM25SearchEngine:
             sum(self._doc_len.values()) / self._num_docs if self._num_docs else 0.0
         )
 
-    def index_document(self, doc: WebDocument) -> None:
-        """Add or refresh one document (incremental crawl updates)."""
-        previous = self._corpus.get(doc.doc_id)
-        if previous is not None:
-            old_counts: Counter[str] = Counter(tokenize(previous.text))
-            for token in tokenize(previous.title):
-                old_counts[token] += int(self.title_weight)
-            for token in old_counts:
-                self._postings[token].pop(doc.doc_id, None)
-        self._corpus.add(doc)
-        counts: Counter[str] = Counter(tokenize(doc.text))
-        for token in tokenize(doc.title):
-            counts[token] += int(self.title_weight)
-        self._doc_len[doc.doc_id] = float(sum(counts.values()))
-        for token, count in counts.items():
-            self._postings[token][doc.doc_id] = count
-        self._num_docs = len(self._corpus)
-        self._avg_len = (
-            sum(self._doc_len.values()) / self._num_docs if self._num_docs else 0.0
-        )
-
     def search(self, query: str, k: int = 10) -> list[SearchResult]:
         """Top-``k`` documents for ``query`` under BM25."""
         tokens = tokenize(query)
@@ -105,8 +84,3 @@ class BM25SearchEngine:
                     SearchResult(doc_id=doc_id, score=score, document=document)
                 )
         return results
-
-    @property
-    def num_documents(self) -> int:
-        """Documents currently indexed."""
-        return self._num_docs

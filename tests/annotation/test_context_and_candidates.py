@@ -7,7 +7,7 @@ from repro.annotation.alias_table import AliasTable
 from repro.annotation.candidates import CandidateGenerator, CandidateGeneratorConfig
 from repro.annotation.context_encoder import EntityContextIndex, HashingContextEncoder
 from repro.annotation.mention import Mention
-from repro.annotation.ner import PERSON, PLACE, WORK, EntityTyper
+from repro.annotation.ner import PERSON, EntityTyper
 from repro.common import ids
 from repro.kg.store import EntityRecord, TripleStore
 from repro.kg.triple import entity_fact
@@ -187,11 +187,6 @@ class TestEntityTyper:
         assert typer.label_for_entity("entity:player") == PERSON
         assert typer.label_for_entity("entity:team") == "ORG"
         assert typer.label_for_entity("entity:ghost") == "OTHER"
-
-    def test_context_fallback(self):
-        assert EntityTyper.label_from_context(["the", "film", "was", "released"]) == WORK
-        assert EntityTyper.label_from_context(["visit", "the", "city"]) == PLACE
-        assert EntityTyper.label_from_context(["xyzzy"]) == "OTHER"
 
     def test_mention_invariants(self):
         with pytest.raises(ValueError):

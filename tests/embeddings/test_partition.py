@@ -30,7 +30,7 @@ def dataset():
 class TestPartitioning:
     def test_buckets_balanced(self, dataset):
         partitioning = partition_dataset(dataset, 4, seed=0)
-        sizes = partitioning.bucket_sizes()
+        sizes = np.bincount(partitioning.entity_bucket, minlength=4)
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == dataset.num_entities
 

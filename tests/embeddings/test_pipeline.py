@@ -117,15 +117,6 @@ class TestBatchInference:
                 skip_unknown=False,
             )
 
-    def test_rank_objects_sorted(self, trained):
-        inference = BatchInference(trained.trained)
-        dataset = trained.dataset
-        subject, predicate, _ = dataset.decode(*map(int, dataset.triples[0]))
-        candidates = dataset.entities[:10]
-        ranked = inference.rank_objects(subject, predicate, candidates)
-        scores = [item.score for item in ranked]
-        assert scores == sorted(scores, reverse=True)
-
     def test_relatedness_self_is_one(self, trained):
         inference = BatchInference(trained.trained)
         entity = trained.dataset.entities[0]
@@ -134,13 +125,6 @@ class TestBatchInference:
     def test_relatedness_unknown_is_zero(self, trained):
         inference = BatchInference(trained.trained)
         assert inference.relatedness("entity:ghost", trained.dataset.entities[0]) == 0.0
-
-    def test_embed_entities(self, trained):
-        inference = BatchInference(trained.trained)
-        entities = trained.dataset.entities[:5] + ["entity:ghost"]
-        kept, matrix = inference.embed_entities(entities)
-        assert len(kept) == 5
-        assert matrix.shape[0] == 5
 
     def test_batching_equivalence(self, trained):
         dataset = trained.dataset

@@ -16,7 +16,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.embeddings.models import ModelConfig, available_models, create_model
+from repro.embeddings.models import _MODELS as REGISTERED_MODELS
+from repro.embeddings.models import ModelConfig, create_model
 from repro.embeddings.negative_sampling import NegativeSampler, _pack
 from repro.embeddings.trainer import AdaGrad, contrastive_step
 
@@ -242,7 +243,7 @@ MODELS = ["distmult", "transe", "complex", "rotate"]
 
 
 def test_every_model_is_covered():
-    assert sorted(MODELS) == available_models()
+    assert sorted(MODELS) == sorted(REGISTERED_MODELS)
 
 
 @pytest.mark.parametrize("name", MODELS)

@@ -126,20 +126,6 @@ class TestStreaming:
         with pytest.raises(StoreError):
             ingestor.apply(Delta(sequence=5, op=DeltaOp.UPSERT, fact=fact))
 
-    def test_apply_all_accumulates(self):
-        store = TripleStore()
-        ingestor = StreamIngestor(store, build_ontology())
-        deltas = [
-            Delta(1, DeltaOp.UPSERT, entity_fact("entity:a", "predicate:occupation", "entity:o1")),
-            Delta(2, DeltaOp.UPSERT, entity_fact("entity:a", "predicate:occupation", "entity:o2")),
-            Delta(3, DeltaOp.RETRACT, entity_fact("entity:a", "predicate:occupation", "entity:o1")),
-        ]
-        report = ingestor.apply_all(deltas)
-        assert report.facts_applied == 2
-        assert report.retractions == 1
-        assert store.objects("entity:a", "predicate:occupation") == ["entity:o2"]
-        assert ingestor.last_sequence == 3
-
     def test_batch_and_stream_converge(self):
         """The paper's invariant: both paths produce the same store state."""
         facts = [

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kg.graph_engine import GraphEngine, TriplePattern
+from repro.kg.graph_engine import GraphEngine
 from repro.kg.store import EntityRecord, TripleStore
 from repro.kg.triple import entity_fact
 
@@ -23,35 +23,6 @@ def engine() -> GraphEngine:
     for local in ("a", "b", "c"):
         store.add(entity_fact(f"entity:{local}", "predicate:linked", "entity:hub"))
     return GraphEngine(store)
-
-
-class TestPatterns:
-    def test_match(self, engine):
-        facts = list(engine.match(TriplePattern(predicate="predicate:knows")))
-        assert len(facts) == 1
-
-    def test_match_all_dedupes(self, engine):
-        facts = engine.match_all(
-            [
-                TriplePattern(subject="entity:a"),
-                TriplePattern(predicate="predicate:knows"),
-            ]
-        )
-        keys = [fact.key for fact in facts]
-        assert len(keys) == len(set(keys))
-
-    def test_filter_facts(self, engine):
-        kept = list(engine.filter_facts(lambda fact: fact.predicate == "predicate:linked"))
-        assert len(kept) == 3
-
-
-class TestTypedLookups:
-    def test_entities_of_type(self, engine):
-        assert engine.entities_of_type("type:person") == ["entity:a", "entity:b"]
-
-    def test_type_of(self, engine):
-        assert engine.type_of("entity:c") == ("type:city",)
-        assert engine.type_of("entity:unknown") == ()
 
 
 class TestTraversals:
@@ -85,29 +56,6 @@ class TestTraversals:
 
 
 class TestCandidates:
-    def test_candidate_triples_default_objects(self, engine):
-        candidates = engine.candidate_triples("entity:a", "predicate:lives_in")
-        assert ("entity:a", "predicate:lives_in", "entity:c") in candidates
-
-    def test_candidate_triples_explicit(self, engine):
-        candidates = engine.candidate_triples(
-            "entity:a", "predicate:knows", ["entity:b", "entity:c"]
-        )
-        assert len(candidates) == 2
-
-    def test_candidate_pairs_sampled(self, engine):
-        entities = [f"entity:{x}" for x in "abc"]
-        pairs = engine.candidate_pairs(entities, max_pairs=2, seed=1)
-        assert len(pairs) == 2
-
-    def test_entity_edges_excludes_literals(self, engine):
-        from repro.kg.triple import LiteralType, literal_fact
-
-        engine.store.add(
-            literal_fact("entity:a", "predicate:height", 180, LiteralType.NUMBER)
-        )
-        assert all(fact.obj.startswith("entity:") for fact in engine.entity_edges())
-
     def test_degree_distribution(self, engine):
         degrees = engine.degree_distribution()
         assert degrees["entity:hub"] == 3

@@ -31,14 +31,6 @@ class TestTypes:
         assert onto.parent("type:athlete") == "type:person"
         assert onto.ancestors("type:athlete") == ["type:person", "type:thing"]
 
-    def test_is_subtype(self, onto):
-        assert onto.is_subtype("type:athlete", "type:thing")
-        assert onto.is_subtype("type:person", "type:person")
-        assert not onto.is_subtype("type:thing", "type:person")
-
-    def test_descendants(self, onto):
-        assert set(onto.descendants("type:person")) == {"type:athlete"}
-
     def test_duplicate_type_rejected(self, onto):
         with pytest.raises(OntologyError):
             onto.add_type("type:person")
@@ -75,11 +67,6 @@ class TestPredicates:
         # dob is expected on person; athlete inherits the expectation.
         assert "predicate:dob" in onto.expected_predicates("type:athlete")
 
-    def test_predicates_for_domain(self, onto):
-        assert onto.predicates_for_domain("type:athlete") == {
-            "predicate:dob", "predicate:knows",
-        }
-
     def test_duplicate_predicate_rejected(self, onto):
         with pytest.raises(OntologyError):
             onto.add_predicate(
@@ -89,18 +76,7 @@ class TestPredicates:
 
 
 class TestGeneratorOntology:
-    def test_numeric_predicates_identified(self):
-        onto = build_ontology()
-        numeric = onto.numeric_predicates()
-        assert "predicate:height_cm" in numeric
-        assert "predicate:social_media_followers" in numeric
-        assert "predicate:occupation" not in numeric
-
     def test_volatile_predicates(self):
         onto = build_ontology()
         assert "predicate:social_media_followers" in onto.volatile_predicates()
         assert "predicate:date_of_birth" not in onto.volatile_predicates()
-
-    def test_identifier_predicates(self):
-        onto = build_ontology()
-        assert "predicate:library_id" in onto.identifier_predicates()

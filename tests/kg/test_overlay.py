@@ -158,8 +158,6 @@ class TestTenantOverlay:
         shared_store, base = shared
         personal = _personal_store(shared_store)
         overlay = TenantOverlay(base, personal)
-        assert overlay.base_version == base.built_version
-        assert overlay.num_personal_nodes > 0
         engine = overlay.engine()
         person = ids.entity_id("person/anna-0")
         hood = engine.neighborhood(person, hops=1)

@@ -55,13 +55,8 @@ class TestCoverage:
     def test_coverage_fractions(self, world):
         store, onto = world
         report = KGProfiler(store, onto, now=SYNTHETIC_NOW).profile()
-        assert report.coverage_of("type:person", "predicate:occupation") == 1.0
-        assert report.coverage_of("type:person", "predicate:date_of_birth") == 0.5
-
-    def test_top_gaps_limit(self, world):
-        store, onto = world
-        profiler = KGProfiler(store, onto, now=SYNTHETIC_NOW)
-        assert len(profiler.top_gaps(1)) == 1
+        assert report.coverage[("type:person", "predicate:occupation")] == 1.0
+        assert report.coverage[("type:person", "predicate:date_of_birth")] == 0.5
 
 
 class TestFreshness:

@@ -15,13 +15,12 @@ class TestConstruction:
     def test_literal_fact_number(self):
         fact = literal_fact("entity:a", "predicate:h", 180, LiteralType.NUMBER)
         assert fact.is_literal
-        assert fact.is_numeric
+        assert fact.literal_type is LiteralType.NUMBER
         assert fact.obj == "180"
 
     def test_literal_fact_date(self):
         fact = literal_fact("entity:a", "predicate:dob", "1979-07-23", LiteralType.DATE)
         assert fact.literal_type is LiteralType.DATE
-        assert not fact.is_numeric
 
     def test_rejects_non_entity_subject(self):
         with pytest.raises(StoreError):

@@ -38,7 +38,7 @@ def base() -> TripleStore:
 class TestClauses:
     def test_drop_numeric(self, base):
         view = materialize(ViewDefinition(name="v", drop_numeric=True), base)
-        assert all(not fact.is_numeric for fact in view.store.scan())
+        assert all(fact.literal_type is not LiteralType.NUMBER for fact in view.store.scan())
         assert view.facts_kept == view.facts_in - 1
 
     def test_drop_identifiers(self, base):

@@ -132,9 +132,3 @@ class TestMatcher:
         lenient = EntityMatcher(MatchConfig(threshold=0.1))
         assert not strict.score_pair(a, b).matched
         assert lenient.score_pair(a, b).matched
-
-    def test_match_pairs_bulk(self):
-        a = _contact("a", "Tim", "Smith", phone="+1 111 111 1111")
-        b = _message("b", "Tim Smith", "111-111-1111")
-        decisions = EntityMatcher().match_pairs([(a, b)])
-        assert len(decisions) == 1

@@ -29,6 +29,12 @@ def records_of(dev: Device) -> dict[str, SourceRecord]:
     return {r.record_id: r for r in dev.records.get(CONTACTS, [])}
 
 
+def delete(dev: Device, record_id: str, sequence: int) -> bool:
+    """A local delete: the device adopts a tombstone at the sequence of the
+    copy it deletes; True when the tombstone took."""
+    return dev.apply_tombstones(CONTACTS, {record_id: sequence}) == 1
+
+
 class TestConcurrentUpserts:
     def test_higher_sequence_wins_everywhere(self):
         a, b = device("a"), device("b")
@@ -85,7 +91,7 @@ class TestDeleteThenSyncReplay:
         shared = contact("r1", "Alice", sequence=2)
         a.add_records(CONTACTS, [shared])
         b.add_records(CONTACTS, [shared])
-        assert a.delete_record(CONTACTS, "r1")
+        assert delete(a, "r1", 2)
         report = SyncCoordinator([a, b]).sync_until_stable()
         # The tombstone travelled; the stale copy never flowed back.
         assert any(r.tombstones_moved for r in report)
@@ -96,7 +102,7 @@ class TestDeleteThenSyncReplay:
     def test_replaying_the_deleted_copy_is_suppressed_forever(self):
         a = device("a")
         a.add_records(CONTACTS, [contact("r1", "Alice", sequence=2)])
-        a.delete_record(CONTACTS, "r1")
+        delete(a, "r1", 2)
         # Replay the exact deleted copy (equal sequence): delete wins ties.
         assert a.add_records(CONTACTS, [contact("r1", "Alice", sequence=2)]) == 0
         assert "r1" not in a.record_ids(CONTACTS)
@@ -104,7 +110,7 @@ class TestDeleteThenSyncReplay:
     def test_newer_write_resurrects_and_clears_tombstone(self):
         a, b = device("a"), device("b")
         a.add_records(CONTACTS, [contact("r1", "Alice", sequence=2)])
-        a.delete_record(CONTACTS, "r1")
+        delete(a, "r1", 2)
         b.add_records(CONTACTS, [contact("r1", "Alice II", sequence=7)])
         coordinator = SyncCoordinator([a, b])
         coordinator.sync_until_stable()
@@ -119,7 +125,7 @@ class TestDeleteThenSyncReplay:
         a.add_records(CONTACTS, [contact("r1", "Alice", sequence=2)])
         b.add_records(CONTACTS, [newer])
         # A deletes its *old* copy (tombstone at sequence 2) ...
-        a.delete_record(CONTACTS, "r1")
+        delete(a, "r1", 2)
         coordinator = SyncCoordinator([a, b])
         coordinator.sync_until_stable()
         # ... and the newer write flows back and resurrects it on A.
@@ -135,7 +141,7 @@ class TestTombstoneRetention:
         a, b = device("a"), device("b")
         a.add_records(CONTACTS, [stale_copy])
         b.add_records(CONTACTS, [stale_copy])
-        a.delete_record(CONTACTS, "r1")
+        delete(a, "r1", 1)
         SyncCoordinator([a, b]).sync_until_stable()
 
         # Much later, a third device joins holding the stale record.
@@ -151,7 +157,7 @@ class TestTombstoneRetention:
     def test_tombstones_survive_unrelated_traffic(self):
         a, b = device("a"), device("b")
         a.add_records(CONTACTS, [contact("r1", "Alice", sequence=1)])
-        a.delete_record(CONTACTS, "r1")
+        delete(a, "r1", 1)
         coordinator = SyncCoordinator([a, b])
         coordinator.sync_until_stable()
         for round_no in range(3):
@@ -169,7 +175,7 @@ class TestTombstoneRetention:
         shared = contact("r1", "Alice", sequence=1)
         a.add_records(CONTACTS, [shared])
         b.add_records(CONTACTS, [shared])
-        a.delete_record(CONTACTS, "r1")
+        delete(a, "r1", 1)
         SyncCoordinator([a, b]).sync_until_stable()
         # The opted-out source moves nothing — not even deletions.
         assert "r1" in b.record_ids(CONTACTS)

@@ -29,6 +29,14 @@ class FakeClock:
         return self.now
 
 
+def submit_all(batcher: MicroBatcher, texts: list[str]) -> list:
+    """Submit ``texts``, drain the tail with :meth:`MicroBatcher.flush`
+    (as the serving facade does) and return the results in order."""
+    futures = [batcher.submit(text) for text in texts]
+    batcher.flush()
+    return [future.result() for future in futures]
+
+
 class TestCoalescing:
     def test_size_threshold_flushes(self):
         flush = RecordingFlush()
@@ -51,7 +59,7 @@ class TestCoalescing:
     def test_annotate_many_chunks_at_batch_size(self):
         flush = RecordingFlush()
         batcher = MicroBatcher(flush, max_batch=4, max_delay_s=10.0)
-        results = batcher.annotate_many([f"t{i}" for i in range(10)])
+        results = submit_all(batcher, [f"t{i}" for i in range(10)])
         assert results == [f"linked:t{i}" for i in range(10)]
         assert [len(batch) for batch in flush.batches] == [4, 4, 2]
 
@@ -119,7 +127,7 @@ class TestMetrics:
     def test_counters(self):
         flush = RecordingFlush()
         batcher = MicroBatcher(flush, max_batch=2, max_delay_s=10.0)
-        batcher.annotate_many(["a", "b", "c"])
+        submit_all(batcher, ["a", "b", "c"])
         counters = batcher.metrics.counters
         assert counters["batcher.submitted"] == 3
         assert counters["batcher.flushes"] == 2
@@ -128,7 +136,7 @@ class TestMetrics:
     def test_flush_latency_histogram(self):
         flush = RecordingFlush()
         batcher = MicroBatcher(flush, max_batch=2, max_delay_s=10.0)
-        batcher.annotate_many(["a", "b", "c"])
+        submit_all(batcher, ["a", "b", "c"])
         histogram = batcher.metrics.histograms["batcher.flush_latency"]
         assert histogram.count == 2  # one full batch + the drained tail
         assert histogram.max >= 0.0

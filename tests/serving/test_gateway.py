@@ -108,36 +108,21 @@ class TestServeAsync:
         assert response.payload == expected.payload
         assert response.store_version == expected.store_version
 
-    def test_stream_preserves_request_order(self, service, seed_entities):
-        requests = [
-            WalkRequest(entities=(entity,), seed=i)
-            for i, entity in enumerate(seed_entities[:6])
-        ]
-        expected = [service.serve(r).payload for r in requests]
-
-        async def go():
-            gateway = AsyncGateway(service, max_concurrency=2, max_pending=8)
-            try:
-                return [r async for r in gateway.serve_stream(requests)]
-            finally:
-                gateway.close()
-
-        responses = run(go())
-        assert [r.payload for r in responses] == expected
-        assert all(r.ok for r in responses)
-
-    def test_streamed_single_text_annotations_match_annotate_many(self, service, sample_texts):
+    def test_concurrent_single_text_annotations_match_annotate_many(
+        self, service, sample_texts
+    ):
         texts = sample_texts[:6]
         expected = [
             [(link.mention.start, link.mention.end, link.entity) for link in links]
-            for links in service.annotate_many(texts)
+            for links in service.serve(AnnotateRequest(texts=tuple(texts))).result()
         ]
 
         async def go():
             gateway = AsyncGateway(service, max_concurrency=2, max_pending=8)
             try:
-                requests = [AnnotateRequest(texts=(text,)) for text in texts]
-                return [r async for r in gateway.serve_stream(requests)]
+                return await asyncio.gather(
+                    *(gateway.serve_async(AnnotateRequest(texts=(text,))) for text in texts)
+                )
             finally:
                 gateway.close()
 
@@ -147,56 +132,6 @@ class TestServeAsync:
             [(link.mention.start, link.mention.end, link.entity) for link in r.payload[0]]
             for r in responses
         ] == expected
-
-    def test_stream_pipelines_past_a_slow_head(self, service, seed_entities, monkeypatch):
-        """A slow first request must not idle the rest of the window:
-        completions behind the head keep refilling the pipeline."""
-        real_serve = service.serve
-        starts: dict[int, float] = {}
-
-        def slow_head_serve(request, **kwargs):
-            starts[request.seed] = time.perf_counter()
-            if request.seed == 0:
-                time.sleep(0.3)
-            return real_serve(request, **kwargs)
-
-        monkeypatch.setattr(service, "serve", slow_head_serve)
-        requests = [
-            WalkRequest(entities=(seed_entities[0],), seed=i) for i in range(5)
-        ]
-
-        async def go():
-            gateway = AsyncGateway(service, max_concurrency=2, max_pending=8)
-            try:
-                return [r async for r in gateway.serve_stream(requests)]
-            finally:
-                gateway.close()
-
-        responses = run(go())
-        recorded = dict(starts)
-        assert [r.payload for r in responses] == [
-            service.serve(r).payload for r in requests
-        ]
-        # Every later request began executing while the head was still
-        # sleeping — the old head-of-line behaviour would start request 2+
-        # only after ~0.3s.
-        assert all(recorded[i] - recorded[0] < 0.25 for i in range(1, 5)), recorded
-
-    def test_stream_larger_than_concurrency_cap(self, service, seed_entities):
-        # More requests than max_concurrency AND max_pending: the stream
-        # self-throttles instead of tripping the admission rejection.
-        requests = [WalkRequest(entities=(seed_entities[0],), seed=i) for i in range(9)]
-
-        async def go():
-            gateway = AsyncGateway(service, max_concurrency=2, max_pending=2)
-            try:
-                return [r async for r in gateway.serve_stream(requests)]
-            finally:
-                gateway.close()
-
-        responses = run(go())
-        assert len(responses) == 9
-        assert all(r.ok for r in responses)
 
 
 class TestBackpressure:
@@ -527,26 +462,25 @@ class TestLoopHits:
                 gateway.close()
             return [decode_response(body) for body in bodies], metrics[1].decode()
 
-        async def executor_only(service):
-            # serve_stream enters the post-admission path directly: every
-            # request crosses the executor and probes the cache there.
-            gateway = AsyncGateway(service, max_concurrency=1, max_pending=1)
-            try:
-                return [r async for r in gateway.serve_stream(requests)]
-            finally:
-                gateway.close()
-
         with ServingService(bundle_dir, mode="inline") as looped:
             responses, metrics_text = run(front_door(looped))
             looped_counters = counters_of(looped.stats())
-        with ServingService(bundle_dir, mode="inline") as bridged:
-            bridged_responses = run(executor_only(bridged))
-            bridged_counters = counters_of(bridged.stats())
+        with ServingService(bundle_dir, mode="inline") as direct:
+            # The baseline: no gateway at all; ServingService.serve probes
+            # the cache itself for every request.
+            direct_responses = [direct.serve(r) for r in requests]
+            direct_counters = counters_of(direct.stats())
 
-        assert all(r.ok for r in responses + bridged_responses)
-        assert [r.cached for r in responses] == [r.cached for r in bridged_responses]
+        def beyond_the_gateway(counters: dict) -> dict:
+            return {
+                key: value for key, value in counters.items()
+                if not key.startswith("counter.gateway.")
+            }
+
+        assert all(r.ok for r in responses + direct_responses)
+        assert [r.cached for r in responses] == [r.cached for r in direct_responses]
         assert sum(r.cached for r in responses) == hits
-        assert looped_counters == bridged_counters
+        assert beyond_the_gateway(looped_counters) == beyond_the_gateway(direct_counters)
         assert looped_counters["counter.gateway.requests"] == len(requests)
         assert looped_counters["counter.serve.requests"] == len(requests)
         assert looped_counters["counter.serve.status.ok"] == len(requests)

@@ -215,12 +215,12 @@ class TestServeTracing:
         self, seed_entities
     ):
         """The trace field is additive: a decoder ignoring it still works."""
-        from repro.serving.protocol import decode_request
+        from repro.serving.protocol import decode_request_envelope
 
         request = WalkRequest(entities=tuple(seed_entities[:2]), seed=4)
         wire = encode_request(request, trace=TraceContext("t-1", "s-1"))
         assert json.loads(wire)["trace"] == {"trace_id": "t-1", "span_id": "s-1"}
-        assert decode_request(wire) == request
+        assert decode_request_envelope(wire)[0] == request
 
 
 def payload_slice(body: bytes) -> bytes:

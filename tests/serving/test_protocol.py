@@ -10,7 +10,7 @@ from repro.serving.cache import CacheEntry
 from repro.serving.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
-    decode_request,
+    decode_request_envelope,
     decode_response,
     encode_request,
     encode_response,
@@ -82,7 +82,7 @@ class TestRequestRoundTrip:
     @pytest.mark.parametrize("request_obj", EVERY_REQUEST, ids=lambda r: type(r).__name__)
     def test_bytes_round_trip(self, request_obj):
         data = encode_request(request_obj)
-        decoded = decode_request(data)
+        decoded = decode_request_envelope(data)[0]
         assert decoded == request_obj
         assert type(decoded) is type(request_obj)
         # Tuples (hashability — cache keys) survive the JSON array detour.
@@ -93,48 +93,48 @@ class TestRequestRoundTrip:
 
     def test_defaults_fill_missing_optional_fields(self):
         envelope = {"protocol": 1, "type": "walk", "body": {"entities": ["x"]}}
-        decoded = decode_request(json.dumps(envelope))
+        decoded = decode_request_envelope(json.dumps(envelope))[0]
         assert decoded == WalkRequest(entities=("x",))
 
 
 class TestRequestRejection:
     def test_malformed_json(self):
         with pytest.raises(ProtocolError) as excinfo:
-            decode_request(b"{not json at all")
+            decode_request_envelope(b"{not json at all")
         assert excinfo.value.code == "bad_request"
 
     def test_non_utf8_bytes(self):
         with pytest.raises(ProtocolError) as excinfo:
-            decode_request(b"\xff\xfe\x00")
+            decode_request_envelope(b"\xff\xfe\x00")
         assert excinfo.value.code == "bad_request"
 
     def test_non_object_envelope(self):
         with pytest.raises(ProtocolError) as excinfo:
-            decode_request(b"[1, 2, 3]")
+            decode_request_envelope(b"[1, 2, 3]")
         assert excinfo.value.code == "bad_request"
 
     def test_unknown_schema_version(self):
         envelope = {"protocol": 99, "type": "walk", "body": {"entities": []}}
         with pytest.raises(ProtocolError) as excinfo:
-            decode_request(json.dumps(envelope))
+            decode_request_envelope(json.dumps(envelope))
         assert excinfo.value.code == "unsupported_version"
 
     def test_missing_version(self):
         with pytest.raises(ProtocolError) as excinfo:
-            decode_request(json.dumps({"type": "walk", "body": {}}))
+            decode_request_envelope(json.dumps({"type": "walk", "body": {}}))
         assert excinfo.value.code == "unsupported_version"
 
     def test_unknown_request_type(self):
         envelope = {"protocol": 1, "type": "teleport", "body": {}}
         with pytest.raises(ProtocolError) as excinfo:
-            decode_request(json.dumps(envelope))
+            decode_request_envelope(json.dumps(envelope))
         assert excinfo.value.code == "unsupported_type"
 
     def test_non_string_type_field(self):
         # An unhashable type value must reject cleanly, not TypeError.
         envelope = {"protocol": 1, "type": ["walk"], "body": {}}
         with pytest.raises(ProtocolError) as excinfo:
-            decode_request(json.dumps(envelope))
+            decode_request_envelope(json.dumps(envelope))
         assert excinfo.value.code == "unsupported_type"
 
     def test_unknown_field_rejected(self):
@@ -144,14 +144,14 @@ class TestRequestRejection:
             "body": {"entities": ["x"], "warp_speed": 9},
         }
         with pytest.raises(ProtocolError) as excinfo:
-            decode_request(json.dumps(envelope))
+            decode_request_envelope(json.dumps(envelope))
         assert excinfo.value.code == "bad_request"
         assert "warp_speed" in excinfo.value.message
 
     def test_missing_required_field(self):
         envelope = {"protocol": 1, "type": "walk", "body": {}}
         with pytest.raises(ProtocolError) as excinfo:
-            decode_request(json.dumps(envelope))
+            decode_request_envelope(json.dumps(envelope))
         assert excinfo.value.code == "bad_request"
 
     def test_wrong_candidate_arity(self):
@@ -161,13 +161,13 @@ class TestRequestRejection:
             "body": {"candidates": [["s", "p"]]},
         }
         with pytest.raises(ProtocolError) as excinfo:
-            decode_request(json.dumps(envelope))
+            decode_request_envelope(json.dumps(envelope))
         assert excinfo.value.code == "bad_request"
 
     def test_non_string_entities(self):
         envelope = {"protocol": 1, "type": "walk", "body": {"entities": [1, 2]}}
         with pytest.raises(ProtocolError) as excinfo:
-            decode_request(json.dumps(envelope))
+            decode_request_envelope(json.dumps(envelope))
         assert excinfo.value.code == "bad_request"
 
     @pytest.mark.parametrize(
@@ -191,7 +191,7 @@ class TestRequestRejection:
             body.setdefault("texts", ["t"])
         envelope = {"protocol": 1, "type": wire_type, "body": body}
         with pytest.raises(ProtocolError) as excinfo:
-            decode_request(json.dumps(envelope))
+            decode_request_envelope(json.dumps(envelope))
         assert excinfo.value.code == "bad_request"
         assert field in excinfo.value.message
 

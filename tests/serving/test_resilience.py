@@ -34,7 +34,7 @@ from repro.serving.faults import (
 from repro.serving.gateway import AsyncGateway, GatewayHTTPServer
 from repro.serving.protocol import (
     ProtocolError,
-    decode_request,
+    decode_request_envelope,
     decode_response,
     encode_request,
     encode_response,
@@ -478,7 +478,7 @@ class TestProtocolFuzz:
         decoded = 0
         for blob in candidates:
             try:
-                decode_request(blob)
+                decode_request_envelope(blob)
                 decoded += 1
             except ProtocolError:
                 continue

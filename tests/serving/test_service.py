@@ -3,7 +3,6 @@
 import pytest
 
 from repro.kg.persistence import save_snapshot
-from repro.kg.query_logs import QueryLogEntry
 from repro.serving.requests import (
     AnnotateRequest,
     FactRankRequest,
@@ -15,11 +14,7 @@ from repro.serving.requests import (
     WalkRequest,
     WalkResponse,
 )
-from repro.serving.service import (
-    ServingService,
-    requests_from_query_log,
-    save_and_serve,
-)
+from repro.serving.service import ServingService
 from repro.serving.worker import entity_walk_seed
 
 
@@ -119,7 +114,7 @@ class TestAnnotationServing:
             ]
 
     def test_annotate_many_matches_singles(self, service, sample_texts):
-        batched = service.annotate_many(sample_texts)
+        batched = service.serve(AnnotateRequest(texts=tuple(sample_texts))).result()
         for text, links in zip(sample_texts, batched):
             singles = service.annotate(text)
             assert [
@@ -144,11 +139,11 @@ class TestAnnotationServing:
         with ServingService(
             bundle_dir, mode="process", num_workers=2, batch_max_docs=4
         ) as svc:
-            served = svc.annotate_many(sample_texts)
+            served = svc.serve(AnnotateRequest(texts=tuple(sample_texts))).result()
         assert [signature(links) for links in served] == expected
 
     def test_annotate_many_empty(self, service):
-        assert service.annotate_many([]) == []
+        assert service.serve(AnnotateRequest(texts=())).result() == []
 
 
 class TestGenerationAdoption:
@@ -245,17 +240,20 @@ class TestServeDispatch:
         assert isinstance(response, FactRankResponse)
         assert response.ok
         assert len(response.payload) == 2
-        assert service.rank_facts(subjects, predicate) == response.payload
 
     def test_fact_ranking_matches_direct_backend(self, service, embed_symbols):
         _entities, predicate, triples = embed_symbols
         suite = service._pool.local_state.embedding_suite()
-        served = service.rank_facts([triples[0][0]], predicate)
+        served = service.serve(
+            FactRankRequest(entities=(triples[0][0],), predicate=predicate)
+        ).result()
         assert served[0] == suite.ranker.rank(triples[0][0], predicate)
 
     def test_verification_served(self, service, embed_symbols):
         _entities, _predicate, triples = embed_symbols
-        verdicts = service.verify_facts(triples)
+        verdicts = service.serve(
+            VerifyRequest(candidates=tuple(tuple(c) for c in triples))
+        ).result()
         assert len(verdicts) == len(triples)
         suite = service._pool.local_state.embedding_suite()
         assert verdicts == [suite.verifier.verify(*c) for c in triples]
@@ -325,7 +323,7 @@ class TestAnnotationTiers:
 class TestCacheAdmission:
     def test_multi_text_annotation_not_cached(self, bundle_dir, sample_texts):
         with ServingService(bundle_dir) as svc:
-            svc.annotate_many(sample_texts[:3])
+            svc.serve(AnnotateRequest(texts=tuple(sample_texts[:3])))
             assert len(svc._cache) == 0
             svc.annotate(sample_texts[0])
             assert len(svc._cache) == 1
@@ -341,74 +339,6 @@ class TestCacheAdmission:
         request = SimilarityRequest(pairs=((entities[0], entities[1]),))
         service.serve(request)
         assert service.serve(request).cached
-
-
-class TestCacheWarming:
-    def test_warm_precomputes_requests(self, bundle_dir, seed_entities):
-        with ServingService(bundle_dir) as svc:
-            requests = [
-                WalkRequest(entities=(entity,), seed=3) for entity in seed_entities[:4]
-            ]
-            warmed = svc.warm(requests)
-            assert warmed == 4
-            assert all(svc.serve(r).cached for r in requests)
-            # A second warm pass finds everything cached already.
-            assert svc.warm(requests) == 0
-
-    def test_warm_probes_each_request_once(self, bundle_dir, seed_entities):
-        with ServingService(bundle_dir, mode="inline") as svc:
-            requests = [WalkRequest(entities=(entity,), seed=5) for entity in seed_entities[:2]]
-            before = svc.stats()
-            assert svc.warm(requests) == 2
-            after = svc.stats()
-
-            def moved(key):
-                return after.get(key, 0.0) - before.get(key, 0.0)
-
-            assert moved("counter.cache.misses.walk") == 2
-            assert moved("counter.serve.requests") == 2
-            assert svc.warm(requests) == 0
-            assert svc.stats().get("counter.cache.hits.walk", 0.0) - after.get(
-                "counter.cache.hits.walk", 0.0
-            ) == 2
-
-    def test_warm_skips_non_cacheable(self, bundle_dir, sample_texts):
-        with ServingService(bundle_dir) as svc:
-            warmed = svc.warm([AnnotateRequest(texts=tuple(sample_texts[:2]))])
-            assert warmed == 0
-            assert len(svc._cache) == 0
-
-    def test_requests_from_query_log_ranks_answered_demand(self):
-        entries = [
-            QueryLogEntry(entity="e1", predicate="p", timestamp=1.0, answered=True),
-            QueryLogEntry(entity="e1", predicate="p", timestamp=2.0, answered=True),
-            QueryLogEntry(entity="e1", predicate="p", timestamp=3.0, answered=True),
-            QueryLogEntry(entity="e2", predicate="p", timestamp=4.0, answered=True),
-            QueryLogEntry(entity="e2", predicate="p", timestamp=5.0, answered=True),
-            QueryLogEntry(entity="e3", predicate="p", timestamp=6.0, answered=False),
-            QueryLogEntry(entity="e3", predicate="p", timestamp=7.0, answered=False),
-            QueryLogEntry(entity="e4", predicate="p", timestamp=8.0, answered=True),
-        ]
-        requests = requests_from_query_log(entries, min_count=2)
-        assert requests == [
-            FactRankRequest(entities=("e1",), predicate="p"),
-            FactRankRequest(entities=("e2",), predicate="p"),
-        ]
-
-    def test_warm_from_query_log_end_to_end(self, bundle_dir, embed_symbols):
-        _entities, predicate, triples = embed_symbols
-        subject = triples[0][0]
-        entries = [
-            QueryLogEntry(entity=subject, predicate=predicate, timestamp=float(i), answered=True)
-            for i in range(3)
-        ]
-        with ServingService(bundle_dir) as svc:
-            warmed = svc.warm_from_query_log(entries, min_count=2)
-            assert warmed == 1
-            response = svc.serve(
-                FactRankRequest(entities=(subject,), predicate=predicate)
-            )
-            assert response.cached
 
 
 class TestPerTypeStats:
@@ -435,7 +365,8 @@ class TestPerTypeStats:
 
 class TestSaveAndServe:
     def test_round_trip(self, serving_kg, tmp_path, seed_entities):
-        with save_and_serve(serving_kg.store, tmp_path / "bundle") as svc:
+        save_snapshot(serving_kg.store, tmp_path / "bundle")
+        with ServingService(tmp_path / "bundle") as svc:
             walks = svc.random_walks(seed_entities[:2])
             assert len(walks) == 2
             assert svc.store_version == serving_kg.store.version

@@ -19,9 +19,7 @@ def _record(n: int, target: str) -> PersonalRecord:
 def test_tenant_bundle_holds_no_layers_and_reattaches_identically(tmp_path):
     kg = generate_kg(SyntheticKGConfig(seed=23, scale=0.05))
     entities = sorted(kg.store.entity_ids())
-    registry = TenantRegistry(
-        tmp_path / "tenants", base=build_csr(kg.store), compact_every=3
-    )
+    registry = TenantRegistry(tmp_path / "tenants", compact_every=3)
     for n in range(4):
         registry.upsert("solo", [_record(n, entities[n])])
     registry.delete("solo", "contacts", "r001")
@@ -38,10 +36,12 @@ def test_tenant_bundle_holds_no_layers_and_reattaches_identically(tmp_path):
     assert not [path for path in tenant_dir.rglob("*") if path.name in physical]
     assert check_bundle(tenant_dir) == []
 
-    reattached = TenantRegistry(tmp_path / "tenants", base=build_csr(kg.store))
+    reattached = TenantRegistry(tmp_path / "tenants")
     state = reattached.get("solo")
     assert state.records == records
     assert state.tombstones == tombstones
     person = state.fused()[1][0].entity
-    assert reattached.execute_read("solo", NeighborhoodRequest(entities=(person,)))
+    with reattached.lease("solo") as leased:
+        engine = leased.engine(build_csr(kg.store))
+        assert reattached.execute_on(engine, NeighborhoodRequest(entities=(person,)))
     reattached.close()

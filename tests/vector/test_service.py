@@ -42,7 +42,7 @@ class TestService:
     def test_knn_vector_query(self, trained):
         service = EmbeddingService(trained.trained)
         entity = trained.dataset.entities[3]
-        hits = service.knn_vector(service.vector(entity), k=1)
+        hits = service.index.search(service.vector(entity), 1)
         assert hits[0].key == entity
 
     def test_batch_similarity_unknowns_zero(self, trained):

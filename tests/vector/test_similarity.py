@@ -11,7 +11,6 @@ from repro.vector.similarity import (
     dot,
     euclidean,
     normalize_rows,
-    pairwise_cosine,
 )
 
 
@@ -49,14 +48,3 @@ class TestMetrics:
         assert scores[0] == pytest.approx(-5.0)
         assert scores[1] == pytest.approx(0.0)
         assert scores[1] > scores[0]  # closer = larger
-
-    def test_pairwise_cosine_shape(self):
-        a = np.random.default_rng(0).normal(size=(3, 4))
-        b = np.random.default_rng(1).normal(size=(5, 4))
-        assert pairwise_cosine(a, b).shape == (3, 5)
-
-    def test_pairwise_cosine_bounds(self):
-        a = np.random.default_rng(0).normal(size=(3, 4))
-        matrix = pairwise_cosine(a, a)
-        assert np.all(matrix <= 1.0 + 1e-9)
-        assert np.allclose(np.diag(matrix), 1.0)

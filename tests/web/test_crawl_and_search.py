@@ -2,7 +2,6 @@
 
 
 from repro.web.crawl import CrawlSimulator, evolve
-from repro.web.search import BM25SearchEngine
 
 
 class TestEvolve:
@@ -64,19 +63,6 @@ class TestSearch:
         scores = [r.score for r in results]
         assert scores == sorted(scores, reverse=True)
 
-    def test_incremental_index_update(self, kg, corpus):
-        from dataclasses import replace
-
-        engine = BM25SearchEngine(corpus)
-        doc = corpus.documents[0]
-        updated = replace(doc, text=doc.text + " uniquetokenxyz appears here")
-        engine.index_document(updated)
-        results = engine.search("uniquetokenxyz", k=3)
-        assert results and results[0].doc_id == doc.doc_id
-
-    def test_num_documents(self, corpus, search_engine):
-        assert search_engine.num_documents == len(corpus)
-
 
 class TestSchemaOrg:
     def test_build_person_payload(self, kg):
@@ -90,14 +76,6 @@ class TestSchemaOrg:
         assert payload["@type"] == "Person"
         assert payload["name"] == kg.store.entity(person).name
         assert "birthDate" in payload
-
-    def test_corrupt_payload(self):
-        from repro.web.schema_org import corrupt_payload
-
-        payload = {"@type": "Person", "birthDate": "1979-07-23"}
-        bad = corrupt_payload(payload, "birthDate", "1980-09-09")
-        assert bad["birthDate"] == "1980-09-09"
-        assert payload["birthDate"] == "1979-07-23"  # original untouched
 
     def test_schema_type_of(self):
         from repro.web.schema_org import schema_type_of
