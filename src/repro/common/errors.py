@@ -25,10 +25,6 @@ class StoreError(ReproError):
     """Raised by triple-store operations (bad pattern, missing fact, ...)."""
 
 
-class ViewError(ReproError):
-    """Raised when a view definition is invalid or a view is stale."""
-
-
 class EmbeddingError(ReproError):
     """Raised by the embedding pipeline (untrained model, shape mismatch)."""
 

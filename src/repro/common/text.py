@@ -97,10 +97,3 @@ def window(tokens: Sequence[str], center: int, radius: int) -> list[str]:
     lo = max(0, center - radius)
     hi = min(len(tokens), center + radius + 1)
     return [tokens[i] for i in range(lo, hi) if i != center]
-
-
-def truncate(text: str, max_chars: int) -> str:
-    """Truncate ``text`` to ``max_chars`` with an ellipsis when shortened."""
-    if len(text) <= max_chars:
-        return text
-    return text[: max(0, max_chars - 1)] + "…"

@@ -33,7 +33,7 @@ from repro.kg.generator import SyntheticKG, SyntheticKGConfig, generate_kg
 from repro.kg.ontology import Ontology
 from repro.kg.query_logs import QueryLogEntry
 from repro.kg.store import TripleStore
-from repro.kg.views import ViewRegistry, embedding_training_view
+from repro.kg.views import embedding_training_view
 from repro.odke.corroboration import CorroborationModel
 from repro.odke.gaps import ExtractionTarget, GapDetector
 from repro.odke.pipeline import ODKEConfig, ODKEPipeline, ODKEReport
@@ -75,7 +75,6 @@ class KnowledgePlatform:
         self.config = config or PlatformConfig()
         self.metrics = MetricsRegistry("platform")
         self.registry = ModelRegistry()
-        self.views = ViewRegistry(store)
         self._embedding_result: EmbeddingPipelineResult | None = None
         self._embedding_service: EmbeddingService | None = None
         self._annotation: dict[str, AnnotationPipeline] = {}

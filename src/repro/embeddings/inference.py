@@ -61,15 +61,3 @@ class BatchInference:
             ScoredTriple(subject=s, predicate=p, obj=o, score=float(score))
             for (s, p, o), score in zip(kept, scores)
         ]
-
-    def relatedness(self, left: str, right: str) -> float:
-        """Cosine similarity of two entity embeddings (0.0 for unknowns)."""
-        trained = self.trained
-        if not (trained.has_entity(left) and trained.has_entity(right)):
-            return 0.0
-        a = trained.entity_vector(left)
-        b = trained.entity_vector(right)
-        denom = np.linalg.norm(a) * np.linalg.norm(b)
-        if denom == 0:
-            return 0.0
-        return float(np.dot(a, b) / denom)

@@ -16,7 +16,6 @@ from repro.kg.store import EntityRecord, TripleStore
 from repro.kg.triple import Fact, LiteralType, ObjectKind, entity_fact, literal_fact
 from repro.kg.views import (
     ViewDefinition,
-    ViewRegistry,
     embedding_training_view,
     materialize,
     static_knowledge_asset_view,
@@ -39,7 +38,6 @@ __all__ = [
     "SyntheticKGConfig",
     "TripleStore",
     "ViewDefinition",
-    "ViewRegistry",
     "build_csr",
     "embedding_training_view",
     "entity_fact",

@@ -54,11 +54,6 @@ class CSRAdjacency:
     dictionary: Dictionary
     indptr: np.ndarray  # int64, shape (num_nodes + 1,)
     indices: np.ndarray  # int32, row-sorted by neighbor string
-    # Fact-multiplicity degree per node over entity-valued edges only (what
-    # ``degree_distribution`` reports); distinct from CSR row lengths, which
-    # are deduplicated and include the OSP side of literal facts.
-    entity_edge_degrees: np.ndarray  # int64, shape (num_nodes,)
-    predicate_counts: dict[str, int]
     built_version: int
     # Python-list mirrors of the rows, materialised lazily for the walk and
     # neighbourhood loops, where list indexing beats numpy scalar indexing
@@ -96,13 +91,6 @@ class CSRAdjacency:
             return set()
         strings = self.dictionary._strings_view()
         return {strings[i] for i in self.neighbors_of(node_id).tolist()}
-
-    def degree(self, node: str) -> int:
-        """Distinct-neighbor degree of ``node`` (0 for unknown nodes)."""
-        node_id = self.dictionary.get(node)
-        if node_id is None:
-            return 0
-        return int(self.indptr[node_id + 1] - self.indptr[node_id])
 
     def neighbor_string_rows(self) -> list[list[str]]:
         """Per-node decoded neighbor lists (row order), built once per snapshot.
@@ -157,10 +145,8 @@ class CSRAdjacency:
 def save_adjacency(snapshot: CSRAdjacency, directory: str | Path) -> dict:
     """Persist a CSR snapshot as flat arrays + manifest; returns the manifest.
 
-    Layout (all ``.npy``): ``indptr``, ``indices``, ``entity_edge_degrees``,
-    plus the embedded dictionary as ``dict_blob``/``dict_offsets``.
-    ``predicate_counts`` rides in the manifest's ``extra`` (it is small and
-    JSON keeps it diff-able); ``store_version`` records
+    Layout (all ``.npy``): ``indptr``, ``indices``, plus the embedded
+    dictionary as ``dict_blob``/``dict_offsets``; ``store_version`` records
     :attr:`CSRAdjacency.built_version` — the invalidation token adoption
     checks against.
     """
@@ -170,13 +156,11 @@ def save_adjacency(snapshot: CSRAdjacency, directory: str | Path) -> dict:
         {
             "indptr": snapshot.indptr,
             "indices": snapshot.indices,
-            "entity_edge_degrees": snapshot.entity_edge_degrees,
             "dict_blob": blob,
             "dict_offsets": offsets,
         },
         kind="adjacency",
         store_version=snapshot.built_version,
-        extra={"predicate_counts": snapshot.predicate_counts},
     )
 
 
@@ -189,8 +173,10 @@ def load_adjacency(
 ) -> CSRAdjacency:
     """Load a snapshot written by :func:`save_adjacency` (mmap by default).
 
-    ``indptr``/``indices``/``entity_edge_degrees`` stay memory-mapped and
-    read-only; only the dictionary materialises Python-side state.  Raises
+    ``indptr``/``indices`` stay memory-mapped and read-only; only the
+    dictionary materialises Python-side state.  A layer that lists more
+    arrays (older layers carried a per-node degree column) still loads:
+    the manifest checksums every listed array and only these are read.  Raises
     :class:`StoreError` on corruption and :class:`SnapshotStaleError` when
     ``expected_store_version`` doesn't match the manifest.
     """
@@ -212,8 +198,6 @@ def load_adjacency(
         dictionary=dictionary,
         indptr=indptr,
         indices=arrays["indices"],
-        entity_edge_degrees=arrays["entity_edge_degrees"],
-        predicate_counts=dict(manifest["extra"]["predicate_counts"]),
         built_version=int(manifest["store_version"]),
     )
 
@@ -222,52 +206,50 @@ def load_adjacency(
 class AdjacencyDelta:
     """One generation's adjacency diff over a parent CSR.
 
-    ``rows`` holds ``(node id, replacement row, entity-edge degree)`` in
-    the *merged* dictionary space of this generation — the parent's ids
-    plus ``new_strings`` appended in order.  Append-only ids make those
-    references stable at every later generation.
+    ``rows`` holds ``(node id, replacement row)`` in the *merged*
+    dictionary space of this generation — the parent's ids plus
+    ``new_strings`` appended in order.  Append-only ids make those
+    references stable at every later generation.  Arrays and ``extra``
+    keys beyond these (older deltas carried per-row degrees and predicate
+    counts) are checksummed on load and otherwise ignored.
     """
 
     store_version: int
     parent_version: int
     new_strings: list[str]
-    rows: list[tuple[int, np.ndarray, int]]
-    predicate_counts: dict[str, int]
+    rows: list[tuple[int, np.ndarray]]
 
     def to_payload(self) -> LayerPayload:
         new_blob, new_offsets = pack_strings(self.new_strings)
         row_offsets = np.zeros(len(self.rows) + 1, dtype=np.int64)
-        np.cumsum([len(row) for _, row, _ in self.rows], out=row_offsets[1:])
+        np.cumsum([len(row) for _, row in self.rows], out=row_offsets[1:])
         arrays = {
             "new_blob": new_blob,
             "new_offsets": new_offsets,
-            "changed_nodes": np.asarray([n for n, _, _ in self.rows], dtype=np.int64),
+            "changed_nodes": np.asarray([n for n, _ in self.rows], dtype=np.int64),
             "row_offsets": row_offsets,
             "row_indices": np.concatenate(
-                [np.empty(0, dtype=np.int32)] + [row for _, row, _ in self.rows]
+                [np.empty(0, dtype=np.int32)] + [row for _, row in self.rows]
             ).astype(np.int32),
-            "changed_degrees": np.asarray([d for _, _, d in self.rows], dtype=np.int64),
         }
-        extra = {"parent_version": self.parent_version, "predicate_counts": self.predicate_counts}
-        return LayerPayload(self.store_version, arrays, extra)
+        return LayerPayload(self.store_version, arrays, {"parent_version": self.parent_version})
 
     @classmethod
     def from_payload(cls, payload: LayerPayload) -> "AdjacencyDelta":
         arrays = payload.arrays
         nodes = arrays["changed_nodes"].tolist()
         offsets = arrays["row_offsets"]
-        if len(offsets) != len(nodes) + 1 or len(arrays["changed_degrees"]) != len(nodes):
+        if len(offsets) != len(nodes) + 1:
             raise StoreError("corrupt adjacency delta: row arrays do not line up")
         rows = [
-            (node, arrays["row_indices"][offsets[i] : offsets[i + 1]], degree)
-            for i, (node, degree) in enumerate(zip(nodes, arrays["changed_degrees"].tolist()))
+            (node, arrays["row_indices"][offsets[i] : offsets[i + 1]])
+            for i, node in enumerate(nodes)
         ]
         return cls(
             store_version=payload.store_version,
             parent_version=int(payload.extra["parent_version"]),
             new_strings=unpack_strings(arrays["new_blob"], arrays["new_offsets"]),
             rows=rows,
-            predicate_counts=dict(payload.extra["predicate_counts"]),
         )
 
 
@@ -283,7 +265,6 @@ def apply_adjacency(base: CSRAdjacency, payloads: list[LayerPayload]) -> CSRAdja
         return base
     previous = base.built_version
     changed: dict[int, np.ndarray] = {}
-    degrees: dict[int, int] = {}
     dictionary = Dictionary(base.dictionary._strings_view())
     appended = 0
     for payload in payloads:
@@ -294,13 +275,11 @@ def apply_adjacency(base: CSRAdjacency, payloads: list[LayerPayload]) -> CSRAdja
                 f"previous generation is {previous}"
             )
         previous = delta.store_version
-        predicate_counts = delta.predicate_counts
         for string in delta.new_strings:
             dictionary.intern(string)
         appended += len(delta.new_strings)
-        for node, row, degree in delta.rows:
+        for node, row in delta.rows:
             changed[node] = row
-            degrees[node] = degree
     base_n = base.num_nodes
     total_n = base_n + appended
     if len(dictionary) != total_n:
@@ -334,17 +313,10 @@ def apply_adjacency(base: CSRAdjacency, payloads: list[LayerPayload]) -> CSRAdja
         raise StoreError("corrupt delta chain: spliced rows do not fill indptr")
     if indices.size and int(indices.max()) >= total_n:
         raise StoreError("corrupt delta chain: row references unknown node id")
-
-    entity_edge_degrees = np.zeros(total_n, dtype=np.int64)
-    entity_edge_degrees[:base_n] = base.entity_edge_degrees
-    for node, degree in degrees.items():
-        entity_edge_degrees[node] = degree
     return CSRAdjacency(
         dictionary=dictionary,
         indptr=indptr,
         indices=indices,
-        entity_edge_degrees=entity_edge_degrees,
-        predicate_counts=dict(predicate_counts),
         built_version=previous,
     )
 
@@ -384,20 +356,13 @@ class AdjacencyDiff:
 
         for node in affected:
             node_id(node)
-        entity_kind = ObjectKind.ENTITY
         rows = []
         for node in affected:
             row = [node_id(n) for n in sorted(store.neighbors(node))]
-            degree = sum(
-                fact.obj_kind is entity_kind
-                for fact in (*store.scan(subject=node), *store.scan(obj=node))
-            )
-            rows.append((node_id(node), np.asarray(row, dtype=np.int32), degree))
+            rows.append((node_id(node), np.asarray(row, dtype=np.int32)))
         version = store.version
         new_strings = list(appended)
-        delta = AdjacencyDelta(
-            version, self.version, new_strings, rows, store.predicate_counts()
-        )
+        delta = AdjacencyDelta(version, self.version, new_strings, rows)
 
         def commit() -> None:
             for string in new_strings:
@@ -420,30 +385,21 @@ def build_csr(store: TripleStore) -> CSRAdjacency:
     sources: list[int] = []
     targets: list[int] = []
     entity_kind = ObjectKind.ENTITY
-    degree_of: dict[int, int] = {}
     for fact in store.scan():
         subject_id = intern(fact.subject)
         object_id = intern(fact.obj)
         if fact.obj_kind is entity_kind:
             sources.append(subject_id)
             targets.append(object_id)
-            degree_of[subject_id] = degree_of.get(subject_id, 0) + 1
-            degree_of[object_id] = degree_of.get(object_id, 0) + 1
         sources.append(object_id)
         targets.append(subject_id)
 
     num_nodes = len(dictionary)
-    entity_edge_degrees = np.zeros(num_nodes, dtype=np.int64)
-    if degree_of:
-        entity_edge_degrees[list(degree_of)] = list(degree_of.values())
-
     if not sources:
         return CSRAdjacency(
             dictionary=dictionary,
             indptr=np.zeros(num_nodes + 1, dtype=np.int64),
             indices=np.empty(0, dtype=np.int32),
-            entity_edge_degrees=entity_edge_degrees,
-            predicate_counts=store.predicate_counts(),
             built_version=version,
         )
 
@@ -472,8 +428,6 @@ def build_csr(store: TripleStore) -> CSRAdjacency:
         dictionary=dictionary,
         indptr=indptr,
         indices=dst.astype(np.int32),
-        entity_edge_degrees=entity_edge_degrees,
-        predicate_counts=store.predicate_counts(),
         built_version=version,
     )
 
@@ -525,12 +479,3 @@ class AdjacencyIndex:
             return False
         self._snapshot = snapshot
         return True
-
-    def peek(self) -> CSRAdjacency | None:
-        """The snapshot only if already built and fresh; never rebuilds.
-
-        For callers that can use a warm snapshot opportunistically but
-        shouldn't pay a build for it (a CSR build dwarfs e.g. a plain
-        predicate-count sweep).
-        """
-        return None if self.is_stale else self._snapshot

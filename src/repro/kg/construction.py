@@ -1,25 +1,17 @@
-"""Batch and streaming KG construction.
+"""Batch KG construction.
 
-Figure 1 shows knowledge sources feeding the graph engine through both a
-batch path (full source snapshots) and a streaming path (real-time deltas).
-This module implements the shared ingestion machinery:
+Figure 1 shows knowledge sources feeding the graph engine.  This module
+implements snapshot ingestion:
 
 * :class:`KnowledgeSource` — a named feed of facts with a trust prior,
 * :class:`BatchIngestor` — snapshot ingestion with per-source conflict
-  resolution for functional predicates (highest trust × confidence wins),
-* :class:`StreamIngestor` — ordered application of :class:`Delta` records
-  (upserts and retractions) with monotonic sequence checking.
-
-Both paths route through the same resolution logic so batch and streaming
-writes cannot diverge — the invariant Saga's continuous construction relies
-on.
+  resolution for functional predicates (highest trust × confidence wins).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from enum import Enum
 
 from repro.common.errors import StoreError
 from repro.kg.ontology import Ontology
@@ -40,22 +32,6 @@ class KnowledgeSource:
             raise StoreError(f"source trust must be in [0, 1], got {self.trust}")
 
 
-class DeltaOp(str, Enum):
-    """Streaming operation kind."""
-
-    UPSERT = "upsert"
-    RETRACT = "retract"
-
-
-@dataclass(frozen=True)
-class Delta:
-    """One streaming change: an upsert or retraction of a fact."""
-
-    sequence: int
-    op: DeltaOp
-    fact: Fact
-
-
 @dataclass
 class IngestReport:
     """Outcome counters of an ingestion run."""
@@ -63,18 +39,29 @@ class IngestReport:
     facts_seen: int = 0
     facts_applied: int = 0
     conflicts_resolved: int = 0
-    retractions: int = 0
     schema_rejections: int = 0
 
 
-class _Resolver:
-    """Shared conflict-resolution core for batch and streaming writes."""
+class BatchIngestor:
+    """Snapshot ingestion of whole knowledge sources."""
 
-    def __init__(self, store: TripleStore, ontology: Ontology | None) -> None:
+    def __init__(self, store: TripleStore, ontology: Ontology | None = None) -> None:
         self.store = store
         self.ontology = ontology
 
-    def validate(self, fact: Fact) -> bool:
+    def ingest(self, sources: Iterable[KnowledgeSource]) -> IngestReport:
+        """Ingest every source in order; higher-trust sources win conflicts."""
+        report = IngestReport()
+        ordered = sorted(sources, key=lambda source: source.trust)
+        for source in ordered:
+            for fact in source.facts:
+                stamped = fact.with_metadata(
+                    sources=tuple(dict.fromkeys(fact.sources + (f"source:{source.name}",)))
+                )
+                self._apply(stamped, source.trust, report)
+        return report
+
+    def _validate(self, fact: Fact) -> bool:
         """Schema check: predicate known and literal-kind consistent."""
         if self.ontology is None:
             return True
@@ -83,7 +70,7 @@ class _Resolver:
         schema = self.ontology.schema(fact.predicate)
         return schema.is_literal == fact.is_literal
 
-    def apply(self, fact: Fact, trust: float, report: IngestReport) -> None:
+    def _apply(self, fact: Fact, trust: float, report: IngestReport) -> None:
         """Write ``fact``, resolving functional-predicate conflicts.
 
         For functional predicates an existing different value is replaced
@@ -92,7 +79,7 @@ class _Resolver:
         incoming fact is dropped.  Multi-valued predicates simply upsert.
         """
         report.facts_seen += 1
-        if not self.validate(fact):
+        if not self._validate(fact):
             report.schema_rejections += 1
             return
         weighted = fact.with_metadata(confidence=min(1.0, fact.confidence * trust))
@@ -118,45 +105,3 @@ class _Resolver:
                     return
         self.store.add(weighted)
         report.facts_applied += 1
-
-
-class BatchIngestor:
-    """Snapshot ingestion of whole knowledge sources."""
-
-    def __init__(self, store: TripleStore, ontology: Ontology | None = None) -> None:
-        self._resolver = _Resolver(store, ontology)
-
-    def ingest(self, sources: Iterable[KnowledgeSource]) -> IngestReport:
-        """Ingest every source in order; higher-trust sources win conflicts."""
-        report = IngestReport()
-        ordered = sorted(sources, key=lambda source: source.trust)
-        for source in ordered:
-            for fact in source.facts:
-                stamped = fact.with_metadata(
-                    sources=tuple(dict.fromkeys(fact.sources + (f"source:{source.name}",)))
-                )
-                self._resolver.apply(stamped, source.trust, report)
-        return report
-
-
-class StreamIngestor:
-    """Ordered streaming ingestion with sequence-number checking."""
-
-    def __init__(self, store: TripleStore, ontology: Ontology | None = None) -> None:
-        self._resolver = _Resolver(store, ontology)
-        self._last_sequence = -1
-
-    def apply(self, delta: Delta, trust: float = 1.0) -> IngestReport:
-        """Apply one delta; sequences must be strictly increasing."""
-        if delta.sequence <= self._last_sequence:
-            raise StoreError(
-                f"out-of-order delta {delta.sequence} (last {self._last_sequence})"
-            )
-        report = IngestReport()
-        if delta.op is DeltaOp.RETRACT:
-            if self._resolver.store.remove(*delta.fact.key):
-                report.retractions += 1
-        else:
-            self._resolver.apply(delta.fact, trust, report)
-        self._last_sequence = delta.sequence
-        return report

@@ -50,10 +50,6 @@ class GraphEngine:
         """
         return self._adjacency.adopt(snapshot)
 
-    def peek_snapshot(self) -> CSRAdjacency | None:
-        """The CSR snapshot only if already built and fresh (no rebuild)."""
-        return self._adjacency.peek()
-
     # -- traversals -------------------------------------------------------------
 
     def neighborhood(self, entity: str, hops: int = 1) -> set[str]:
@@ -155,23 +151,6 @@ class GraphEngine:
         counts: Counter[str] = Counter(chain.from_iterable(rows))
         counts.pop(entity, None)
         return counts
-
-    # -- projections ------------------------------------------------------------
-
-    def degree_distribution(self) -> dict[str, int]:
-        """Total (in+out) degree per entity over entity-valued edges.
-
-        Counts facts, not distinct neighbors: parallel edges under different
-        predicates each contribute, matching the historical scan-based
-        implementation.
-        """
-        snapshot = self.snapshot()
-        degrees = snapshot.entity_edge_degrees
-        nonzero = np.flatnonzero(degrees)
-        strings = snapshot.dictionary._strings_view()
-        return dict(
-            zip((strings[i] for i in nonzero.tolist()), degrees[nonzero].tolist())
-        )
 
 
 def _walks_lemire(

@@ -74,9 +74,9 @@ def overlay_payload(base: CSRAdjacency, personal: TripleStore) -> AdjacencyDelta
     """One synthetic delta layering ``personal``'s facts over ``base``.
 
     Each personal node's row is its :func:`~repro.kg.adjacency.build_csr`
-    row over the personal store united with its base row (degrees add),
-    so a walk over the overlay view visits the same neighbor sets a
-    from-scratch build of shared+personal would.  Strings absent from the
+    row over the personal store united with its base row, so a walk over
+    the overlay view visits the same neighbor sets a from-scratch build of
+    shared+personal would.  Strings absent from the
     base dictionary append in sorted order — deterministic, so two builds
     of the same (base, personal) pair are byte-identical.
     """
@@ -90,19 +90,11 @@ def overlay_payload(base: CSRAdjacency, personal: TripleStore) -> AdjacencyDelta
     rows = []
     for nid, own_id in sorted((node_id(n), i) for i, n in enumerate(own_strings)):
         combined = {own_strings[i] for i in own.neighbors_of(own_id).tolist()}
-        degree = int(own.entity_edge_degrees[own_id])
         if nid < base_n:
             combined.update(base_strings[i] for i in base.neighbors_of(nid))
-            degree += int(base.entity_edge_degrees[nid])
         row = np.asarray([node_id(n) for n in sorted(combined)], dtype=np.int32)
-        rows.append((nid, row, degree))
-
-    predicate_counts = dict(base.predicate_counts)
-    for predicate, count in own.predicate_counts.items():
-        predicate_counts[predicate] = predicate_counts.get(predicate, 0) + count
-    return AdjacencyDelta(
-        personal.version, base.built_version, new_strings, rows, predicate_counts
-    )
+        rows.append((nid, row))
+    return AdjacencyDelta(personal.version, base.built_version, new_strings, rows)
 
 
 class OverlayView:
@@ -121,7 +113,7 @@ class OverlayView:
         # Every appended string is a personal node, so each placeholder is
         # replaced below.
         rows = base.neighbor_id_rows() + [[]] * len(delta.new_strings)
-        for node, row, _degree in delta.rows:
+        for node, row in delta.rows:
             rows[node] = row.tolist()
         self._rows = rows
 

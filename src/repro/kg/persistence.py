@@ -222,12 +222,9 @@ for _name in (
     "scan",
     "objects",
     "subjects",
-    "facts_of",
     "predicates_of",
     "predicates",
     "predicate_counts",
-    "out_degree",
-    "in_degree",
     "stats",
     "neighbors",
 ):

@@ -71,7 +71,8 @@ class TripleStore:
 
     The write path is upsert-oriented: :meth:`add` merges metadata for an
     existing (s, p, o) key rather than duplicating the edge.  A monotonically
-    increasing ``version`` lets materialized views detect staleness cheaply.
+    increasing ``version`` lets derived layers (CSR snapshots, alias tables)
+    detect staleness cheaply.
     """
 
     def __init__(self, name: str = "kg") -> None:
@@ -253,10 +254,6 @@ class TripleStore:
         """Subjects of all (?, predicate, obj) facts."""
         return sorted(self._pos.get(predicate, {}).get(obj, ()))
 
-    def facts_of(self, subject: str) -> list[Fact]:
-        """All facts with ``subject`` as subject."""
-        return list(self.scan(subject=subject))
-
     def predicates_of(self, subject: str) -> set[str]:
         """Distinct predicates on ``subject``'s outgoing facts (O(result)).
 
@@ -280,14 +277,6 @@ class TripleStore:
             if total:
                 counts[predicate] = total
         return counts
-
-    def out_degree(self, subject: str) -> int:
-        """Number of facts with ``subject`` as subject."""
-        return sum(len(objs) for objs in self._spo.get(subject, {}).values())
-
-    def in_degree(self, entity: str) -> int:
-        """Number of entity-valued facts with ``entity`` as object."""
-        return sum(len(preds) for preds in self._osp.get(entity, {}).values())
 
     def stats(self) -> StoreStats:
         """Size summary of the store."""

@@ -1,4 +1,4 @@
-"""Materialized graph views with automatic staleness tracking.
+"""Materialized graph views: declarative fact filters built into plain stores.
 
 Views are how Saga tailors the KG to a consumer:
 
@@ -8,18 +8,15 @@ Views are how Saga tailors the KG to a consumer:
   view … automatically maintained and shipped to devices" (§5),
 * annotation freshness relies on views exposing new/updated entities (§3.2).
 
-A :class:`ViewDefinition` is declarative (composable filter clauses); the
-:class:`ViewRegistry` materializes definitions into plain
-:class:`~repro.kg.store.TripleStore` instances and re-materializes them when
-the base store's version moves.
+A :class:`ViewDefinition` is declarative (composable filter clauses);
+:func:`materialize` builds one into a plain
+:class:`~repro.kg.store.TripleStore`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.errors import ViewError
-from repro.kg.graph_engine import GraphEngine
 from repro.kg.store import TripleStore
 from repro.kg.triple import Fact, LiteralType, ObjectKind
 
@@ -58,29 +55,13 @@ class ViewDefinition:
     entity_types: frozenset[str] = frozenset()
     top_k_entities_by_popularity: int | None = None
 
-    def describe(self) -> dict[str, object]:
-        """Human-readable summary for DESIGN/EXPERIMENTS reporting."""
-        return {
-            "name": self.name,
-            "drop_literals": self.drop_literals,
-            "drop_numeric": self.drop_numeric,
-            "drop_identifiers": self.drop_identifiers,
-            "allowlist": sorted(self.predicate_allowlist),
-            "denylist": sorted(self.predicate_denylist),
-            "min_predicate_frequency": self.min_predicate_frequency,
-            "min_confidence": self.min_confidence,
-            "entity_types": sorted(self.entity_types),
-            "top_k_entities": self.top_k_entities_by_popularity,
-        }
-
 
 @dataclass
 class MaterializedView:
-    """A materialized view plus the base version it was built from."""
+    """A materialized view and how much of its base it kept."""
 
     definition: ViewDefinition
     store: TripleStore
-    base_version: int
     facts_in: int = 0
     facts_kept: int = 0
 
@@ -90,28 +71,13 @@ class MaterializedView:
         return self.facts_kept / self.facts_in if self.facts_in else 0.0
 
 
-def materialize(
-    definition: ViewDefinition,
-    base: TripleStore,
-    engine: GraphEngine | None = None,
-) -> MaterializedView:
+def materialize(definition: ViewDefinition, base: TripleStore) -> MaterializedView:
     """Build ``definition`` over ``base`` into a fresh store.
 
     Entity descriptors of surviving entities are copied so downstream
     consumers (alias tables, popularity priors) work off the view alone.
-
-    When ``engine`` (over ``base``) is provided and its CSR snapshot is
-    already warm for the current base version, predicate frequencies come
-    from that snapshot for free.  A cold engine is left alone — building a
-    full snapshot dwarfs the plain count sweep it would replace.
     """
-    predicate_counts: dict[str, int] | None = None
-    if engine is not None and engine.store is base:
-        snapshot = engine.peek_snapshot()
-        if snapshot is not None:
-            predicate_counts = snapshot.predicate_counts
-    if predicate_counts is None:
-        predicate_counts = base.predicate_counts()
+    predicate_counts = base.predicate_counts()
     allowed_entities = _allowed_entities(definition, base)
 
     view_store = TripleStore(name=f"view:{definition.name}")
@@ -139,7 +105,6 @@ def materialize(
     return MaterializedView(
         definition=definition,
         store=view_store,
-        base_version=base.version,
         facts_in=facts_in,
         facts_kept=len(kept),
     )
@@ -193,54 +158,6 @@ def _keeps(
         if fact.obj_kind is ObjectKind.ENTITY and fact.obj not in allowed_entities:
             return False
     return True
-
-
-class ViewRegistry:
-    """Named views over one base store, refreshed on demand.
-
-    ``get`` transparently re-materializes a stale view, mirroring the
-    paper's automatically-maintained views.
-    """
-
-    def __init__(self, base: TripleStore, engine: GraphEngine | None = None) -> None:
-        self.base = base
-        # An engine shared by the caller lets view refreshes reuse its warm
-        # CSR snapshot (predicate counts come for free); without one, views
-        # fall back to plain store sweeps rather than forcing CSR builds.
-        self._engine = engine
-        self._definitions: dict[str, ViewDefinition] = {}
-        self._materialized: dict[str, MaterializedView] = {}
-        self.refresh_count = 0
-
-    def define(self, definition: ViewDefinition) -> None:
-        """Register a view definition (name must be unused)."""
-        if definition.name in self._definitions:
-            raise ViewError(f"view {definition.name!r} already defined")
-        self._definitions[definition.name] = definition
-
-    def names(self) -> list[str]:
-        """Registered view names."""
-        return list(self._definitions)
-
-    def is_stale(self, name: str) -> bool:
-        """True when the view was never built or the base has moved."""
-        self._require(name)
-        view = self._materialized.get(name)
-        return view is None or view.base_version != self.base.version
-
-    def get(self, name: str) -> MaterializedView:
-        """The materialized view, rebuilt first if stale."""
-        self._require(name)
-        if self.is_stale(name):
-            self._materialized[name] = materialize(
-                self._definitions[name], self.base, engine=self._engine
-            )
-            self.refresh_count += 1
-        return self._materialized[name]
-
-    def _require(self, name: str) -> None:
-        if name not in self._definitions:
-            raise ViewError(f"unknown view {name!r}")
 
 
 def embedding_training_view(

@@ -129,16 +129,6 @@ class IncrementalPipeline:
             raise PipelineStateError("pipeline has not completed yet")
         return self._result
 
-    @property
-    def progress(self) -> dict[str, int]:
-        """Queue depths, for UIs/tests."""
-        return {
-            "pending_records": len(self._pending),
-            "ingested_records": len(self._ingested),
-            "pending_pairs": len(self._pairs),
-            "decisions": len(self._decisions),
-        }
-
     # -- phases -------------------------------------------------------------
 
     def _step_ingest(self, budget: int) -> int:

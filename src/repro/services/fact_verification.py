@@ -134,12 +134,6 @@ class FactVerifier:
             for (subject, predicate, obj), score in zip(candidates, scores)
         ]
 
-    def plausibility(self, subject: str, predicate: str, obj: str) -> float:
-        """Sigmoid-squashed score in (0, 1); usable as an evidence feature
-        even before calibration."""
-        score = self.trained.score_fact(subject, predicate, obj)
-        return float(1.0 / (1.0 + np.exp(-np.clip(score, -30, 30))))
-
 
 @dataclass
 class VerificationReport:

@@ -30,7 +30,7 @@ Contracts:
 * **Typed round-trips** — ``decode_response(encode_response(r))``
   reconstructs the payload's dataclasses (verdicts, ranked facts, search
   hits, entity links), so a client sees the same types an in-process
-  facade call returns.  Floats survive exactly: JSON's ``repr``-based
+  ``serve(request).result()`` returns.  Floats survive exactly: JSON's ``repr``-based
   float serialisation is lossless for IEEE doubles.
 """
 
@@ -53,7 +53,6 @@ from repro.serving.requests import (
     PersonalRecord,
     Request,
     Response,
-    response_class,
     valid_tenant_id,
 )
 
@@ -404,7 +403,7 @@ def encode_response(response: Response) -> bytes:
 
 
 def decode_response(data: bytes | str) -> Response:
-    """Parse a response envelope into its typed :class:`Response`."""
+    """Parse a response envelope into a :class:`Response`."""
     envelope = _parse_envelope(data)
     wire_type = envelope.get("type")
     if not isinstance(wire_type, str):
@@ -432,8 +431,7 @@ def decode_response(data: bytes | str) -> Response:
         )
     if status != STATUS_ERROR:
         payload = payload_from_wire(wire_type, envelope.get("payload"))
-    cls = response_class(wire_type)
-    return cls(
+    return Response(
         request_type=wire_type,
         status=status,
         store_version=int(envelope.get("store_version", 0)),
@@ -455,7 +453,7 @@ def error_response(
     timings: dict[str, float] | None = None,
     exception: BaseException | None = None,
 ) -> Response:
-    """A typed error envelope (the one shape every failure path produces).
+    """An error envelope (the one shape every failure path produces).
 
     When the originating ``exception`` is attached, the error carries its
     retryability class and exception type onto the wire — clients decide
@@ -466,8 +464,7 @@ def error_response(
     retryable, exception_type = (
         error_fields(exception) if exception is not None else (False, "")
     )
-    cls = response_class(wire_type)
-    return cls(
+    return Response(
         request_type=wire_type,
         status=STATUS_ERROR,
         store_version=store_version,

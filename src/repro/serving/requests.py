@@ -13,13 +13,12 @@ Everything the serving layers know about a request type lives in one
 :class:`RequestFamily` record per ``wire_type``, registered once at the
 bottom of this module (:data:`FAMILIES`).  Codec, worker, tenancy,
 service and gateway read that record instead of branching on the type.
-Adding a request family is its dataclass, its response class and one
-registry entry.
+Adding a request family is its dataclass and one registry entry.
 
-Every request type is paired with a typed :class:`Response` envelope
-(status, payload, ``store_version``, per-stage timings, structured error)
-— the uniform unit every transport (in-process facade, asyncio gateway,
-HTTP) speaks.
+Every request is answered with a :class:`Response` envelope (status,
+payload, ``store_version``, per-stage timings, structured error) — the
+uniform unit every transport (in-process callers, asyncio gateway, HTTP)
+speaks; its ``request_type`` names the family.
 """
 
 from __future__ import annotations
@@ -317,10 +316,10 @@ class Response:
     ``timings`` carries per-stage wall-clock milliseconds (``total_ms``
     always; ``cache_ms``/``scatter_ms``/``compute_ms``/``gather_ms`` as
     the stages run — see :data:`TIMING_KEYS` for the stable vocabulary);
-    ``cached`` marks cache hits.  ``exception`` keeps the
-    original in-process exception for delegating facade wrappers to
-    re-raise — it never crosses the wire (the codec strips it; clients see
-    only the structured :class:`ErrorInfo`).
+    ``cached`` marks cache hits.  ``exception`` keeps the original
+    in-process exception for :meth:`result` to re-raise — it never
+    crosses the wire (the codec strips it; clients see only the
+    structured :class:`ErrorInfo`).  ``request_type`` names the family.
 
     ``trace_id`` is set only when the request was served under an armed
     tracer — it names the server-side trace in ``GET /debug/traces``.
@@ -384,51 +383,6 @@ class ServingError(RuntimeError):
         self.code = code
 
 
-class WalkResponse(Response):
-    """Payload: per entity, ``walks_per_entity`` walks of entity ids."""
-
-
-class NeighborhoodResponse(Response):
-    """Payload: per entity, the sorted k-hop neighborhood."""
-
-
-class RelatedResponse(Response):
-    """Payload: per entity, ``(entity, score)`` tuples, best first."""
-
-
-class AnnotateResponse(Response):
-    """Payload: per text, resolved :class:`~repro.annotation.mention.EntityLink`s."""
-
-
-class FactRankResponse(Response):
-    """Payload: per subject, :class:`~repro.services.fact_ranking.RankedFact`s."""
-
-
-class VerifyResponse(Response):
-    """Payload: per candidate, a :class:`~repro.services.fact_verification.Verdict`."""
-
-
-class SimilarityResponse(Response):
-    """Payload: per pair, a cosine similarity float."""
-
-
-class KnnResponse(Response):
-    """Payload: per entity, :class:`~repro.vector.index.SearchHit`s."""
-
-
-class TenantUpsertResponse(Response):
-    """Payload: ``{"applied", "skipped", "tenant_version"}``."""
-
-
-class TenantSyncResponse(Response):
-    """Payload: server records/tombstones the device is missing, the fused
-    ``people``, the new ``tenant_version`` and a DP-noised record count."""
-
-
-class TenantDeleteResponse(Response):
-    """Payload: ``{"deleted", "tenant_version"}``."""
-
-
 # -- the family registry ---------------------------------------------------------
 
 SHARED = "shared"  # answered by the shared worker fleet only
@@ -483,7 +437,6 @@ class RequestFamily:
     """
 
     request_cls: type
-    response_cls: type[Response]
     execute: Callable[..., Any]
     splittable: bool = False
     cheap_to_recompute: bool = False
@@ -537,11 +490,11 @@ FAMILIES: dict[str, RequestFamily] = {
     family.wire_type: family
     for family in (
         RequestFamily(
-            WalkRequest, WalkResponse, _walks,
+            WalkRequest, _walks,
             splittable=True, cheap_to_recompute=True, tenant_role=TENANT_READ,
         ),
         RequestFamily(
-            NeighborhoodRequest, NeighborhoodResponse,
+            NeighborhoodRequest,
             # Sorted for deterministic merge output (sets have no wire order).
             lambda state, r: [
                 sorted(state.engine.neighborhood(entity, hops=r.hops)) for entity in r.entities
@@ -549,7 +502,7 @@ FAMILIES: dict[str, RequestFamily] = {
             splittable=True, cheap_to_recompute=True, tenant_role=TENANT_READ,
         ),
         RequestFamily(
-            RelatedRequest, RelatedResponse,
+            RelatedRequest,
             lambda state, r: [
                 [(hit.entity, hit.score) for hit in state.related_backend().related(e, k=r.k)]
                 for e in r.entities
@@ -559,7 +512,7 @@ FAMILIES: dict[str, RequestFamily] = {
             item_from_wire=lambda hits: [(str(e), float(s)) for e, s in hits],
         ),
         RequestFamily(
-            AnnotateRequest, AnnotateResponse,
+            AnnotateRequest,
             lambda state, r: state.pipeline(r.tier).annotate_batch(list(r.texts)),
             cacheable=lambda r: len(r.texts) == 1,
             micro_batched=True,
@@ -569,7 +522,7 @@ FAMILIES: dict[str, RequestFamily] = {
             item_from_wire=lambda links: [_link_from_wire(item) for item in links],
         ),
         RequestFamily(
-            FactRankRequest, FactRankResponse,
+            FactRankRequest,
             # One batched scoring pass across every subject in the request.
             lambda state, r: state.embedding_suite().ranker.rank_many(
                 list(r.entities), r.predicate
@@ -579,21 +532,21 @@ FAMILIES: dict[str, RequestFamily] = {
             item_from_wire=lambda ranked: [_ranked_fact(fact) for fact in ranked],
         ),
         RequestFamily(
-            VerifyRequest, VerifyResponse,
+            VerifyRequest,
             lambda state, r: state.embedding_suite().verifier.verify_batch(list(r.candidates)),
             items="candidates",
             item_to_wire=asdict,
             item_from_wire=_from_fields("repro.services.fact_verification", "Verdict"),
         ),
         RequestFamily(
-            SimilarityRequest, SimilarityResponse,
+            SimilarityRequest,
             lambda state, r: state.embedding_suite().embedding_service.batch_similarity(
                 list(r.pairs)
             ),
             cheap_to_recompute=True, items="pairs",
         ),
         RequestFamily(
-            KnnRequest, KnnResponse,
+            KnnRequest,
             # One gathered query matrix through the index; per-entity hits
             # identical to scalar knn(), so results stay shard-invariant.
             lambda state, r: state.embedding_suite().embedding_service.knn_many(
@@ -604,19 +557,19 @@ FAMILIES: dict[str, RequestFamily] = {
             item_from_wire=lambda hits: [_search_hit(hit) for hit in hits],
         ),
         RequestFamily(
-            TenantUpsertRequest, TenantUpsertResponse,
+            TenantUpsertRequest,
             lambda registry, tenant, r: registry.upsert(tenant, r.records),
             tenant_role=TENANT_WRITE, cacheable=_never, items=None,
         ),
         RequestFamily(
-            TenantSyncRequest, TenantSyncResponse,
+            TenantSyncRequest,
             lambda registry, tenant, r: registry.sync(
                 tenant, records=r.records, tombstones=r.tombstones, epsilon=r.epsilon
             ),
             tenant_role=TENANT_WRITE, cacheable=_never, items=None,
         ),
         RequestFamily(
-            TenantDeleteRequest, TenantDeleteResponse,
+            TenantDeleteRequest,
             lambda registry, tenant, r: registry.delete(
                 tenant, r.source, r.record_id, r.sequence
             ),
@@ -635,9 +588,3 @@ REQUEST_TYPES: tuple[type, ...] = tuple(_FAMILIES_BY_CLASS)
 def family_of(request: object) -> RequestFamily | None:
     """The registered family of ``request`` (``None`` for foreign objects)."""
     return _FAMILIES_BY_CLASS.get(type(request))
-
-
-def response_class(wire_type: str) -> type[Response]:
-    """The typed envelope class for ``wire_type`` (base class for unknowns)."""
-    family = FAMILIES.get(wire_type)
-    return family.response_cls if family is not None else Response

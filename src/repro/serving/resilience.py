@@ -257,12 +257,6 @@ class CircuitBreaker:
             self._clear_locked()
             self._move_locked(CLOSED)
 
-    @property
-    def transitions(self) -> int:
-        """Total state transitions so far (any direction)."""
-        with self._lock:
-            return sum(self._transitions.values())
-
     def snapshot(self) -> dict[str, float | str]:
         """Flat state for stats surfaces and health endpoints."""
         with self._lock:

@@ -5,7 +5,7 @@ This is the subsystem that turns the repo from a library into a service
 knowledge service — graph queries, entity linking, fact ranking and
 verification, similarity and k-NN — lands in one uniform dispatch::
 
-    response = service.serve(request)   # any Request -> typed Response
+    response = service.serve(request)   # any Request -> Response
 
 Scatter/gather, micro-batching and the versioned :class:`QueryCache` are
 *per-family policies* (declared once per request type in its
@@ -22,7 +22,7 @@ per-method code:
 
 Failures never leak tracebacks into the envelope: :meth:`serve` returns a
 structured error response (the original exception rides along in-process
-only, so the legacy delegating wrappers can re-raise it).  Every request
+only, so ``Response.result()`` can re-raise it).  Every request
 lands in per-type counters and bounded latency histograms surfaced by
 :meth:`stats`.
 
@@ -45,7 +45,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 from repro.annotation.mention import EntityLink
 from repro.common import tracing
@@ -64,14 +64,9 @@ from repro.serving.requests import (
     TENANT_WRITE,
     AnnotateRequest,
     ErrorInfo,
-    KnnRequest,
-    NeighborhoodRequest,
-    RelatedRequest,
     Request,
     RequestFamily,
     Response,
-    SimilarityRequest,
-    WalkRequest,
     family_of,
 )
 from repro.serving.resilience import OPEN, RetryPolicy, error_fields
@@ -285,13 +280,13 @@ class ServingService:
         probe: Probe | None = None,
         _swap_retries: int = 2,
     ) -> Response:
-        """Answer any request with a typed response envelope.
+        """Answer any request with a response envelope.
 
-        The single entry point every transport calls (legacy facade
-        methods, the asyncio gateway, the HTTP front door).  Never raises
-        for request-level failures — the envelope carries a structured
-        error instead (with the original exception attached in-process
-        for delegating wrappers).
+        The single entry point every transport calls (in-process callers,
+        the asyncio gateway, the HTTP front door).  Never raises for
+        request-level failures — the envelope carries a structured error
+        instead (with the original exception attached in-process for
+        :meth:`Response.result` to re-raise).
 
         ``tenant`` scopes the request to one tenant's overlay graph:
         walks and neighborhoods answer over shared + personal facts, and
@@ -736,55 +731,6 @@ class ServingService:
             )
             return [links for chunk in chunk_results for links in chunk]
 
-    # -- legacy facade methods (thin delegation over serve()) ------------------
-
-    def random_walks(
-        self,
-        entities: Sequence[str],
-        walk_length: int = 8,
-        walks_per_entity: int = 4,
-        seed: int = 0,
-    ) -> list[list[list[str]]]:
-        """Per-entity random walks (see ``entity_walk_seed`` semantics)."""
-        return self.serve(
-            WalkRequest(
-                entities=tuple(entities),
-                walk_length=walk_length,
-                walks_per_entity=walks_per_entity,
-                seed=seed,
-            )
-        ).result()
-
-    def neighborhood(
-        self, entities: Sequence[str], hops: int = 1
-    ) -> list[list[str]]:
-        """Sorted k-hop neighborhood per entity."""
-        return self.serve(
-            NeighborhoodRequest(entities=tuple(entities), hops=hops)
-        ).result()
-
-    def related_entities(
-        self, entities: Sequence[str], k: int = 10
-    ) -> list[list[tuple[str, float]]]:
-        """Top-k traversal-embedding related entities per seed entity."""
-        return self.serve(RelatedRequest(entities=tuple(entities), k=k)).result()
-
-    def annotate(self, text: str) -> list[EntityLink]:
-        """Entity links for one text (coalesced with concurrent callers)."""
-        return self.serve(
-            AnnotateRequest(texts=(text,), tier=self.tier)
-        ).result()[0]
-
-    def similarity(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        """Cosine similarity per entity pair (0.0 for unknown entities)."""
-        return self.serve(
-            SimilarityRequest(pairs=tuple(tuple(p) for p in pairs))
-        ).result()
-
-    def knn(self, entities: Sequence[str], k: int = 10) -> list[list]:
-        """k nearest embedding-space entities per seed entity."""
-        return self.serve(KnnRequest(entities=tuple(entities), k=k)).result()
-
     def _annotate_flush(self, texts: list[str]) -> list[list[EntityLink]]:
         """MicroBatcher sink: one pooled cross-document annotation call."""
         pool = self._pool
@@ -925,9 +871,9 @@ def _envelope(
     payload,
     **fields,
 ) -> Response:
-    """A family's typed answer envelope, stamped with its total time."""
+    """A family's answer envelope, stamped with its total time."""
     timings["total_ms"] = _ms_since(started)
-    return family.response_cls(
+    return Response(
         request_type=family.wire_type,
         status=status,
         store_version=version,

@@ -583,9 +583,6 @@ class TenantRegistry:
         with self._lock:
             return len(self._resident)
 
-    def tenant_version(self, tenant_id: str) -> int:
-        return self.get(tenant_id).version
-
     # -- request serving ---------------------------------------------------
 
     def execute_on(self, engine: GraphEngine, request) -> list:

@@ -136,11 +136,6 @@ class EmbeddingService:
                 out[i] = float(lefts[slot] @ rights[slot])
         return out
 
-    @property
-    def cache_hit_rate(self) -> float:
-        """Hit rate of the vector cache since service start."""
-        return self._cache.hit_rate
-
     def require_entity(self, entity: str) -> None:
         """Raise a service-level error for unknown entities."""
         if not self.has_entity(entity):

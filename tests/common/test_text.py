@@ -12,7 +12,6 @@ from repro.common.text import (
     normalize_name,
     tokenize,
     tokenize_with_offsets,
-    truncate,
     window,
 )
 
@@ -84,7 +83,3 @@ class TestMisc:
     def test_window_clips_at_edges(self):
         tokens = ["a", "b"]
         assert window(tokens, 0, 3) == ["b"]
-
-    def test_truncate(self):
-        assert truncate("abcdef", 4) == "abc…"
-        assert truncate("ab", 4) == "ab"

@@ -117,15 +117,6 @@ class TestBatchInference:
                 skip_unknown=False,
             )
 
-    def test_relatedness_self_is_one(self, trained):
-        inference = BatchInference(trained.trained)
-        entity = trained.dataset.entities[0]
-        assert inference.relatedness(entity, entity) == pytest.approx(1.0)
-
-    def test_relatedness_unknown_is_zero(self, trained):
-        inference = BatchInference(trained.trained)
-        assert inference.relatedness("entity:ghost", trained.dataset.entities[0]) == 0.0
-
     def test_batching_equivalence(self, trained):
         dataset = trained.dataset
         candidates = [

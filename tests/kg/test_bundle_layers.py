@@ -53,8 +53,6 @@ def _adjacency_equal(world, state):
     assert list(state.dictionary.strings()) == list(full.dictionary.strings())
     np.testing.assert_array_equal(state.indptr, full.indptr)
     np.testing.assert_array_equal(state.indices, full.indices)
-    np.testing.assert_array_equal(state.entity_edge_degrees, full.entity_edge_degrees)
-    assert state.predicate_counts == full.predicate_counts
 
 
 def _context_equal(world, state):

@@ -1,15 +1,9 @@
-"""Tests for batch and streaming construction."""
+"""Tests for batch construction."""
 
 import pytest
 
 from repro.common.errors import StoreError
-from repro.kg.construction import (
-    BatchIngestor,
-    Delta,
-    DeltaOp,
-    KnowledgeSource,
-    StreamIngestor,
-)
+from repro.kg.construction import BatchIngestor, KnowledgeSource
 from repro.kg.generator import build_ontology
 from repro.kg.store import TripleStore
 from repro.kg.triple import LiteralType, entity_fact, literal_fact
@@ -106,39 +100,3 @@ class TestBatch:
         with pytest.raises(StoreError):
             KnowledgeSource(name="x", trust=1.5)
 
-
-class TestStreaming:
-    def test_upsert_and_retract(self):
-        store = TripleStore()
-        ingestor = StreamIngestor(store, build_ontology())
-        fact = entity_fact("entity:a", "predicate:occupation", "entity:o")
-        ingestor.apply(Delta(sequence=1, op=DeltaOp.UPSERT, fact=fact))
-        assert len(store) == 1
-        report = ingestor.apply(Delta(sequence=2, op=DeltaOp.RETRACT, fact=fact))
-        assert report.retractions == 1
-        assert len(store) == 0
-
-    def test_out_of_order_rejected(self):
-        store = TripleStore()
-        ingestor = StreamIngestor(store)
-        fact = entity_fact("entity:a", "predicate:p", "entity:b")
-        ingestor.apply(Delta(sequence=5, op=DeltaOp.UPSERT, fact=fact))
-        with pytest.raises(StoreError):
-            ingestor.apply(Delta(sequence=5, op=DeltaOp.UPSERT, fact=fact))
-
-    def test_batch_and_stream_converge(self):
-        """The paper's invariant: both paths produce the same store state."""
-        facts = [
-            entity_fact("entity:a", "predicate:occupation", "entity:o1"),
-            _dob("entity:a", "1990-01-01", confidence=0.9),
-        ]
-        batch_store = TripleStore()
-        BatchIngestor(batch_store, build_ontology()).ingest(
-            [KnowledgeSource(name="s", trust=1.0, facts=facts)]
-        )
-        stream_store = TripleStore()
-        ingestor = StreamIngestor(stream_store, build_ontology())
-        for i, fact in enumerate(facts):
-            stamped = fact.with_metadata(sources=("source:s",))
-            ingestor.apply(Delta(sequence=i, op=DeltaOp.UPSERT, fact=stamped))
-        assert {f.key for f in batch_store.scan()} == {f.key for f in stream_store.scan()}

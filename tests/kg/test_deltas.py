@@ -77,15 +77,13 @@ def _assert_full_parity(store, bundle):
     assert chain_facts == live_facts
     assert set(snapshot.store.entity_ids()) == set(store.entity_ids())
 
-    # Adjacency: every row and degree matches a full rebuild.
+    # Adjacency: every row matches a full rebuild.
     full = build_csr(store)
     merged = snapshot.adjacency
     assert merged is not None and merged.built_version == store.version
     assert merged.num_edges == full.num_edges
     for node in full.dictionary.strings():
         assert _rows(full, node) == _rows(merged, node), node
-        assert full.degree(node) == merged.degree(node), node
-    assert merged.predicate_counts == full.predicate_counts
 
     # Context: numerically identical vectors per entity.
     index = EntityContextIndex(store)

@@ -102,7 +102,6 @@ class TestCSRSnapshot:
     def test_unknown_node_is_isolated(self):
         snapshot = build_csr(random_store(5))
         assert snapshot.neighbors("entity:never-seen") == set()
-        assert snapshot.degree("entity:never-seen") == 0
 
     def test_neighbor_row_caches_agree(self):
         store = random_store(6)
@@ -185,13 +184,6 @@ class TestTraversalEquivalence:
                     visited |= frontier
                 assert engine.neighborhood(entity, hops) == visited - {entity}
 
-    def test_degree_distribution_counts_fact_multiplicity(self):
-        store = TripleStore()
-        store.add(entity_fact("entity:a", "predicate:p", "entity:b"))
-        store.add(entity_fact("entity:a", "predicate:q", "entity:b"))
-        store.add(literal_fact("entity:a", "predicate:h", 1, LiteralType.NUMBER))
-        degrees = GraphEngine(store).degree_distribution()
-        assert degrees == {"entity:a": 2, "entity:b": 2}
 
 
 class TestFastrand:

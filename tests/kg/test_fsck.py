@@ -152,3 +152,46 @@ def test_out_of_range_posting_fails(bundle, capsys, chained):
     _rewrite(bundle / "embeddings", "embeddings", stray)
     assert main([str(bundle)]) != 0
     assert "kNN posting" in capsys.readouterr().err
+
+
+def test_layers_with_dropped_columns_still_load(bundle):
+    """Adjacency layers and deltas written when they still carried a
+    per-node degree column and the store's predicate counts load, fold to
+    the rows of a fresh build and pass fsck."""
+    from repro.common.snapshot_io import load_payload, write_arrays
+    from repro.kg.adjacency import build_csr
+    from repro.kg.persistence import load_snapshot
+
+    deltas = sorted((bundle / "deltas").iterdir())
+    layers = [(bundle / "adjacency", "adjacency", "entity_edge_degrees", "indptr", 1)]
+    layers += [
+        (delta / "adjacency", "adjacency-delta", "changed_degrees", "changed_nodes", 0)
+        for delta in deltas
+    ]
+    for layer, kind, column, sized_by, extra_rows in layers:
+        payload = load_payload(layer, kind=kind, mmap=False)
+        arrays = {name: np.array(array) for name, array in payload.arrays.items()}
+        # Stand-in values: nothing reads the dropped column any more.
+        arrays[column] = np.ones(len(arrays[sized_by]) - extra_rows, dtype=np.int64)
+        extra = {**payload.extra, "predicate_counts": {"predicate:related_to": 1}}
+        write_arrays(
+            layer, arrays, kind=kind, store_version=payload.store_version, extra=extra
+        )
+        manifest = json.loads((layer / "manifest.json").read_text(encoding="utf-8"))
+        assert column in manifest["arrays"] and "predicate_counts" in manifest["extra"]
+
+    snapshot = load_snapshot(bundle)
+    folded = snapshot.adjacency
+    fresh = build_csr(snapshot.store)
+    assert folded.built_version == fresh.built_version
+    assert sorted(folded.dictionary.strings()) == sorted(fresh.dictionary.strings())
+    assert folded.num_edges == fresh.num_edges
+
+    def row(csr, node):
+        node_id = csr.dictionary.get(node)
+        return [csr.dictionary.string_of(int(i)) for i in csr.neighbors_of(node_id)]
+
+    for node in fresh.dictionary.strings():
+        assert row(folded, node) == row(fresh, node), node
+    assert check_bundle(bundle) == []
+    assert main([str(bundle)]) == 0

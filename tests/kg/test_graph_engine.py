@@ -54,8 +54,3 @@ class TestTraversals:
         # a and c share the hub (and b) as neighbours.
         assert counts.get("entity:c", 0) >= 1
 
-
-class TestCandidates:
-    def test_degree_distribution(self, engine):
-        degrees = engine.degree_distribution()
-        assert degrees["entity:hub"] == 3

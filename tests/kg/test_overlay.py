@@ -88,8 +88,6 @@ class TestOverlayParity:
             decoded = [strings[i] for i in row]
             assert decoded == sorted(decoded), strings[node]
             assert view.dictionary.get(strings[node]) == node
-        payload = overlay_payload(base, personal)
-        assert payload.predicate_counts == full.predicate_counts
 
     def test_two_builds_are_byte_identical(self, shared):
         shared_store, base = shared
@@ -109,7 +107,7 @@ class TestOverlayParity:
         before_indices = base.indices.copy()
         personal = _personal_store(shared_store)
         view = OverlayView(base, personal)
-        touched = {node for node, _row, _degree in overlay_payload(base, personal).rows}
+        touched = {node for node, _row in overlay_payload(base, personal).rows}
         rows = view.neighbor_id_rows()
         assert rows is not base_rows
         for node in range(base.num_nodes):

@@ -155,11 +155,7 @@ def test_adjacency_round_trip_identical(tmp_path):
     loaded = load_adjacency(tmp_path, expected_store_version=store.version)
     np.testing.assert_array_equal(np.asarray(loaded.indptr), snapshot.indptr)
     np.testing.assert_array_equal(np.asarray(loaded.indices), snapshot.indices)
-    np.testing.assert_array_equal(
-        np.asarray(loaded.entity_edge_degrees), snapshot.entity_edge_degrees
-    )
     assert loaded.dictionary.strings() == snapshot.dictionary.strings()
-    assert loaded.predicate_counts == snapshot.predicate_counts
     assert loaded.built_version == snapshot.built_version
     assert loaded.neighbors("entity:n0") == store.neighbors("entity:n0")
 
@@ -192,7 +188,8 @@ def test_engine_adopts_loaded_snapshot(tmp_path):
     save_adjacency(reference.snapshot(), tmp_path)
     loaded = load_adjacency(tmp_path)
     engine = GraphEngine(store, snapshot=loaded)
-    assert engine.peek_snapshot() is loaded
+    assert engine.snapshot() is loaded
+    assert engine._adjacency.rebuild_count == 0
     walks = engine.random_walks(seeds, walk_length=6, walks_per_entity=2, seed=11)
     assert walks == expected
 
@@ -353,11 +350,13 @@ def test_bundle_mutation_after_load_invalidates_layers(tmp_path):
     save_snapshot(store, tmp_path)
     snap = load_snapshot(tmp_path)
     engine = snap.engine()
-    assert engine.peek_snapshot() is snap.adjacency
+    assert engine.snapshot() is snap.adjacency
+    assert engine._adjacency.rebuild_count == 0
 
     snap.store.add(entity_fact("entity:n1", "predicate:linked_to", "entity:n8"))
-    assert engine.peek_snapshot() is None  # adopted snapshot went stale
-    rebuilt = engine.snapshot()
+    rebuilt = engine.snapshot()  # adopted snapshot went stale
+    assert rebuilt is not snap.adjacency
+    assert engine._adjacency.rebuild_count == 1
     assert rebuilt.built_version == snap.store.version
     assert "entity:n8" in rebuilt.neighbors("entity:n1")
 

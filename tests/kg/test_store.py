@@ -106,10 +106,6 @@ class TestScans:
         assert counts["predicate:knows"] == 2
         assert counts["predicate:height"] == 1
 
-    def test_degrees(self, store):
-        assert store.out_degree("entity:a") == 2
-        assert store.in_degree("entity:a") == 1  # only entity-valued in-edges
-
     def test_neighbors_undirected(self, store):
         assert store.neighbors("entity:a") == {"entity:b"}
         assert store.neighbors("entity:b") == {"entity:a"}

@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.common.errors import ViewError
 from repro.kg.store import EntityRecord, TripleStore
 from repro.kg.triple import LiteralType, entity_fact, literal_fact
 from repro.kg.views import (
     ViewDefinition,
-    ViewRegistry,
     embedding_training_view,
     materialize,
     static_knowledge_asset_view,
@@ -96,35 +94,6 @@ class TestClauses:
         assert view.selectivity == 1.0
 
 
-class TestRegistry:
-    def test_get_materializes(self, base):
-        registry = ViewRegistry(base)
-        registry.define(ViewDefinition(name="v", drop_literals=True))
-        view = registry.get("v")
-        assert view.facts_kept == 3
-
-    def test_stale_after_base_write(self, base):
-        registry = ViewRegistry(base)
-        registry.define(ViewDefinition(name="v"))
-        registry.get("v")
-        assert not registry.is_stale("v")
-        base.add(entity_fact("entity:b", "predicate:knows", "entity:a"))
-        assert registry.is_stale("v")
-        refreshed = registry.get("v")
-        assert ("entity:b", "predicate:knows", "entity:a") in refreshed.store
-        assert registry.refresh_count == 2
-
-    def test_duplicate_definition_rejected(self, base):
-        registry = ViewRegistry(base)
-        registry.define(ViewDefinition(name="v"))
-        with pytest.raises(ViewError):
-            registry.define(ViewDefinition(name="v"))
-
-    def test_unknown_view_rejected(self, base):
-        with pytest.raises(ViewError):
-            ViewRegistry(base).get("nope")
-
-
 class TestStandardViews:
     def test_embedding_training_view(self, base):
         definition = embedding_training_view(min_predicate_frequency=1)
@@ -137,8 +106,3 @@ class TestStandardViews:
     def test_static_asset_view(self, base):
         view = materialize(static_knowledge_asset_view(top_k=1), base)
         assert set(view.store.entity_ids()) <= {"entity:a", "entity:b"}
-
-    def test_describe(self):
-        definition = embedding_training_view()
-        description = definition.describe()
-        assert description["drop_numeric"] is True

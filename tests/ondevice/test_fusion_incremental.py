@@ -84,9 +84,9 @@ class TestPipeline:
             pipeline.step(1000)
             if pipeline.is_done:
                 pytest.skip("pipeline finished before MATCH could be observed")
-        pairs_before = pipeline.progress["pending_pairs"]
+        pairs_before = len(pipeline.checkpoint()["pairs"])
         pipeline.step(5)
-        pairs_after = pipeline.progress["pending_pairs"]
+        pairs_after = len(pipeline.checkpoint()["pairs"])
         assert pairs_before - pairs_after <= 5
 
     def test_result_before_done_raises(self, records):
@@ -141,7 +141,7 @@ class TestFusedOutput:
         assert person.phones or person.emails
         stored = result.store.entity(person.entity)
         assert stored.name == person.name
-        facts = result.store.facts_of(person.entity)
+        facts = list(result.store.scan(subject=person.entity))
         assert facts
 
     def test_cluster_merges_sources(self, records):

@@ -76,11 +76,6 @@ class TestVerify:
         with pytest.raises(EmbeddingError):
             verifier.verify_batch([("entity:ghost", "p", "entity:ghost")])
 
-    def test_plausibility_in_unit_interval(self, verifier, trained):
-        dataset = trained.dataset
-        s, p, o = dataset.decode(*map(int, dataset.triples[0]))
-        assert 0.0 < verifier.plausibility(s, p, o) < 1.0
-
 
 class TestEvaluation:
     def test_held_out_accuracy(self, verifier, trained):

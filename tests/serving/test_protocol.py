@@ -20,12 +20,9 @@ from repro.serving.protocol import (
 from repro.serving.requests import (
     REQUEST_TYPES,
     AnnotateRequest,
-    AnnotateResponse,
     ErrorInfo,
     FactRankRequest,
-    FactRankResponse,
     KnnRequest,
-    KnnResponse,
     NeighborhoodRequest,
     PersonalRecord,
     RelatedRequest,
@@ -33,16 +30,10 @@ from repro.serving.requests import (
     ServingError,
     SimilarityRequest,
     TenantDeleteRequest,
-    TenantDeleteResponse,
     TenantSyncRequest,
-    TenantSyncResponse,
     TenantUpsertRequest,
-    TenantUpsertResponse,
     VerifyRequest,
-    VerifyResponse,
     WalkRequest,
-    WalkResponse,
-    response_class,
 )
 from repro.services.fact_ranking import RankedFact
 from repro.services.fact_verification import Verdict
@@ -197,7 +188,7 @@ class TestRequestRejection:
 
 
 def ok_response(wire_type: str, payload) -> Response:
-    return response_class(wire_type)(
+    return Response(
         request_type=wire_type,
         status="ok",
         store_version=3,
@@ -283,17 +274,6 @@ EVERY_RESPONSE = [
     ok_response("tenant_delete", {"deleted": True, "tenant_version": 8}),
 ]
 
-EXPECTED_RESPONSE_CLASSES = {
-    "walk": WalkResponse,
-    "annotate": AnnotateResponse,
-    "fact_rank": FactRankResponse,
-    "verify": VerifyResponse,
-    "knn": KnnResponse,
-    "tenant_upsert": TenantUpsertResponse,
-    "tenant_sync": TenantSyncResponse,
-    "tenant_delete": TenantDeleteResponse,
-}
-
 
 class TestResponseRoundTrip:
     @pytest.mark.parametrize("response", EVERY_RESPONSE, ids=lambda r: r.request_type)
@@ -325,9 +305,6 @@ class TestResponseRoundTrip:
             assert signature(decoded.payload) == signature(response.payload)
         else:
             assert decoded.payload == response.payload
-        expected_cls = EXPECTED_RESPONSE_CLASSES.get(response.request_type)
-        if expected_cls is not None:
-            assert type(decoded) is expected_cls
 
     def test_every_wire_type_is_covered(self):
         assert {r.request_type for r in EVERY_RESPONSE} == {

@@ -6,13 +6,12 @@ from repro.kg.persistence import save_snapshot
 from repro.serving.requests import (
     AnnotateRequest,
     FactRankRequest,
-    FactRankResponse,
     KnnRequest,
+    NeighborhoodRequest,
     RelatedRequest,
     SimilarityRequest,
     VerifyRequest,
     WalkRequest,
-    WalkResponse,
 )
 from repro.serving.service import ServingService
 from repro.serving.worker import entity_walk_seed
@@ -57,7 +56,9 @@ class TestTraversalServing:
     def test_walks_match_cold_engine_contract(self, service, bundle_dir, seed_entities):
         from repro.kg.persistence import load_snapshot
 
-        served = service.random_walks(seed_entities[:6], seed=3)
+        served = service.serve(
+            WalkRequest(entities=tuple(seed_entities[:6]), seed=3)
+        ).result()
         cold = load_snapshot(bundle_dir).engine()
         for entity, walks in zip(seed_entities[:6], served):
             assert walks == cold.random_walks(
@@ -66,37 +67,41 @@ class TestTraversalServing:
             )
 
     def test_neighborhood_and_related(self, service, seed_entities):
-        neighborhoods = service.neighborhood(seed_entities[:4], hops=2)
+        neighborhoods = service.serve(
+            NeighborhoodRequest(entities=tuple(seed_entities[:4]), hops=2)
+        ).result()
         assert len(neighborhoods) == 4
         assert all(row == sorted(row) for row in neighborhoods)
-        related = service.related_entities(seed_entities[:3], k=5)
+        related = service.serve(
+            RelatedRequest(entities=tuple(seed_entities[:3]), k=5)
+        ).result()
         assert len(related) == 3
         assert all(len(hits) <= 5 for hits in related)
 
     def test_empty_request(self, service):
-        assert service.random_walks([]) == []
-        assert service.neighborhood([]) == []
+        assert service.serve(WalkRequest(entities=())).result() == []
+        assert service.serve(NeighborhoodRequest(entities=())).result() == []
 
 
 class TestQueryCaching:
     def test_repeat_request_hits_cache(self, bundle_dir, seed_entities):
         with ServingService(bundle_dir) as svc:
-            first = svc.random_walks(seed_entities, seed=1)
+            first = svc.serve(WalkRequest(entities=tuple(seed_entities), seed=1)).result()
             hits_before = svc._cache.hits
-            second = svc.random_walks(seed_entities, seed=1)
+            second = svc.serve(WalkRequest(entities=tuple(seed_entities), seed=1)).result()
             assert second == first
             assert svc._cache.hits == hits_before + 1
 
     def test_different_parameters_miss(self, bundle_dir, seed_entities):
         with ServingService(bundle_dir) as svc:
-            svc.random_walks(seed_entities, seed=1)
-            svc.random_walks(seed_entities, seed=2)
+            svc.serve(WalkRequest(entities=tuple(seed_entities), seed=1)).result()
+            svc.serve(WalkRequest(entities=tuple(seed_entities), seed=2)).result()
             assert svc._cache.hits == 0
 
     def test_annotation_caches_per_text(self, bundle_dir, sample_texts):
         with ServingService(bundle_dir) as svc:
-            first = svc.annotate(sample_texts[0])
-            second = svc.annotate(sample_texts[0])
+            first = svc.serve(AnnotateRequest(texts=(sample_texts[0],))).result()[0]
+            second = svc.serve(AnnotateRequest(texts=(sample_texts[0],))).result()[0]
             assert second == first
             assert svc._cache.hits == 1
 
@@ -105,7 +110,7 @@ class TestAnnotationServing:
     def test_annotate_matches_pipeline(self, service, sample_texts):
         pipeline = service._pool.local_state.snapshot.annotation_pipeline(tier="full")
         for text in sample_texts[:3]:
-            served = service.annotate(text)
+            served = service.serve(AnnotateRequest(texts=(text,))).result()[0]
             expected = pipeline.annotate(text)
             assert [
                 (link.mention.start, link.mention.end, link.entity) for link in served
@@ -116,7 +121,7 @@ class TestAnnotationServing:
     def test_annotate_many_matches_singles(self, service, sample_texts):
         batched = service.serve(AnnotateRequest(texts=tuple(sample_texts))).result()
         for text, links in zip(sample_texts, batched):
-            singles = service.annotate(text)
+            singles = service.serve(AnnotateRequest(texts=(text,))).result()[0]
             assert [
                 (link.mention.start, link.mention.end, link.entity) for link in links
             ] == [
@@ -158,7 +163,7 @@ class TestGenerationAdoption:
         bundle_v1 = tmp_path / "v1"
         save_snapshot(store, bundle_v1)
         with ServingService(bundle_v1) as svc:
-            svc.random_walks(seeds, seed=5)
+            svc.serve(WalkRequest(entities=tuple(seeds), seed=5)).result()
             version_1 = svc.store_version
             assert len(svc._cache) > 0
 
@@ -175,7 +180,7 @@ class TestGenerationAdoption:
             adopted = svc.adopt_generation(bundle_v2)
             assert adopted == store.version != version_1
             assert len(svc._cache) == 0  # old generation purged
-            walks = svc.random_walks(seeds, seed=5)
+            walks = svc.serve(WalkRequest(entities=tuple(seeds), seed=5)).result()
             assert len(walks) == 4
             assert svc.metrics.counters["serve.generations"] == 2
 
@@ -183,8 +188,8 @@ class TestGenerationAdoption:
 class TestStatsSurface:
     def test_stats_keys(self, bundle_dir, seed_entities, sample_texts):
         with ServingService(bundle_dir) as svc:
-            svc.random_walks(seed_entities[:4])
-            svc.annotate(sample_texts[0])
+            svc.serve(WalkRequest(entities=tuple(seed_entities[:4]))).result()
+            svc.serve(AnnotateRequest(texts=(sample_texts[0],))).result()[0]
             stats = svc.stats()
         assert stats["counter.serve.requests"] == 2.0
         assert stats["hist.serve.latency.count"] == 2.0
@@ -195,7 +200,7 @@ class TestStatsSurface:
 
     def test_shard_fanout_counter(self, bundle_dir, seed_entities):
         with ServingService(bundle_dir) as svc:
-            svc.random_walks(seed_entities)
+            svc.serve(WalkRequest(entities=tuple(seed_entities))).result()
             # One worker, one part: the fan-out unit is the worker.
             assert svc.metrics.counters["serve.shard_fanout"] == 1
 
@@ -212,7 +217,6 @@ def embed_symbols(service):
 class TestServeDispatch:
     def test_serve_returns_typed_envelopes(self, service, seed_entities):
         response = service.serve(WalkRequest(entities=tuple(seed_entities[:3]), seed=2))
-        assert isinstance(response, WalkResponse)
         assert response.ok
         assert response.request_type == "walk"
         assert response.store_version == service.store_version
@@ -227,17 +231,12 @@ class TestServeDispatch:
         assert second.cached
         assert second.payload == first.payload
 
-    def test_delegating_wrappers_match_serve(self, service, seed_entities):
-        request = WalkRequest(entities=tuple(seed_entities[:3]), seed=8)
-        assert service.random_walks(seed_entities[:3], seed=8) == service.serve(request).payload
-
     def test_fact_ranking_served(self, service, embed_symbols):
         _entities, predicate, triples = embed_symbols
         subjects = [triples[0][0], triples[1][0]]
         response = service.serve(
             FactRankRequest(entities=tuple(subjects), predicate=predicate)
         )
-        assert isinstance(response, FactRankResponse)
         assert response.ok
         assert len(response.payload) == 2
 
@@ -260,11 +259,13 @@ class TestServeDispatch:
 
     def test_similarity_and_knn_served(self, service, embed_symbols):
         entities, _predicate, _triples = embed_symbols
-        sims = service.similarity([(entities[0], entities[1]), (entities[0], "ghost")])
+        sims = service.serve(
+            SimilarityRequest(pairs=((entities[0], entities[1]), (entities[0], "ghost")))
+        ).result()
         assert len(sims) == 2
         assert -1.0 <= sims[0] <= 1.0
         assert sims[1] == 0.0
-        hits = service.knn([entities[0]], k=3)
+        hits = service.serve(KnnRequest(entities=(entities[0],), k=3)).result()
         assert len(hits) == 1
         assert entities[0] not in {hit.key for hit in hits[0]}
 
@@ -276,7 +277,7 @@ class TestServeDispatch:
         assert response.error is not None and response.error.code == "internal"
         assert isinstance(response.exception, EmbeddingError)
         with pytest.raises(EmbeddingError):
-            service.knn(["entity:ghost"], k=3)
+            service.serve(KnnRequest(entities=("entity:ghost",), k=3)).result()
 
     def test_unsupported_request_type(self, service):
         response = service.serve("not a request")
@@ -325,7 +326,7 @@ class TestCacheAdmission:
         with ServingService(bundle_dir) as svc:
             svc.serve(AnnotateRequest(texts=tuple(sample_texts[:3])))
             assert len(svc._cache) == 0
-            svc.annotate(sample_texts[0])
+            svc.serve(AnnotateRequest(texts=(sample_texts[0],))).result()[0]
             assert len(svc._cache) == 1
 
     def test_verify_results_cached(self, service, embed_symbols):
@@ -344,9 +345,9 @@ class TestCacheAdmission:
 class TestPerTypeStats:
     def test_per_request_type_counters_and_p95(self, bundle_dir, seed_entities, sample_texts):
         with ServingService(bundle_dir) as svc:
-            svc.random_walks(seed_entities[:4])
-            svc.random_walks(seed_entities[:4], seed=1)
-            svc.annotate(sample_texts[0])
+            svc.serve(WalkRequest(entities=tuple(seed_entities[:4]))).result()
+            svc.serve(WalkRequest(entities=tuple(seed_entities[:4]), seed=1)).result()
+            svc.serve(AnnotateRequest(texts=(sample_texts[0],))).result()[0]
             stats = svc.stats()
         assert stats["counter.serve.requests.WalkRequest"] == 2.0
         assert stats["counter.serve.requests.AnnotateRequest"] == 1.0
@@ -367,6 +368,6 @@ class TestSaveAndServe:
     def test_round_trip(self, serving_kg, tmp_path, seed_entities):
         save_snapshot(serving_kg.store, tmp_path / "bundle")
         with ServingService(tmp_path / "bundle") as svc:
-            walks = svc.random_walks(seed_entities[:2])
+            walks = svc.serve(WalkRequest(entities=tuple(seed_entities[:2]))).result()
             assert len(walks) == 2
             assert svc.store_version == serving_kg.store.version

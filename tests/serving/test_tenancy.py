@@ -189,7 +189,7 @@ class TestRegistryLifecycle:
         first.upsert("durable", [canary_record(2, entities[2])])
         first.upsert("durable", [canary_record(7, entities[7])])
         first.delete("durable", "contacts", "c007")
-        version = first.tenant_version("durable")
+        version = first.get("durable").version
         answer = tenant_read(
             first, base, "durable", NeighborhoodRequest(entities=(PERSON,), hops=1)
         )

@@ -19,7 +19,7 @@ class TestService:
         entity = trained.dataset.entities[0]
         service.vector(entity)
         service.vector(entity)
-        assert service.cache_hit_rate == pytest.approx(0.5)
+        assert service._cache.hit_rate == pytest.approx(0.5)
 
     def test_similarity_self(self, trained):
         service = EmbeddingService(trained.trained)
